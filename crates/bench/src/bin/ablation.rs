@@ -85,7 +85,6 @@ fn run(cfg: ExperimentConfig) {
         seed: cfg.seed,
         grad_clip: Some(5.0),
         accum: 1,
-        backend: gnn::train::TrainBackend::from_env(),
     };
     for (name, vcfg) in variants {
         eprint!("[ablation] training `{name}`... ");

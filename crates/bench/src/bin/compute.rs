@@ -6,7 +6,7 @@
 //! dataset-build nets/sec at 1 thread vs `N` threads on the `par` pool
 //! — and writes `BENCH_compute.json`. Training throughput has its own
 //! benchmark (`bench --bin train`, `BENCH_train.json`), which measures
-//! the tape vs packed gradient backends rather than pool scaling.
+//! tape vs packed training rather than pool scaling.
 //!
 //! ```text
 //! cargo run -p bench --release --bin compute [-- --steps N --threads T \

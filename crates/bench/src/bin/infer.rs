@@ -185,7 +185,8 @@ fn main() {
     let mut worst = 0.0f32;
     for b in &batches {
         let tape = model.predict(b);
-        let fast = compiled.forward_one(b, &mut arena).expect("forward");
+        let one = PackedBatch::pack(&[b]).expect("pack");
+        let fast = compiled.forward_packed(&one, &mut arena).expect("forward");
         worst = worst.max(max_rel_err(&fast, &tape));
     }
     eprintln!("infer: parity max rel err {worst:.3e} over {total_paths} paths");
@@ -204,7 +205,8 @@ fn main() {
     });
     let free_s = best_of(args.reps, || {
         for b in &batches {
-            let out = compiled.forward_one(b, &mut arena).expect("forward");
+            let one = PackedBatch::pack(&[b]).expect("pack");
+            let out = compiled.forward_packed(&one, &mut arena).expect("forward");
             assert!(out.get(0, 0).is_finite());
         }
     });
@@ -244,7 +246,8 @@ fn main() {
             });
             let unpacked_s = best_of(args.reps, || {
                 for b in &batches {
-                    let out = compiled.forward_one(b, &mut arena).expect("forward");
+                    let one = PackedBatch::pack(&[b]).expect("pack");
+            let out = compiled.forward_packed(&one, &mut arena).expect("forward");
                     assert!(out.get(0, 0).is_finite());
                 }
             });

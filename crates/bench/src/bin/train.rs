@@ -1,8 +1,8 @@
 //! Training-engine benchmark: tape vs packed-batch backward.
 //!
 //! Measures the stage the packed trainer changed — single-thread epoch
-//! throughput of the autograd-tape backend vs the tape-free packed
-//! backend at accumulation 1/8/32 — plus packed-vs-tape gradient
+//! throughput of autograd-tape training vs tape-free packed training
+//! at accumulation 1/8/32 — plus packed-vs-tape gradient
 //! parity, and writes `BENCH_train.json`. All timing is single-thread
 //! (`PAR` pool sized 1): the engine's win must come from the backward
 //! itself, not lane count.
@@ -18,14 +18,14 @@
 //! multi-graph pack (the check script runs this gate).
 
 use gnn::batch::GraphBatch;
-use gnn::grad::TrainScratch;
+use gnn::infer::Arena;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, TrainBackend, TrainConfig};
+use gnn::train::{train, TrainConfig};
 use gnntrans::features::{NODE_DIM, PATH_DIM};
 use netgen::nets::{NetConfig, NetGenerator};
 use std::fmt::Write as _;
 use std::time::Instant;
-use tensor::{Mat, Tape};
+use tensor::{Mat, ParamSet, Tape, Var};
 
 const ACCUM_SIZES: [usize; 3] = [1, 8, 32];
 
@@ -167,6 +167,24 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// GNNTrans without its packed layout, so `train` runs the tape.
+struct TapeOnly(GnnTrans);
+
+impl GraphModel for TapeOnly {
+    fn name(&self) -> &str {
+        "GNNTrans (tape)"
+    }
+    fn param_set(&self) -> &ParamSet {
+        self.0.param_set()
+    }
+    fn param_set_mut(&mut self) -> &mut ParamSet {
+        self.0.param_set_mut()
+    }
+    fn forward(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
+        self.0.forward(tape, batch)
+    }
+}
+
 /// One graph's tape gradients — the oracle the packed backward is
 /// pinned to.
 fn tape_grads(model: &GnnTrans, batch: &GraphBatch) -> Vec<(usize, Mat)> {
@@ -210,7 +228,7 @@ fn main() {
         ..Default::default()
     };
     let model = GnnTrans::new(&model_cfg, args.seed);
-    let trainer = model.packed_trainer().expect("GnnTrans compiles a packed trainer");
+    let layout = model.packed_layout().expect("GnnTrans has a packed layout");
 
     eprintln!("train: generating {} labelled nets...", args.nets);
     let batches = make_batches(args.seed, args.nets);
@@ -220,17 +238,17 @@ fn main() {
     // gates the check script on this). Single-graph packs must match
     // the tape exactly; a full pack regroups the weight-grad sums, so
     // it is pinned at 1e-6 relative.
-    let mut scratch = TrainScratch::new();
+    let mut arena = Arena::new();
     let mut worst_single = 0.0f32;
     for b in batches.iter().take(16) {
-        let step = trainer
-            .step(model.param_set(), &[b], &mut scratch)
+        let step = layout
+            .step(model.param_set(), &[b], &mut arena)
             .expect("packed step");
         worst_single = worst_single.max(grads_rel_err(&step.grads, &tape_grads(&model, b)));
     }
     let pack: Vec<&GraphBatch> = batches.iter().take(8).collect();
-    let pack_step = trainer
-        .step(model.param_set(), &pack, &mut scratch)
+    let pack_step = layout
+        .step(model.param_set(), &pack, &mut arena)
         .expect("packed step");
     let mut tape_sum: Vec<(usize, Mat)> = Vec::new();
     for b in &pack {
@@ -254,7 +272,7 @@ fn main() {
         "packed-batch gradients diverged from tape sum: {worst_pack:.3e} > 1e-6"
     );
 
-    // --- epoch throughput: tape vs packed backend at each accumulation
+    // --- epoch throughput: tape vs packed training at each accumulation
     // size, fresh identically-seeded model per timed run.
     struct Row {
         accum: usize,
@@ -267,23 +285,21 @@ fn main() {
     let rows: Vec<Row> = ACCUM_SIZES
         .iter()
         .map(|&accum| {
-            let cfg_for = |backend: TrainBackend| TrainConfig {
+            let cfg = TrainConfig {
                 epochs: args.epochs,
                 seed: args.seed,
                 accum,
-                backend,
                 ..TrainConfig::default()
             };
             let tape_s = best_of(args.reps, || {
-                let mut m = GnnTrans::new(&model_cfg, args.seed);
-                train(&mut m, &batches, &cfg_for(TrainBackend::Tape)).expect("tape training");
+                let mut m = TapeOnly(GnnTrans::new(&model_cfg, args.seed));
+                train(&mut m, &batches, &cfg).expect("tape training");
             });
             let mut arena_bytes_peak = 0usize;
             let mut fallbacks = 0u64;
             let packed_s = best_of(args.reps, || {
                 let mut m = GnnTrans::new(&model_cfg, args.seed);
-                let report =
-                    train(&mut m, &batches, &cfg_for(TrainBackend::Packed)).expect("packed training");
+                let report = train(&mut m, &batches, &cfg).expect("packed training");
                 arena_bytes_peak = arena_bytes_peak.max(report.arena_bytes_peak);
                 fallbacks = report.fallbacks;
             });

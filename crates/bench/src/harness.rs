@@ -241,7 +241,6 @@ pub fn train_baselines(
             seed: cfg.seed,
             grad_clip: Some(5.0),
             accum: 1,
-            backend: gnn::train::TrainBackend::from_env(),
         };
         train(m.as_mut(), &batches, &tcfg)?;
     }

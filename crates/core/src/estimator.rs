@@ -3,59 +3,23 @@
 use crate::features::{NetContext, NODE_DIM, PATH_DIM};
 use crate::scaler::Scaler;
 use crate::{CoreError, Dataset};
-use gnn::infer::{InferenceModel, PackedBatch};
+use gnn::infer::{split_packs, Arena, Layout, PackedBatch};
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, TrainBackend, TrainConfig, TrainReport};
+use gnn::train::{train, TrainConfig, TrainReport};
 use gnn::GraphBatch;
 use rcnet::{NodeId, RcNet, Seconds};
 use std::cell::RefCell;
-use std::sync::Arc;
-use std::time::Instant;
 use tensor::{Mat, ParamSet};
 
-/// Node-row budget per packed chunk: large enough that the shared
-/// projections run as GEMM-friendly tall matrices, small enough that a
-/// chunk's attention score buffers stay cache-resident.
-const PACK_MAX_NODES: usize = 2048;
-
-/// Graph-count cap per packed chunk.
+/// Graph-count cap per packed chunk; the node budget is
+/// [`gnn::infer::PACK_MAX_NODES`].
 const PACK_MAX_GRAPHS: usize = 64;
 
 thread_local! {
-    /// Per-thread buffer arena for tape-free forwards. Thread-local so
+    /// Per-thread buffer arena for packed forwards. Thread-local so
     /// serve workers and `par` lanes each reuse their own warm pool
     /// without locking.
-    static ARENA: RefCell<gnn::infer::Arena> = RefCell::new(gnn::infer::Arena::new());
-}
-
-/// Which forward implementation [`WireTimingEstimator`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardBackend {
-    /// The compiled tape-free path (arena buffers, cross-net packing) —
-    /// the default.
-    TapeFree,
-    /// The autograd-tape forward, kept as the correctness oracle.
-    /// Selected by `GNNTRANS_TAPE_FORWARD=1` or
-    /// [`WireTimingEstimator::set_forward_backend`].
-    Tape,
-}
-
-impl ForwardBackend {
-    /// Resolves the backend from the `GNNTRANS_TAPE_FORWARD`
-    /// environment variable (`1`/`true` select the tape oracle).
-    pub fn from_env() -> Self {
-        let oracle = std::env::var("GNNTRANS_TAPE_FORWARD")
-            .map(|v| {
-                let t = v.trim();
-                t == "1" || t.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false);
-        if oracle {
-            ForwardBackend::Tape
-        } else {
-            ForwardBackend::TapeFree
-        }
-    }
+    static ARENA: RefCell<Arena> = RefCell::new(Arena::new());
 }
 
 /// The paper's three depth configurations (TABLE V).
@@ -257,12 +221,9 @@ pub struct NetPrediction {
 pub struct WireTimingEstimator {
     cfg: EstimatorConfig,
     model: GnnTrans,
+    /// `model`'s packed layout; forwards read `model`'s own weights.
+    layout: Layout,
     scalers: Option<Scalers>,
-    /// Tape-free executable compiled from `model`, rebuilt whenever the
-    /// weights change (train / fine-tune / load). Shared by clone —
-    /// the compiled form is immutable.
-    infer: Option<Arc<InferenceModel>>,
-    backend: ForwardBackend,
 }
 
 #[derive(Debug, Clone)]
@@ -272,34 +233,38 @@ struct Scalers {
     target: Scaler,
 }
 
+impl Scalers {
+    fn of(data: &Dataset) -> Self {
+        Scalers {
+            node: data.node_scaler.clone(),
+            path: data.path_scaler.clone(),
+            target: data.target_scaler.clone(),
+        }
+    }
+}
+
 impl WireTimingEstimator {
     /// Creates an untrained estimator.
     pub fn new(cfg: &EstimatorConfig, seed: u64) -> Self {
+        let model = GnnTrans::new(&cfg.to_model_config(), seed);
         WireTimingEstimator {
             cfg: cfg.clone(),
-            model: GnnTrans::new(&cfg.to_model_config(), seed),
+            layout: Layout::compile(&model),
+            model,
             scalers: None,
-            infer: None,
-            backend: ForwardBackend::from_env(),
         }
     }
 
-    /// The active forward backend.
-    pub fn forward_backend(&self) -> ForwardBackend {
-        self.backend
-    }
-
-    /// Overrides the forward backend (tests and benchmarks comparing
-    /// the tape oracle against the tape-free path in-process).
-    pub fn set_forward_backend(&mut self, backend: ForwardBackend) {
-        self.backend = backend;
-    }
-
-    /// Recompiles the tape-free executable from the current weights.
-    /// Called after every weight change; until the first call the
-    /// estimator falls back to the tape forward.
-    fn rebuild_infer(&mut self) {
-        self.infer = Some(Arc::new(InferenceModel::compile(&self.model)));
+    /// Runs `f` on a copy of the model and keeps the copy only when `f`
+    /// succeeds, so a failed training call changes nothing.
+    fn train_copy<R>(
+        &mut self,
+        f: impl FnOnce(&mut GnnTrans) -> Result<R, gnn::GnnError>,
+    ) -> Result<R, CoreError> {
+        let mut model = self.model.clone();
+        let result = f(&mut model)?;
+        self.model = model;
+        Ok(result)
     }
 
     /// The configuration.
@@ -317,31 +282,17 @@ impl WireTimingEstimator {
         self.model.param_set().scalar_count()
     }
 
-    /// Trains end to end on a labelled dataset.
+    /// Trains end to end on a labelled dataset. On failure the
+    /// estimator is left unchanged.
     ///
     /// # Errors
     ///
     /// Propagates batch packing and training failures.
     pub fn train(&mut self, data: &Dataset) -> Result<TrainReport, CoreError> {
         let batches = data.batches()?;
-        let report = train(
-            &mut self.model,
-            &batches,
-            &TrainConfig {
-                epochs: self.cfg.epochs,
-                lr: self.cfg.lr,
-                seed: 1,
-                grad_clip: Some(5.0),
-                accum: 1,
-                backend: TrainBackend::from_env(),
-            },
-        )?;
-        self.scalers = Some(Scalers {
-            node: data.node_scaler.clone(),
-            path: data.path_scaler.clone(),
-            target: data.target_scaler.clone(),
-        });
-        self.rebuild_infer();
+        let cfg = train_config(self.cfg.epochs, self.cfg.lr, 1);
+        let report = self.train_copy(|m| train(m, &batches, &cfg))?;
+        self.scalers = Some(Scalers::of(data));
         Ok(report)
     }
 
@@ -349,7 +300,8 @@ impl WireTimingEstimator {
     /// `1/val_every`-th net is held out, training stops after `patience`
     /// epochs without validation improvement, and the best-epoch weights
     /// are restored. More robust than [`WireTimingEstimator::train`] when
-    /// run-to-run variance matters (e.g. comparing PlanA/B/C).
+    /// run-to-run variance matters (e.g. comparing PlanA/B/C). On failure
+    /// the estimator is left unchanged.
     ///
     /// # Errors
     ///
@@ -376,26 +328,11 @@ impl WireTimingEstimator {
                 train_b.push(b);
             }
         }
-        let report = gnn::train::train_with_early_stopping(
-            &mut self.model,
-            &train_b,
-            &val_b,
-            &TrainConfig {
-                epochs: self.cfg.epochs,
-                lr: self.cfg.lr,
-                seed: 1,
-                grad_clip: Some(5.0),
-                accum: 1,
-                backend: TrainBackend::from_env(),
-            },
-            patience,
-        )?;
-        self.scalers = Some(Scalers {
-            node: data.node_scaler.clone(),
-            path: data.path_scaler.clone(),
-            target: data.target_scaler.clone(),
-        });
-        self.rebuild_infer();
+        let cfg = train_config(self.cfg.epochs, self.cfg.lr, 1);
+        let report = self.train_copy(|m| {
+            gnn::train::train_with_early_stopping(m, &train_b, &val_b, &cfg, patience)
+        })?;
+        self.scalers = Some(Scalers::of(data));
         Ok(report)
     }
 
@@ -407,7 +344,8 @@ impl WireTimingEstimator {
     /// samples (e.g. a freshly routed design), reusing the original
     /// feature/target scalers so representations stay consistent — the
     /// incremental-adaptation flow for the paper's "inductive model
-    /// shared across designs".
+    /// shared across designs". On failure the estimator is left
+    /// unchanged.
     ///
     /// # Errors
     ///
@@ -433,36 +371,24 @@ impl WireTimingEstimator {
                 gnn::GraphBatch::build(&s.net, x, pf, Some(t)).map_err(CoreError::from)
             })
             .collect();
-        let report = train(
-            &mut self.model,
-            &batches?,
-            &TrainConfig {
-                epochs,
-                lr,
-                seed: 2,
-                grad_clip: Some(5.0),
-                accum: 1,
-                backend: TrainBackend::from_env(),
-            },
-        )?;
-        self.rebuild_infer();
-        Ok(report)
+        let batches = batches?;
+        self.train_copy(|m| train(m, &batches, &train_config(epochs, lr, 2)))
     }
 
     /// Predicts the slew and delay of every wire path of `net`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotTrained`] before training; propagates
-    /// feature-analysis failures.
+    /// Returns [`CoreError::NotTrained`] before training and
+    /// [`CoreError::NonFinitePrediction`] when the model's output is
+    /// not finite; propagates feature-analysis failures.
     pub fn predict_net(
         &self,
         net: &RcNet,
         ctx: &NetContext,
     ) -> Result<Vec<PathEstimate>, CoreError> {
-        let batch = self.prepare_batch(net, ctx)?;
-        let pred = self.forward_single(&batch);
-        self.estimates_from(net, pred)
+        let mut one = self.predict_pack(&[(net, ctx)])?;
+        Ok(one.pop().expect("one net in, one estimate out"))
     }
 
     /// Extracts, scales and clamps the features of one net into a
@@ -491,6 +417,13 @@ impl WireTimingEstimator {
     /// Un-scales a raw `p x 2` prediction into per-path estimates.
     fn estimates_from(&self, net: &RcNet, pred: Mat) -> Result<Vec<PathEstimate>, CoreError> {
         let sc = self.scalers()?;
+        // Clamping and `max(0.0)` below would turn NaN into a silent
+        // 0 s, so a non-finite output fails the net instead.
+        if pred.as_slice().iter().any(|v| !v.is_finite()) {
+            return Err(CoreError::NonFinitePrediction {
+                net: net.name().to_string(),
+            });
+        }
         // Predictions are clamped at ±10 sigma of the training targets
         // before un-scaling.
         let raw = sc.target.inverse(&clamp_pred(pred));
@@ -506,130 +439,60 @@ impl WireTimingEstimator {
             .collect())
     }
 
-    /// Forwards one batch: tape-free when compiled and selected, with
-    /// the tape forward as both oracle and fallback.
-    fn forward_single(&self, batch: &GraphBatch) -> Mat {
-        if let (ForwardBackend::TapeFree, Some(infer)) = (self.backend, &self.infer) {
-            match ARENA.with(|a| infer.forward_one(batch, &mut a.borrow_mut())) {
-                Ok(out) => return out,
-                Err(e) => {
-                    obs::counter("infer.fallbacks").inc();
-                    obs::event!(
-                        obs::Level::Warn,
-                        "infer",
-                        "tape-free forward failed; using tape fallback",
-                        error = &e.to_string(),
-                    );
-                }
-            }
-        }
-        self.tape_forward(batch)
-    }
-
-    /// The tape forward, timed into `infer.unpacked_seconds` so the
-    /// packed/unpacked comparison is visible in run reports.
-    fn tape_forward(&self, batch: &GraphBatch) -> Mat {
-        let t0 = Instant::now();
-        let out = self.model.predict(batch);
-        obs::histogram("infer.unpacked_seconds").observe(t0.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Forwards many prepared batches, packing contiguous runs into
-    /// cross-net chunks on the tape-free path. Infallible by design: a
-    /// chunk whose pack or packed forward fails (e.g. one poisoned
-    /// graph) degrades to per-graph tape forwards for that chunk only —
-    /// sibling requests are never dropped.
-    fn forward_many(&self, batches: &[GraphBatch]) -> Vec<Mat> {
-        let compiled = match (self.backend, &self.infer) {
-            (ForwardBackend::TapeFree, Some(infer)) => infer,
-            _ => {
-                return par::par_map("predict.tape", batches, |b| self.tape_forward(b));
-            }
-        };
-        // Greedy contiguous chunking under node and graph budgets.
-        let mut chunks: Vec<&[GraphBatch]> = Vec::new();
-        let mut start = 0;
-        let mut nodes = 0;
-        for (i, b) in batches.iter().enumerate() {
-            let n = b.node_count();
-            if i > start && (nodes + n > PACK_MAX_NODES || i - start >= PACK_MAX_GRAPHS) {
-                chunks.push(&batches[start..i]);
-                start = i;
-                nodes = 0;
-            }
-            nodes += n;
-        }
-        if start < batches.len() {
-            chunks.push(&batches[start..]);
-        }
-        let per_chunk = par::par_map("predict.pack", &chunks, |chunk| {
-            self.forward_chunk(compiled, chunk)
-        });
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Packs one chunk and runs the batched forward, splitting the
-    /// packed output back into per-graph predictions; falls back to
-    /// per-graph tape forwards on any failure.
-    fn forward_chunk(&self, compiled: &InferenceModel, chunk: &[GraphBatch]) -> Vec<Mat> {
-        let refs: Vec<&GraphBatch> = chunk.iter().collect();
-        let packed_out = PackedBatch::pack(&refs).and_then(|packed| {
-            let out = ARENA.with(|a| compiled.forward_packed(&packed, &mut a.borrow_mut()))?;
-            Ok((0..packed.graph_count())
-                .map(|s| {
-                    let (p0, p1) = packed.path_range(s);
-                    let mut m = Mat::zeros(p1 - p0, 2);
-                    m.as_mut_slice()
-                        .copy_from_slice(&out.as_slice()[p0 * 2..p1 * 2]);
-                    m
-                })
-                .collect())
-        });
-        match packed_out {
-            Ok(outs) => outs,
-            Err(e) => {
-                obs::counter("infer.fallbacks").inc();
-                obs::event!(
-                    obs::Level::Warn,
-                    "infer",
-                    "packed forward failed; chunk degrades to tape",
-                    error = &e.to_string(),
-                    graphs = &chunk.len().to_string(),
-                );
-                chunk.iter().map(|b| self.tape_forward(b)).collect()
-            }
-        }
-    }
-
     /// Batch inference over many nets (the paper's 200 k-net use case).
     ///
-    /// Feature extraction runs per net in parallel; on the tape-free
-    /// backend the forwards then run as packed cross-net chunks, which
-    /// is where the serve micro-batch and ECO dirty-cone throughput
-    /// comes from. Results (and the first-failure error) are identical
-    /// to calling [`WireTimingEstimator::predict_net`] in a loop.
+    /// The nets are cut into packs of at most
+    /// [`gnn::infer::PACK_MAX_NODES`] nodes and [`PACK_MAX_GRAPHS`] nets,
+    /// each forwarded as one packed batch straight from the model's own
+    /// weights — which is where the serve micro-batch and ECO
+    /// dirty-cone throughput comes from. Results (and the first-failure
+    /// error) are identical to calling
+    /// [`WireTimingEstimator::predict_net`] in a loop.
     ///
     /// # Errors
     ///
-    /// Fails on the first net whose features cannot be extracted.
+    /// Fails on the first net whose features cannot be extracted or
+    /// whose prediction is not finite.
     pub fn predict_many<'a, I>(&self, nets: I) -> Result<Vec<Vec<PathEstimate>>, CoreError>
     where
         I: IntoIterator<Item = (&'a RcNet, &'a NetContext)>,
     {
-        // The in-order try_par_map keeps both the result order and the
-        // first-failing-net error identical to the serial loop for any
-        // `PAR_THREADS` setting.
+        // Packs split by node counts alone and the in-order try_par_map
+        // keep both the result order and the first-failing-net error
+        // identical to the serial loop for any `PAR_THREADS` setting.
         let pairs: Vec<(&RcNet, &NetContext)> = nets.into_iter().collect();
-        let batches =
-            par::try_par_map("predict.features", &pairs, |&(net, ctx)| {
-                self.prepare_batch(net, ctx)
-            })?;
-        let preds = self.forward_many(&batches);
-        pairs
-            .iter()
-            .zip(preds)
-            .map(|(&(net, _), pred)| self.estimates_from(net, pred))
+        let packs = split_packs(&pairs, |(net, _)| net.node_count(), PACK_MAX_GRAPHS);
+        let per_pack = par::try_par_map("predict.pack", &packs, |pack| self.predict_pack(pack))?;
+        Ok(per_pack.into_iter().flatten().collect())
+    }
+
+    /// Extracts features for one pack of nets, forwards them as one
+    /// packed batch, and un-scales each net's rows.
+    fn predict_pack(
+        &self,
+        pack: &[(&RcNet, &NetContext)],
+    ) -> Result<Vec<Vec<PathEstimate>>, CoreError> {
+        // Several packs already fill the pool, so inside one of their
+        // lanes this map runs serially and the forward reads adjacency
+        // its own core just wrote (on a 2-vCPU host, reading adjacency
+        // another core built made 100–1000-node nets ~10% slower); a
+        // lone pack spreads its nets' features over the pool instead.
+        let batches = par::try_par_map("predict.features", pack, |&(net, ctx)| {
+            self.prepare_batch(net, ctx)
+        })?;
+        let refs: Vec<&GraphBatch> = batches.iter().collect();
+        let packed = PackedBatch::pack(&refs)?;
+        let params = self.model.param_set();
+        let out = ARENA.with(|a| self.layout.forward(params, &packed, &mut a.borrow_mut()))?;
+        pack.iter()
+            .enumerate()
+            .map(|(s, &(net, _))| {
+                let (p0, p1) = packed.path_range(s);
+                let mut pred = Mat::zeros(p1 - p0, 2);
+                pred.as_mut_slice()
+                    .copy_from_slice(&out.as_slice()[p0 * 2..p1 * 2]);
+                self.estimates_from(net, pred)
+            })
             .collect()
     }
 
@@ -693,7 +556,7 @@ impl WireTimingEstimator {
     /// Checkpoint files are treated as untrusted input (a serving layer
     /// hot-reloads them at runtime): every failure mode — unreadable or
     /// truncated file, wrong magic, corrupt configuration, scaler or
-    /// parameter shape mismatch — is reported as
+    /// parameter shape mismatch, non-finite weights — is reported as
     /// [`CoreError::Checkpoint`]; this function never panics.
     ///
     /// # Errors
@@ -753,11 +616,26 @@ impl WireTimingEstimator {
                     est.model.param_set().get(i).shape()
                 )));
             }
+            if loaded.get(i).as_slice().iter().any(|v| !v.is_finite()) {
+                return Err(CoreError::Checkpoint(format!(
+                    "parameter `{expect}` has a non-finite value"
+                )));
+            }
             *est.model.param_set_mut().get_mut(i) = loaded.get(i).clone();
         }
         est.scalers = Some(scalers);
-        est.rebuild_infer();
         Ok(est)
+    }
+}
+
+/// The estimator's training recipe.
+fn train_config(epochs: usize, lr: f32, seed: u64) -> TrainConfig {
+    TrainConfig {
+        epochs,
+        lr,
+        seed,
+        grad_clip: Some(5.0),
+        accum: 1,
     }
 }
 
@@ -1099,6 +977,19 @@ mod tests {
             Err(CoreError::Checkpoint(_))
         ));
 
+        // One non-finite weight.
+        rewrite(&|name, mat| {
+            let mut m = mat.clone();
+            if name == "delay/l1/b" {
+                m.as_mut_slice()[0] = f32::NAN;
+            }
+            m
+        });
+        assert!(matches!(
+            WireTimingEstimator::load(&path),
+            Err(CoreError::Checkpoint(_))
+        ));
+
         // A scaler with a zero std column.
         rewrite(&|name, mat| {
             if name == "__scaler_node" {
@@ -1117,73 +1008,71 @@ mod tests {
     }
 
     #[test]
-    fn tape_free_backend_matches_tape_oracle() {
+    fn packed_predictions_match_the_tape_oracle() {
         let train_nets = nets(10, 13);
         let mut b = DatasetBuilder::new(1);
         let ds = b.build(&train_nets).unwrap();
         let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
         est.train(&ds).unwrap();
-        assert_eq!(est.forward_backend(), ForwardBackend::TapeFree);
 
         let probes = nets(6, 99);
         let ctxs: Vec<NetContext> = probes.iter().map(|n| b.context_for(n)).collect();
         let pairs: Vec<(&RcNet, &NetContext)> = probes.iter().zip(ctxs.iter()).collect();
-        let fast = est.predict_many(pairs.iter().copied()).unwrap();
-
-        // The oracle switch must reproduce the same estimates exactly:
-        // the tape-free ops mirror the tape's accumulation order.
-        let mut oracle = est.clone();
-        oracle.set_forward_backend(ForwardBackend::Tape);
-        let slow = oracle.predict_many(pairs.iter().copied()).unwrap();
-        assert_eq!(fast, slow);
-
-        // And packed predict_many equals the per-net loop.
-        for ((net, ctx), packed) in pairs.iter().zip(&fast) {
-            assert_eq!(&est.predict_net(net, ctx).unwrap(), packed);
+        let packed = est.predict_many(pairs.iter().copied()).unwrap();
+        for ((net, ctx), got) in pairs.iter().zip(&packed) {
+            // The packed ops mirror the tape's accumulation order, so
+            // the estimates match the tape forward exactly.
+            let batch = est.prepare_batch(net, ctx).unwrap();
+            let tape = est.estimates_from(net, est.model.predict(&batch)).unwrap();
+            assert_eq!(got, &tape);
+            // And packed predict_many equals the per-net call.
+            assert_eq!(&est.predict_net(net, ctx).unwrap(), got);
         }
     }
 
     #[test]
-    fn poisoned_compiled_model_falls_back_without_dropping_siblings() {
-        let train_nets = nets(10, 17);
+    fn non_finite_output_fails_instead_of_reading_zero() {
+        let train_nets = nets(8, 17);
         let mut b = DatasetBuilder::new(1);
         let ds = b.build(&train_nets).unwrap();
         let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
         est.train(&ds).unwrap();
+        est.model.param_set_mut().get_mut(0).as_mut_slice()[0] = f32::NAN;
+        let ctx = b.context_for(&train_nets[0]);
+        assert!(matches!(
+            est.predict_net(&train_nets[0], &ctx),
+            Err(CoreError::NonFinitePrediction { .. })
+        ));
+    }
 
-        let probes = nets(5, 55);
-        let ctxs: Vec<NetContext> = probes.iter().map(|n| b.context_for(n)).collect();
-        let pairs: Vec<(&RcNet, &NetContext)> = probes.iter().zip(ctxs.iter()).collect();
-        let want = est.predict_many(pairs.iter().copied()).unwrap();
+    #[test]
+    fn failed_fine_tune_changes_nothing() {
+        let train_nets = nets(8, 23);
+        let mut b = DatasetBuilder::new(1);
+        let ds = b.build(&train_nets).unwrap();
+        let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
+        est.train(&ds).unwrap();
+        let probe = &train_nets[0];
+        let ctx = b.context_for(probe);
+        let before = est.predict_net(probe, &ctx).unwrap();
 
-        // Poison the compiled model: a stack built for a different node
-        // width makes every packed forward fail validation. The batch
-        // must degrade to the tape path and still answer every net.
-        let wrong = GnnTrans::new(
-            &GnnTransConfig {
-                node_dim: NODE_DIM + 1,
-                path_dim: PATH_DIM,
-                hidden: 8,
-                gnn_layers: 1,
-                attn_layers: 1,
-                heads: 2,
-                mlp_hidden: 8,
-                ..GnnTransConfig::default()
-            },
-            1,
-        );
-        let mut poisoned = est.clone();
-        poisoned.infer = Some(Arc::new(InferenceModel::compile(&wrong)));
-        let before = obs::counter("infer.fallbacks").get();
-        let got = poisoned.predict_many(pairs.iter().copied()).unwrap();
-        assert_eq!(got, want, "fallback must reproduce the tape estimates");
-        assert!(
-            obs::counter("infer.fallbacks").get() > before,
-            "fallback path must be observable"
-        );
-        // Single-net prediction degrades identically.
-        let single = poisoned.predict_net(&probes[0], &ctxs[0]).unwrap();
-        assert_eq!(single, want[0]);
+        // Healthy samples first take optimizer steps; the poisoned one
+        // then diverges the run.
+        let mut samples: Vec<_> = train_nets[1..5]
+            .iter()
+            .map(|n| b.sample_for(n).unwrap())
+            .collect();
+        let mut poisoned = b.sample_for(&train_nets[5]).unwrap();
+        poisoned.targets_ps = Mat::full(poisoned.targets_ps.rows(), 2, f32::NAN);
+        samples.push(poisoned);
+        assert!(est.fine_tune(&samples, 2, 1e-2).is_err());
+        assert_eq!(est.predict_net(probe, &ctx).unwrap(), before);
+
+        let path = std::env::temp_dir().join("gnntrans_failed_fine_tune.bin");
+        est.save(&path).unwrap();
+        let reloaded = WireTimingEstimator::load(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(reloaded.predict_net(probe, &ctx).unwrap(), before);
     }
 
     #[test]

@@ -51,9 +51,7 @@ pub mod scaler;
 pub mod timers;
 
 pub use dataset::{Dataset, DatasetBuilder, Sample};
-pub use estimator::{
-    EstimatorConfig, ForwardBackend, NetPrediction, PathEstimate, Plan, WireTimingEstimator,
-};
+pub use estimator::{EstimatorConfig, NetPrediction, PathEstimate, Plan, WireTimingEstimator};
 pub use features::NetContext;
 
 use std::error::Error;
@@ -78,6 +76,11 @@ pub enum CoreError {
     /// A saved-estimator checkpoint is corrupt, truncated, or
     /// structurally inconsistent (message explains what was wrong).
     Checkpoint(String),
+    /// The model predicted a non-finite slew or delay for a net.
+    NonFinitePrediction {
+        /// The net's name.
+        net: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -90,6 +93,9 @@ impl fmt::Display for CoreError {
             CoreError::NotTrained => write!(f, "estimator has not been trained"),
             CoreError::BadInput(m) => write!(f, "bad input: {m}"),
             CoreError::Checkpoint(m) => write!(f, "bad checkpoint: {m}"),
+            CoreError::NonFinitePrediction { net } => {
+                write!(f, "model predicted a non-finite value for net `{net}`")
+            }
         }
     }
 }

@@ -98,9 +98,9 @@ pub fn evaluate_estimator(
         .iter()
         .filter(|s| !(nontree_only && s.is_tree()))
         .collect();
-    // One predict_many over the whole test set: on the tape-free
-    // backend the nets share packed forward chunks, so evaluation cost
-    // scales with total nodes rather than per-net dispatch.
+    // One predict_many over the whole test set: the nets share packed
+    // forward chunks, so evaluation cost scales with total nodes rather
+    // than per-net dispatch.
     let preds = est.predict_many(selected.iter().map(|s| (&s.net, &s.ctx)))?;
     let mut ev = Evaluator::new();
     for (s, pred) in selected.iter().zip(&preds) {

@@ -1,14 +1,14 @@
-//! Tape-free packed-batch training: analytic backward through the
-//! segment-packed kernels.
+//! Packed-batch training: analytic backward through the segment-packed
+//! kernels.
 //!
-//! The training-side twin of [`crate::infer`]: where PR 7 compiled the
-//! GNNTrans forward pass into arena kernels over one tall node matrix,
-//! [`PackedTrainer`] adds the hand-derived backward pass of the full
-//! stack (WSAGE layers, multi-head attention with per-segment masked
-//! softmax, pooling, layer norm, slew/delay heads) using the
-//! [`tensor::grad`] kernels — one tall GEMM per layer in both
-//! directions, no tape construction, no per-graph allocation after
-//! warm-up.
+//! [`Layout::step`] packs a whole accumulation chunk with
+//! [`PackedBatch::pack`], runs the one packed forward of
+//! [`crate::infer`] with its activations kept, and then the
+//! hand-derived backward pass of the full stack (WSAGE layers,
+//! multi-head attention with per-segment masked softmax, pooling, layer
+//! norm, slew/delay heads) using the [`tensor::grad`] kernels — one
+//! tall GEMM per layer in both directions, no tape construction, no
+//! per-graph allocation after warm-up.
 //!
 //! # Accumulation-order contract
 //!
@@ -28,68 +28,22 @@
 //! * per-graph loss seeds use the tape's exact `2/n · (pred − target)`
 //!   expression, so a pack of one graph reproduces the tape gradient
 //!   value-for-value, and the per-graph losses are bit-identical to the
-//!   tape backend for any pack composition.
+//!   tape for any pack composition.
 //!
 //! The one place a multi-graph pack departs from per-graph tapes is the
 //! weight gradients: the tape sums K per-graph `Xᵀ·G` products, while
 //! the packed backward computes one tall `Xᵀ·G` over all K graphs'
 //! rows. The sums contain identical terms in a different grouping, so
 //! they agree to ~1e-7 relative — pinned ≤ 1e-6 by proptest, with the
-//! tape kept as the oracle (`TrainBackend::Tape`).
+//! tape kept as the oracle.
 
 use crate::batch::GraphBatch;
-use crate::models::{GnnTrans, GnnTransConfig};
+use crate::infer::{count_bounds, AffineIds, Layout, PackedBatch};
 use crate::GnnError;
-use std::cell::RefCell;
 use std::time::Instant;
 use tensor::grad as tg;
 use tensor::infer::{self as ops, Arena};
 use tensor::{Mat, ParamSet};
-
-/// Parameter ids of one affine layer.
-#[derive(Debug, Clone, Copy)]
-struct AffineIds {
-    w: usize,
-    b: usize,
-}
-
-/// Parameter ids of one eq.-(1) layer (`W2`'s bias is unused).
-#[derive(Debug, Clone, Copy)]
-struct SageIds {
-    w1: AffineIds,
-    w2: usize,
-}
-
-/// Parameter ids of one eqs.-(2)–(3) layer. Q/K/V biases are registered
-/// by the model but never used (`forward_no_bias`), so they carry no
-/// gradient and are absent here.
-#[derive(Debug, Clone)]
-struct AttnIds {
-    wq: Vec<usize>,
-    wk: Vec<usize>,
-    wv: Vec<usize>,
-    w3: AffineIds,
-    head_dim: usize,
-    norm: bool,
-}
-
-/// The GNNTrans stack compiled to parameter *ids* for tape-free
-/// training.
-///
-/// Unlike [`crate::infer::InferenceModel`], which snapshots weight
-/// values, the trainer stores only ids: every [`PackedTrainer::step`]
-/// reads the current weights from the live [`ParamSet`], so the same
-/// compiled trainer serves the whole training run while the optimizer
-/// mutates parameters between steps.
-#[derive(Debug, Clone)]
-pub struct PackedTrainer {
-    cfg: GnnTransConfig,
-    input: AffineIds,
-    gnn: Vec<SageIds>,
-    attn: Vec<AttnIds>,
-    slew: Vec<AffineIds>,
-    delay: Vec<AffineIds>,
-}
 
 /// Result of one packed forward/backward pass over K graphs.
 #[derive(Debug, Clone)]
@@ -98,43 +52,12 @@ pub struct PackedStep {
     /// per-graph tape losses.
     pub losses: Vec<f32>,
     /// Summed parameter gradients in tape `param_grads` order (forward
-    /// usage order), ready for the fixed-order chunk reduction.
+    /// usage order), ready for the fixed-order chunk reduction. Empty
+    /// when a loss is non-finite: the backward is skipped and no
+    /// optimizer step may be taken on the pack.
     pub grads: Vec<(usize, Mat)>,
     /// Arena footprint after the step, bytes.
     pub arena_bytes: usize,
-}
-
-/// Reusable per-thread workspace: the matrix arena plus the segment
-/// offset tables, so repeated steps allocate nothing once warm.
-#[derive(Debug, Default)]
-pub struct TrainScratch {
-    arena: Arena,
-    node_offsets: Vec<usize>,
-    path_offsets: Vec<usize>,
-    path_node_offsets: Vec<usize>,
-    path_nodes: Vec<usize>,
-}
-
-impl TrainScratch {
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        TrainScratch::default()
-    }
-
-    /// Bytes held by the matrix arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
-    }
-}
-
-thread_local! {
-    static SCRATCH: RefCell<TrainScratch> = RefCell::new(TrainScratch::new());
-}
-
-/// Runs `f` with this thread's persistent [`TrainScratch`] — the
-/// training loop's per-lane workspace.
-pub fn with_scratch<R>(f: impl FnOnce(&mut TrainScratch) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Mutable gradient matrix for a parameter id.
@@ -149,73 +72,10 @@ fn grad_of(grads: &mut [(usize, Mat)], id: usize) -> &mut Mat {
         .1
 }
 
-/// Bucket bounds for small-count histograms: factor-2 from 1 to 2048.
-fn count_bounds() -> Vec<f64> {
-    obs::exponential_bounds(1.0, 2.0, 12)
-}
-
-/// Per-head forward stash for one attention layer.
-#[derive(Debug)]
-struct HeadStash {
-    q: Mat,
-    key: Mat,
-    v: Mat,
-    /// Post-softmax attention probabilities, one `ns x ns` matrix per
-    /// segment.
-    probs: Vec<Mat>,
-}
-
-/// Per-layer forward stash for one attention layer.
-#[derive(Debug)]
-struct AttnStash {
-    /// Layer-norm output when `norm` is on (`None` = input used raw).
-    inner: Option<Mat>,
-    concat: Mat,
-    heads: Vec<HeadStash>,
-}
-
-impl PackedTrainer {
-    /// Compiles `model`'s layer structure (parameter ids only).
-    pub fn compile(model: &GnnTrans) -> Self {
-        let affine = |l: &crate::layers::Linear| AffineIds {
-            w: l.w_id(),
-            b: l.b_id(),
-        };
-        PackedTrainer {
-            cfg: model.config().clone(),
-            input: affine(model.input_proj()),
-            gnn: model
-                .gnn_stack()
-                .iter()
-                .map(|l| SageIds {
-                    w1: affine(l.w1()),
-                    w2: l.w2().w_id(),
-                })
-                .collect(),
-            attn: model
-                .attn_stack()
-                .iter()
-                .map(|l| AttnIds {
-                    wq: l.wq().iter().map(|p| p.w_id()).collect(),
-                    wk: l.wk().iter().map(|p| p.w_id()).collect(),
-                    wv: l.wv().iter().map(|p| p.w_id()).collect(),
-                    w3: affine(l.w3()),
-                    head_dim: l.head_dim(),
-                    norm: l.norm(),
-                })
-                .collect(),
-            slew: model.slew_head().layers().iter().map(affine).collect(),
-            delay: model.delay_head().layers().iter().map(affine).collect(),
-        }
-    }
-
-    /// The compiled configuration.
-    pub fn config(&self) -> &GnnTransConfig {
-        &self.cfg
-    }
-
+impl Layout {
     /// One packed forward + analytic backward over `graphs`, returning
-    /// per-graph losses and the summed parameter gradients.
+    /// per-graph losses and the summed parameter gradients. The
+    /// backward is skipped when any loss is non-finite.
     ///
     /// # Errors
     ///
@@ -224,36 +84,18 @@ impl PackedTrainer {
     /// configuration, or a path references an out-of-range node. All
     /// validation happens before any arena buffer is taken, so a failed
     /// call never grows the workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params` is not the parameter set of a model with
+    /// this layout.
     pub fn step(
         &self,
         params: &ParamSet,
         graphs: &[&GraphBatch],
-        scratch: &mut TrainScratch,
+        arena: &mut Arena,
     ) -> Result<PackedStep, GnnError> {
-        if graphs.is_empty() {
-            return Err(GnnError::BadBatch("cannot pack zero graphs".into()));
-        }
         for (i, g) in graphs.iter().enumerate() {
-            if g.node_count() == 0 {
-                return Err(GnnError::BadBatch(format!("graph {i} has no nodes")));
-            }
-            if g.path_count() == 0 {
-                return Err(GnnError::BadBatch(format!("graph {i} has no paths")));
-            }
-            if g.node_dim() != self.cfg.node_dim {
-                return Err(GnnError::BadBatch(format!(
-                    "graph {i} node dim {} != model node dim {}",
-                    g.node_dim(),
-                    self.cfg.node_dim
-                )));
-            }
-            if self.cfg.path_features && g.path_dim() != self.cfg.path_dim {
-                return Err(GnnError::BadBatch(format!(
-                    "graph {i} path dim {} != model path dim {}",
-                    g.path_dim(),
-                    self.cfg.path_dim
-                )));
-            }
             let targets = g
                 .targets
                 .as_ref()
@@ -265,218 +107,51 @@ impl PackedTrainer {
                     g.path_count()
                 )));
             }
-            for (j, p) in g.paths.iter().enumerate() {
-                if let Some(&idx) = p.nodes.iter().find(|&&idx| idx >= g.node_count()) {
-                    return Err(GnnError::BadBatch(format!(
-                        "graph {i} path {j} references node {idx} of {}",
-                        g.node_count()
-                    )));
-                }
-            }
         }
 
         let fwd_start = Instant::now();
-        let TrainScratch {
-            arena,
-            node_offsets,
-            path_offsets,
-            path_node_offsets,
-            path_nodes,
-        } = scratch;
-
-        // Segment offset tables (reused allocations).
-        node_offsets.clear();
-        path_offsets.clear();
-        path_node_offsets.clear();
-        path_nodes.clear();
-        let mut total_nodes = 0usize;
-        let mut total_paths = 0usize;
-        for g in graphs {
-            node_offsets.push(total_nodes);
-            path_offsets.push(total_paths);
-            total_nodes += g.node_count();
-            total_paths += g.path_count();
-        }
-        node_offsets.push(total_nodes);
-        path_offsets.push(total_paths);
-        for (s, g) in graphs.iter().enumerate() {
-            let n0 = node_offsets[s];
-            for p in &g.paths {
-                path_node_offsets.push(path_nodes.len());
-                path_nodes.extend(p.nodes.iter().map(|&idx| n0 + idx));
-            }
-        }
-        path_node_offsets.push(path_nodes.len());
-
-        let k_graphs = graphs.len();
-        let n = total_nodes;
-        let p = total_paths;
+        let packed = PackedBatch::pack(graphs)?;
+        let (out, acts) = self.run(params, &packed, arena, true)?;
+        let k_graphs = packed.graph_count();
+        let n = packed.node_count();
+        let p = packed.path_count();
         let hidden = self.cfg.hidden;
         let pd = hidden + if self.cfg.path_features { self.cfg.path_dim } else { 0 };
-        let nodes_of = |j: usize| &path_nodes[path_node_offsets[j]..path_node_offsets[j + 1]];
-        let adj_of = |s: usize| {
-            if self.cfg.weighted_aggregation {
-                &graphs[s].adj_res
-            } else {
-                &graphs[s].adj_mean
-            }
-        };
-
-        // ---- Forward (identical op sequence to the inference engine,
-        // ---- with activations stashed for the backward walk). ----
-
-        let mut x_pack = arena.take(n, self.cfg.node_dim);
-        for (s, g) in graphs.iter().enumerate() {
-            let n0 = node_offsets[s];
-            let w = self.cfg.node_dim;
-            for r in 0..g.node_count() {
-                x_pack.as_mut_slice()[(n0 + r) * w..(n0 + r + 1) * w].copy_from_slice(g.x.row(r));
-            }
-        }
-        let pf_pack = if self.cfg.path_features {
-            let mut pf = arena.take(p, self.cfg.path_dim);
-            let w = self.cfg.path_dim;
-            for (s, g) in graphs.iter().enumerate() {
-                let p0 = path_offsets[s];
-                for (j, path) in g.paths.iter().enumerate() {
-                    pf.as_mut_slice()[(p0 + j) * w..(p0 + j + 1) * w]
-                        .copy_from_slice(path.features.row(0));
-                }
-            }
-            Some(pf)
-        } else {
-            None
-        };
-
-        // Input projection + ReLU.
-        let mut h0 = arena.take(n, hidden);
-        ops::matmul_into(&x_pack, params.get(self.input.w), &mut h0);
-        ops::add_bias_rows(&mut h0, params.get(self.input.b));
-        ops::relu_inplace(&mut h0);
-        // hs[i] = activation entering layer i of the combined stack:
-        // hs[0] after input, hs[1..=L1] after each GNN layer,
-        // hs[L1+1..=L1+L2] after each attention layer.
-        let mut hs: Vec<Mat> = Vec::with_capacity(1 + self.gnn.len() + self.attn.len());
-        hs.push(h0);
-
-        // L1 edge-weighted GNN layers (eq. 1).
-        let mut aggs: Vec<Mat> = Vec::with_capacity(self.gnn.len());
-        for layer in &self.gnn {
-            let h = hs.last().expect("input activation present");
-            let mut self_term = arena.take(n, hidden);
-            ops::matmul_into(h, params.get(layer.w1.w), &mut self_term);
-            ops::add_bias_rows(&mut self_term, params.get(layer.w1.b));
-            let mut agg = arena.take(n, hidden);
-            for (s, &row0) in node_offsets.iter().enumerate().take(k_graphs) {
-                ops::matmul_seg_into(adj_of(s), h, row0, &mut agg, row0);
-            }
-            let mut neigh = arena.take(n, hidden);
-            ops::matmul_into(&agg, params.get(layer.w2), &mut neigh);
-            ops::add_assign(&mut self_term, &neigh);
-            ops::relu_inplace(&mut self_term);
-            arena.give(neigh);
-            aggs.push(agg);
-            hs.push(self_term);
-        }
-
-        // L2 self-attention layers (eqs. 2-3).
-        let mut attn_stash: Vec<AttnStash> = Vec::with_capacity(self.attn.len());
-        for layer in &self.attn {
-            let h = hs.last().expect("activation present");
-            let inner_mat = if layer.norm {
-                let mut buf = arena.take(n, hidden);
-                ops::layer_norm_rows_into(h, 1e-5, &mut buf);
-                Some(buf)
-            } else {
-                None
-            };
-            let inner: &Mat = inner_mat.as_ref().unwrap_or(h);
-            let scale = 1.0 / (layer.head_dim as f32).sqrt();
-            let mut concat = arena.take(n, hidden);
-            let mut head_out = arena.take(n, layer.head_dim);
-            let mut heads: Vec<HeadStash> = Vec::with_capacity(layer.wq.len());
-            for k in 0..layer.wq.len() {
-                let mut q = arena.take(n, layer.head_dim);
-                let mut key = arena.take(n, layer.head_dim);
-                let mut v = arena.take(n, layer.head_dim);
-                ops::matmul_into(inner, params.get(layer.wq[k]), &mut q);
-                ops::matmul_into(inner, params.get(layer.wk[k]), &mut key);
-                ops::matmul_into(inner, params.get(layer.wv[k]), &mut v);
-                let mut probs: Vec<Mat> = Vec::with_capacity(k_graphs);
-                for s in 0..k_graphs {
-                    let n0 = node_offsets[s];
-                    let ns = node_offsets[s + 1] - n0;
-                    let mut kt = arena.take(layer.head_dim, ns);
-                    let mut scores = arena.take(ns, ns);
-                    ops::transpose_rows_into(&key, n0, ns, &mut kt);
-                    ops::matmul_rows_into(&q, n0, ns, &kt, &mut scores, 0);
-                    ops::scale_inplace(&mut scores, scale);
-                    ops::softmax_rows_inplace(&mut scores);
-                    ops::matmul_seg_into(&scores, &v, n0, &mut head_out, n0);
-                    arena.give(kt);
-                    probs.push(scores);
-                }
-                ops::copy_cols(&mut concat, k * layer.head_dim, &head_out);
-                heads.push(HeadStash { q, key, v, probs });
-            }
-            arena.give(head_out);
-            let mut projected = arena.take(n, hidden);
-            ops::matmul_into(&concat, params.get(layer.w3.w), &mut projected);
-            ops::add_bias_rows(&mut projected, params.get(layer.w3.b));
-            ops::add_assign(&mut projected, h);
-            attn_stash.push(AttnStash {
-                inner: inner_mat,
-                concat,
-                heads,
-            });
-            hs.push(projected);
-        }
-
-        // Pooling (eq. 4).
-        let mut f = arena.take(p, pd);
-        {
-            let h = hs.last().expect("activation present");
-            let mut pooled = arena.take(p, hidden);
-            for j in 0..p {
-                ops::mean_rows_into(h, nodes_of(j), &mut pooled, j);
-            }
-            ops::copy_cols(&mut f, 0, &pooled);
-            if let Some(pf) = &pf_pack {
-                ops::copy_cols(&mut f, hidden, pf);
-            }
-            arena.give(pooled);
-        }
-
-        // Eq. (5) slew head, eq. (6) delay head conditioned on slew.
-        let acts_s = self.mlp_forward(params, &self.slew, &f, arena);
-        let slew = acts_s.last().expect("slew head non-empty");
-        let mut delay_in = arena.take(p, pd + 1);
-        ops::copy_cols(&mut delay_in, 0, &f);
-        ops::copy_cols(&mut delay_in, pd, slew);
-        let acts_d = self.mlp_forward(params, &self.delay, &delay_in, arena);
-        let delay = acts_d.last().expect("delay head non-empty");
+        let targets = |s: usize| graphs[s].targets.as_ref().expect("validated above");
 
         // ---- Per-graph losses + loss seeds (the tape's exact MSE
         // ---- backward expression, per graph). ----
-        let mut losses = Vec::with_capacity(k_graphs);
+        let losses: Vec<f32> = (0..k_graphs)
+            .map(|s| {
+                let (p0, p1) = packed.path_range(s);
+                let t = targets(s);
+                let mut acc = 0.0f32;
+                for (r_local, r) in (p0..p1).enumerate() {
+                    let ds = out.get(r, 0) - t.get(r_local, 0);
+                    acc += ds * ds;
+                    let dd = out.get(r, 1) - t.get(r_local, 1);
+                    acc += dd * dd;
+                }
+                acc / ((p1 - p0) * 2) as f32
+            })
+            .collect();
+        if !losses.iter().all(|l| l.is_finite()) {
+            acts.recycle(arena);
+            return Ok(PackedStep {
+                losses,
+                grads: Vec::new(),
+                arena_bytes: arena.bytes(),
+            });
+        }
         let mut d_slew = arena.take(p, 1);
         let mut d_delay = arena.take(p, 1);
         for s in 0..k_graphs {
-            let (p0, p1) = (path_offsets[s], path_offsets[s + 1]);
-            let targets = graphs[s].targets.as_ref().expect("validated above");
-            let n_l = ((p1 - p0) * 2) as f32;
-            let mut acc = 0.0f32;
+            let (p0, p1) = packed.path_range(s);
+            let t = targets(s);
+            let seed_scale = 2.0 / ((p1 - p0) * 2) as f32;
             for (r_local, r) in (p0..p1).enumerate() {
-                let ds = slew.get(r, 0) - targets.get(r_local, 0);
-                acc += ds * ds;
-                let dd = delay.get(r, 0) - targets.get(r_local, 1);
-                acc += dd * dd;
-            }
-            losses.push(acc / n_l);
-            let seed_scale = 2.0 / n_l;
-            for (r_local, r) in (p0..p1).enumerate() {
-                d_slew.set(r, 0, seed_scale * (slew.get(r, 0) - targets.get(r_local, 0)));
-                d_delay.set(r, 0, seed_scale * (delay.get(r, 0) - targets.get(r_local, 1)));
+                d_slew.set(r, 0, seed_scale * (out.get(r, 0) - t.get(r_local, 0)));
+                d_delay.set(r, 0, seed_scale * (out.get(r, 1) - t.get(r_local, 1)));
             }
         }
         let fwd_seconds = fwd_start.elapsed().as_secs_f64();
@@ -522,7 +197,15 @@ impl PackedTrainer {
         // delay head's nodes come last, so they unwind first).
         let mut d_delay_in = arena.take(p, pd + 1);
         d_delay_in.as_mut_slice().fill(0.0);
-        self.mlp_backward(params, &self.delay, &delay_in, &acts_d, d_delay, &mut d_delay_in, &mut grads, arena);
+        mlp_backward(
+            params,
+            &self.delay,
+            &acts.delay,
+            d_delay,
+            &mut d_delay_in,
+            &mut grads,
+            arena,
+        );
         let mut d_f = arena.take(p, pd);
         tg::slice_cols_into(&d_delay_in, 0, &mut d_f);
         tg::slice_cols_acc(&d_delay_in, pd, &mut d_slew);
@@ -530,7 +213,9 @@ impl PackedTrainer {
 
         // Slew head backward accumulates its input grad onto dF, which
         // already holds the delay-head slice — the tape's order.
-        self.mlp_backward(params, &self.slew, &f, &acts_s, d_slew, &mut d_f, &mut grads, arena);
+        mlp_backward(
+            params, &self.slew, &acts.slew, d_slew, &mut d_f, &mut grads, arena,
+        );
 
         // Pooling backward: reverse global path order, ascending node
         // indices within a path (the tape's reverse node walk).
@@ -548,14 +233,14 @@ impl PackedTrainer {
         let mut g_cur = arena.take(n, hidden);
         g_cur.as_mut_slice().fill(0.0);
         for j in (0..p).rev() {
-            tg::mean_rows_backward_acc(d_pooled, j, nodes_of(j), &mut g_cur);
+            tg::mean_rows_backward_acc(d_pooled, j, packed.path_nodes(j), &mut g_cur);
         }
         arena.give(d_pooled_holder);
 
         // Attention layers, reverse.
         for (j, layer) in self.attn.iter().enumerate().rev() {
-            let stash = &attn_stash[j];
-            let h_in = &hs[self.gnn.len() + j];
+            let stash = &acts.attn[j];
+            let h_in = &acts.hs[self.gnn.len() + j];
             let inner: &Mat = stash.inner.as_ref().unwrap_or(h_in);
             let scale = 1.0 / (layer.head_dim as f32).sqrt();
 
@@ -589,8 +274,7 @@ impl PackedTrainer {
                 let mut d_key = arena.take(n, hd);
                 let mut d_v = arena.take(n, hd);
                 for s in 0..k_graphs {
-                    let n0 = node_offsets[s];
-                    let ns = node_offsets[s + 1] - n0;
+                    let (n0, ns) = packed.node_window(s);
                     let probs = &head.probs[s];
                     // dP = dHeadOut_s · V_sᵀ ; dV_s = P_sᵀ · dHeadOut_s.
                     let mut d_p = arena.take(ns, ns);
@@ -636,18 +320,20 @@ impl PackedTrainer {
 
         // GNN layers, reverse.
         for (i, layer) in self.gnn.iter().enumerate().rev() {
-            let h_in = &hs[i];
-            let h_out = &hs[i + 1];
+            let h_in = &acts.hs[i];
+            let h_out = &acts.hs[i + 1];
             tg::relu_backward_inplace(&mut g_cur, h_out);
             // Neighbor term: dAgg = G · W2ᵀ, then the aggregation
             // backward A_sᵀ · dAgg_s lands in the input grad first.
             let mut d_agg = arena.take(n, hidden);
             d_agg.as_mut_slice().fill(0.0);
             tg::matmul_nt_acc(&g_cur, params.get(layer.w2), &mut d_agg);
-            tg::matmul_tn_acc(&aggs[i], &g_cur, grad_of(&mut grads, layer.w2));
+            tg::matmul_tn_acc(&acts.aggs[i], &g_cur, grad_of(&mut grads, layer.w2));
             let mut g_next = arena.take(n, hidden);
-            for (s, &row0) in node_offsets.iter().enumerate().take(k_graphs) {
-                tg::matmul_tn_seg_into(adj_of(s), &d_agg, row0, &mut g_next, row0);
+            for s in 0..k_graphs {
+                let (n0, _) = packed.node_window(s);
+                let adj = packed.adj(s, self.cfg.weighted_aggregation);
+                tg::matmul_tn_seg_into(adj, &d_agg, n0, &mut g_next, n0);
             }
             arena.give(d_agg);
             // Self term: bias column sums, then dPre · W1ᵀ on top of
@@ -659,44 +345,12 @@ impl PackedTrainer {
         }
 
         // Input projection backward.
-        tg::relu_backward_inplace(&mut g_cur, &hs[0]);
+        tg::relu_backward_inplace(&mut g_cur, &acts.hs[0]);
         tg::add_bias_backward(&g_cur, grad_of(&mut grads, self.input.b));
-        tg::matmul_tn_acc(&x_pack, &g_cur, grad_of(&mut grads, self.input.w));
+        tg::matmul_tn_acc(&packed.x, &g_cur, grad_of(&mut grads, self.input.w));
         arena.give(g_cur);
 
-        // Return every stash to the arena.
-        arena.give(x_pack);
-        if let Some(pf) = pf_pack {
-            arena.give(pf);
-        }
-        for m in hs {
-            arena.give(m);
-        }
-        for m in aggs {
-            arena.give(m);
-        }
-        for stash in attn_stash {
-            if let Some(m) = stash.inner {
-                arena.give(m);
-            }
-            arena.give(stash.concat);
-            for head in stash.heads {
-                arena.give(head.q);
-                arena.give(head.key);
-                arena.give(head.v);
-                for m in head.probs {
-                    arena.give(m);
-                }
-            }
-        }
-        arena.give(f);
-        arena.give(delay_in);
-        for m in acts_s {
-            arena.give(m);
-        }
-        for m in acts_d {
-            arena.give(m);
-        }
+        acts.recycle(arena);
 
         let arena_bytes = arena.bytes();
         obs::histogram_with("train.batch_graphs", None, count_bounds).observe(k_graphs as f64);
@@ -710,124 +364,45 @@ impl PackedTrainer {
             arena_bytes,
         })
     }
-
-    /// Forward of one MLP head, stashing every layer output (post-ReLU
-    /// for hidden layers) for the backward walk.
-    fn mlp_forward(
-        &self,
-        params: &ParamSet,
-        layers: &[AffineIds],
-        x: &Mat,
-        arena: &mut Arena,
-    ) -> Vec<Mat> {
-        let rows = x.rows();
-        let mut acts: Vec<Mat> = Vec::with_capacity(layers.len());
-        for (i, l) in layers.iter().enumerate() {
-            let w = params.get(l.w);
-            let mut out = arena.take(rows, w.cols());
-            {
-                let input = acts.last().unwrap_or(x);
-                ops::matmul_into(input, w, &mut out);
-            }
-            ops::add_bias_rows(&mut out, params.get(l.b));
-            if i + 1 < layers.len() {
-                ops::relu_inplace(&mut out);
-            }
-            acts.push(out);
-        }
-        acts
-    }
-
-    /// Backward of one MLP head. Consumes the output gradient `g_out`
-    /// (returned to the arena) and **accumulates** the input gradient
-    /// onto `d_input`.
-    #[allow(clippy::too_many_arguments)]
-    fn mlp_backward(
-        &self,
-        params: &ParamSet,
-        layers: &[AffineIds],
-        input: &Mat,
-        acts: &[Mat],
-        g_out: Mat,
-        d_input: &mut Mat,
-        grads: &mut [(usize, Mat)],
-        arena: &mut Arena,
-    ) {
-        let mut g_cur = g_out;
-        for (i, l) in layers.iter().enumerate().rev() {
-            let layer_in = if i == 0 { input } else { &acts[i - 1] };
-            tg::add_bias_backward(&g_cur, grad_of(grads, l.b));
-            tg::matmul_tn_acc(layer_in, &g_cur, grad_of(grads, l.w));
-            if i == 0 {
-                tg::matmul_nt_acc(&g_cur, params.get(l.w), d_input);
-            } else {
-                let w = params.get(l.w);
-                let mut d_prev = arena.take(g_cur.rows(), w.rows());
-                d_prev.as_mut_slice().fill(0.0);
-                tg::matmul_nt_acc(&g_cur, w, &mut d_prev);
-                tg::relu_backward_inplace(&mut d_prev, &acts[i - 1]);
-                arena.give(std::mem::replace(&mut g_cur, d_prev));
-            }
-        }
-        arena.give(g_cur);
-    }
 }
 
-/// Hook point: [`GraphModel::packed_trainer`] is implemented for
-/// [`GnnTrans`] here so baselines transparently keep the tape path.
-impl GnnTrans {
-    /// Compiles this model for packed-batch training.
-    pub fn compile_trainer(&self) -> PackedTrainer {
-        PackedTrainer::compile(self)
+/// Backward of one MLP head whose input and layer outputs are `io`.
+/// Consumes the output gradient `g_out` (returned to the arena) and
+/// **accumulates** the input gradient onto `d_input`.
+fn mlp_backward(
+    params: &ParamSet,
+    layers: &[AffineIds],
+    io: &[Mat],
+    g_out: Mat,
+    d_input: &mut Mat,
+    grads: &mut [(usize, Mat)],
+    arena: &mut Arena,
+) {
+    let mut g_cur = g_out;
+    for (i, l) in layers.iter().enumerate().rev() {
+        let layer_in = &io[i];
+        tg::add_bias_backward(&g_cur, grad_of(grads, l.b));
+        tg::matmul_tn_acc(layer_in, &g_cur, grad_of(grads, l.w));
+        if i == 0 {
+            tg::matmul_nt_acc(&g_cur, params.get(l.w), d_input);
+        } else {
+            let w = params.get(l.w);
+            let mut d_prev = arena.take(g_cur.rows(), w.rows());
+            d_prev.as_mut_slice().fill(0.0);
+            tg::matmul_nt_acc(&g_cur, w, &mut d_prev);
+            tg::relu_backward_inplace(&mut d_prev, layer_in);
+            arena.give(std::mem::replace(&mut g_cur, d_prev));
+        }
     }
+    arena.give(g_cur);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::GraphModel;
+    use crate::infer::tests::{cfg, chain_batch};
+    use crate::models::{GnnTrans, GnnTransConfig, GraphModel};
     use crate::train::tape_graph_grads;
-    use rcnet::{Farads, Ohms, RcNetBuilder};
-    use tensor::Tape;
-
-    fn cfg() -> GnnTransConfig {
-        GnnTransConfig {
-            node_dim: 3,
-            path_dim: 2,
-            hidden: 8,
-            gnn_layers: 2,
-            attn_layers: 2,
-            heads: 2,
-            mlp_hidden: 8,
-            ..Default::default()
-        }
-    }
-
-    fn chain_batch(seed: f32, nodes: usize) -> GraphBatch {
-        let mut b = RcNetBuilder::new("n");
-        let mut prev = b.source("s", Farads(1e-15));
-        for i in 1..nodes - 1 {
-            let node = b.internal(format!("m{i}"), Farads(1e-15));
-            b.resistor(prev, node, Ohms(20.0 + i as f64));
-            prev = node;
-        }
-        let k = b.sink("k", Farads(2e-15));
-        b.resistor(prev, k, Ohms(35.0));
-        let net = b.build().unwrap();
-        let mut x = Mat::zeros(nodes, 3);
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as f32 * 0.7 + seed).sin()) * 0.5;
-        }
-        let paths = net.paths().len();
-        let pf = (0..paths)
-            .map(|i| Mat::row_vector(vec![0.1 * seed, 0.2 + i as f32]))
-            .collect();
-        let mut t = Mat::zeros(paths, 2);
-        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as f32 * 0.3 + seed).cos()) * 0.4;
-        }
-        GraphBatch::build(&net, x, pf, Some(t)).unwrap()
-    }
 
     /// Largest elementwise deviation relative to the matrices'
     /// infinity norms.
@@ -844,13 +419,13 @@ mod tests {
     #[test]
     fn single_graph_pack_matches_tape_exactly() {
         let model = GnnTrans::new(&cfg(), 17);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
         for nodes in [3usize, 5, 9] {
             let batch = chain_batch(nodes as f32, nodes);
             let (tape_loss, tape_grads) = tape_graph_grads(&model, &batch);
-            let step = trainer
-                .step(model.param_set(), &[&batch], &mut scratch)
+            let step = layout
+                .step(model.param_set(), &[&batch], &mut arena)
                 .unwrap();
             assert_eq!(step.losses, vec![tape_loss], "{nodes}-node loss drifted");
             assert_eq!(step.grads.len(), tape_grads.len());
@@ -875,12 +450,12 @@ mod tests {
             ..cfg()
         };
         let model = GnnTrans::new(&variant, 23);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
         let batch = chain_batch(2.0, 6);
         let (tape_loss, tape_grads) = tape_graph_grads(&model, &batch);
-        let step = trainer
-            .step(model.param_set(), &[&batch], &mut scratch)
+        let step = layout
+            .step(model.param_set(), &[&batch], &mut arena)
             .unwrap();
         assert_eq!(step.losses, vec![tape_loss]);
         for ((id_p, g_p), (_, g_t)) in step.grads.iter().zip(&tape_grads) {
@@ -891,12 +466,12 @@ mod tests {
     #[test]
     fn multi_graph_pack_matches_tape_sum_to_1e6() {
         let model = GnnTrans::new(&cfg(), 5);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
         let batches: Vec<GraphBatch> = (0..4).map(|i| chain_batch(i as f32, 3 + i * 2)).collect();
         let refs: Vec<&GraphBatch> = batches.iter().collect();
-        let step = trainer
-            .step(model.param_set(), &refs, &mut scratch)
+        let step = layout
+            .step(model.param_set(), &refs, &mut arena)
             .unwrap();
 
         // Tape oracle: per-graph grads summed in pack order.
@@ -930,8 +505,8 @@ mod tests {
     #[test]
     fn step_is_allocation_free_when_warm() {
         let model = GnnTrans::new(&cfg(), 9);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
         let batches: Vec<GraphBatch> = (0..3).map(|i| chain_batch(i as f32, 4 + i)).collect();
         let refs: Vec<&GraphBatch> = batches.iter().collect();
         // Warm up until the footprint stops moving: the best-fit
@@ -939,57 +514,53 @@ mod tests {
         // pairing (it regrows the largest pooled buffer on a miss).
         let mut warm = 0usize;
         for _ in 0..10 {
-            trainer.step(model.param_set(), &refs, &mut scratch).unwrap();
-            let b = scratch.arena_bytes();
+            layout.step(model.param_set(), &refs, &mut arena).unwrap();
+            let b = arena.bytes();
             if b == warm {
                 break;
             }
             warm = b;
         }
         for _ in 0..3 {
-            trainer.step(model.param_set(), &refs, &mut scratch).unwrap();
+            layout.step(model.param_set(), &refs, &mut arena).unwrap();
         }
-        assert_eq!(scratch.arena_bytes(), warm, "arena grew after warm-up");
+        assert_eq!(arena.bytes(), warm, "arena grew after warm-up");
     }
 
     #[test]
     fn step_validates_before_taking_buffers() {
         let model = GnnTrans::new(&cfg(), 3);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
         assert!(matches!(
-            trainer.step(model.param_set(), &[], &mut scratch),
+            layout.step(model.param_set(), &[], &mut arena),
             Err(GnnError::BadBatch(_))
         ));
         let mut unlabelled = chain_batch(0.0, 4);
         unlabelled.targets = None;
         assert!(matches!(
-            trainer.step(model.param_set(), &[&unlabelled], &mut scratch),
+            layout.step(model.param_set(), &[&unlabelled], &mut arena),
             Err(GnnError::BadBatch(_))
         ));
         let mut poisoned = chain_batch(0.0, 4);
         poisoned.x = Mat::zeros(4, 7); // wrong node width
-        assert!(trainer
-            .step(model.param_set(), &[&poisoned], &mut scratch)
+        assert!(layout
+            .step(model.param_set(), &[&poisoned], &mut arena)
             .is_err());
-        assert_eq!(scratch.arena_bytes(), 0, "failed validation must not touch the arena");
+        assert_eq!(arena.bytes(), 0, "failed validation must not touch the arena");
     }
 
     #[test]
-    fn grad_order_matches_tape_param_grads() {
-        let model = GnnTrans::new(&cfg(), 29);
-        let batch = chain_batch(1.0, 5);
-        let trainer = PackedTrainer::compile(&model);
-        let mut scratch = TrainScratch::new();
-        let step = trainer
-            .step(model.param_set(), &[&batch], &mut scratch)
+    fn non_finite_loss_skips_the_backward() {
+        let model = GnnTrans::new(&cfg(), 3);
+        let layout = Layout::compile(&model);
+        let mut arena = Arena::new();
+        let mut poisoned = chain_batch(0.0, 4);
+        poisoned.targets = Some(Mat::full(1, 2, f32::NAN));
+        let step = layout
+            .step(model.param_set(), &[&poisoned], &mut arena)
             .unwrap();
-        let mut tape = Tape::new();
-        let pred = model.forward(&mut tape, &batch);
-        let loss = tape.mse_loss(pred, batch.targets.as_ref().unwrap());
-        tape.backward(loss);
-        let order: Vec<usize> = tape.param_grads().iter().map(|(id, _)| *id).collect();
-        let packed_order: Vec<usize> = step.grads.iter().map(|(id, _)| *id).collect();
-        assert_eq!(packed_order, order, "grad emission order must match the tape");
+        assert!(step.losses[0].is_nan());
+        assert!(step.grads.is_empty(), "no gradients from a non-finite loss");
     }
 }

@@ -1,19 +1,27 @@
-//! Tape-free batched inference: compiled GNNTrans + cross-net packing.
+//! The packed GNNTrans engine: one forward for serving and training.
 //!
-//! Serving and ECO re-timing never backprop, yet [`GraphModel::predict`]
-//! runs the full autograd [`tensor::Tape`] and forwards one net at a
-//! time through 5–120-node matrices that starve the blocked GEMM
-//! kernels. This module provides the dedicated inference path:
+//! Serving and ECO re-timing never backprop, and training needs only
+//! one analytic backward per layer, so neither builds an autograd
+//! [`tensor::Tape`]. This module holds the one GNNTrans forward both
+//! run:
 //!
-//! * [`InferenceModel`] — the GNNTrans layer stack compiled once from a
-//!   trained model into plain weight matrices, executed with the
-//!   forward-only ops of [`tensor::infer`] over a reusable
-//!   [`Arena`] (no tape nodes, no gradient buffers, allocation-free
-//!   once the arena is warm);
+//! * [`Layout`] — the GNNTrans layer stack compiled to parameter ids.
+//!   It reads weights from whichever [`ParamSet`] it is handed: the
+//!   live one while training, an estimator's own, or the snapshot an
+//!   [`InferenceModel`] owns.
 //! * [`PackedBatch`] — K nets' node-feature matrices stacked into one
-//!   tall matrix with a segment/offset table, so the dense projections
-//!   (input, W1/W2, Q/K/V, W3, both MLP heads) run as a handful of
-//!   large GEMMs across all K graphs at once.
+//!   tall matrix with node and path offset tables, so the dense
+//!   projections (input, W1/W2, Q/K/V, W3, both MLP heads) run as a
+//!   handful of large GEMMs across all K graphs at once.
+//! * [`split_packs`] — the greedy rule that cuts a run of graphs into
+//!   packs under a node and a graph budget.
+//!
+//! [`Layout::forward`] runs the stack with the forward-only ops of
+//! [`tensor::infer`] over a reusable [`Arena`] (no tape nodes, no
+//! gradient buffers, allocation-free once the arena is warm), handing
+//! each buffer back as soon as it is dead. The training step of
+//! [`crate::grad`] runs the same forward but keeps the activations its
+//! backward reads.
 //!
 //! # Packing layout and masking
 //!
@@ -39,7 +47,7 @@
 //! `tensor::infer`).
 
 use crate::batch::GraphBatch;
-use crate::layers::{Linear, Mlp};
+use crate::layers::Linear;
 use crate::models::{GnnTrans, GnnTransConfig, GraphModel};
 use crate::GnnError;
 use std::time::Instant;
@@ -48,40 +56,70 @@ use tensor::{Mat, ParamSet};
 
 pub use tensor::infer::Arena;
 
+/// Node budget of one pack: large enough that the shared projections
+/// run as GEMM-friendly tall matrices, small enough that a pack's
+/// attention score buffers stay cache-resident.
+pub const PACK_MAX_NODES: usize = 2048;
+
+/// Cuts `items` into contiguous packs: a pack closes before the item
+/// that would take it past [`PACK_MAX_NODES`] nodes or past
+/// `max_graphs` graphs, and an item larger than the node budget gets a
+/// pack of its own. The split depends only on the items — never on
+/// the thread count — so a pack-order reduction stays bit-reproducible
+/// under any parallelism.
+pub fn split_packs<T>(items: &[T], nodes: impl Fn(&T) -> usize, max_graphs: usize) -> Vec<&[T]> {
+    let mut packs = Vec::new();
+    let mut start = 0;
+    let mut total = 0;
+    for (i, item) in items.iter().enumerate() {
+        let n = nodes(item);
+        if i > start && (total + n > PACK_MAX_NODES || i - start >= max_graphs) {
+            packs.push(&items[start..i]);
+            start = i;
+            total = 0;
+        }
+        total += n;
+    }
+    if start < items.len() {
+        packs.push(&items[start..]);
+    }
+    packs
+}
+
 /// K graphs stacked for one batched forward pass.
 ///
-/// Built by [`PackedBatch::pack`]; consumed by
-/// [`InferenceModel::forward_packed`]. Holds copies of the stacked node
-/// features, global per-path node indices, and stacked path features;
-/// adjacencies stay per-graph (block-diagonal structure is exploited,
-/// never materialized).
+/// Built by [`PackedBatch::pack`]; consumed by [`Layout::forward`].
+/// Holds copies of the stacked node and path features and the
+/// offset tables; adjacencies (and training targets) are read in place
+/// from the borrowed graphs, so the block-diagonal structure is
+/// exploited and never materialized.
 #[derive(Debug, Clone)]
-pub struct PackedBatch {
+pub struct PackedBatch<'a> {
+    /// The packed graphs, in pack order.
+    graphs: Vec<&'a GraphBatch>,
     /// `N x d_x` node features, graphs stacked top to bottom.
-    x: Mat,
-    /// Per-graph resistance-weighted adjacencies (eq. 1 aggregation).
-    adj_res: Vec<Mat>,
-    /// Per-graph mean-aggregation adjacencies (ablation path).
-    adj_mean: Vec<Mat>,
+    pub(crate) x: Mat,
+    /// `P x d_h` stacked raw path features (zero-width when d_h = 0).
+    path_features: Mat,
     /// `node_offsets[s]` = first node row of graph `s`; last entry = N.
     node_offsets: Vec<usize>,
     /// `path_offsets[s]` = first path row of graph `s`; last entry = P.
     path_offsets: Vec<usize>,
-    /// Per path (in global order): node indices into the packed `x`.
-    path_nodes: Vec<Vec<usize>>,
-    /// `P x d_h` stacked raw path features (zero-width when d_h = 0).
-    path_features: Mat,
+    /// Path `j` visits packed node rows
+    /// `path_nodes[path_node_offsets[j]..path_node_offsets[j + 1]]`.
+    path_node_offsets: Vec<usize>,
+    path_nodes: Vec<usize>,
 }
 
-impl PackedBatch {
+impl<'a> PackedBatch<'a> {
     /// Stacks `graphs` into one packed batch.
     ///
     /// # Errors
     ///
     /// Returns [`GnnError::BadBatch`] when `graphs` is empty, node or
-    /// path feature widths disagree across graphs, or a graph has no
-    /// paths or no nodes.
-    pub fn pack(graphs: &[&GraphBatch]) -> Result<Self, GnnError> {
+    /// path feature widths disagree across graphs, a graph has no
+    /// paths or no nodes, or a path references an out-of-range node.
+    pub fn pack(graphs: &[&'a GraphBatch]) -> Result<Self, GnnError> {
         let first = graphs
             .first()
             .ok_or_else(|| GnnError::BadBatch("cannot pack zero graphs".into()))?;
@@ -120,13 +158,12 @@ impl PackedBatch {
 
         let mut x = Mat::zeros(total_nodes, node_dim);
         let mut path_features = Mat::zeros(total_paths, path_dim);
-        let mut path_nodes = Vec::with_capacity(total_paths);
+        let mut path_node_offsets = Vec::with_capacity(total_paths + 1);
+        let mut path_nodes = Vec::new();
         for (s, g) in graphs.iter().enumerate() {
             let n0 = node_offsets[s];
-            for r in 0..g.node_count() {
-                x.as_mut_slice()[(n0 + r) * node_dim..(n0 + r + 1) * node_dim]
-                    .copy_from_slice(g.x.row(r));
-            }
+            x.as_mut_slice()[n0 * node_dim..(n0 + g.node_count()) * node_dim]
+                .copy_from_slice(g.x.as_slice());
             for (j, p) in g.paths.iter().enumerate() {
                 if let Some(&idx) = p.nodes.iter().find(|&&idx| idx >= g.node_count()) {
                     return Err(GnnError::BadBatch(format!(
@@ -134,29 +171,31 @@ impl PackedBatch {
                         g.node_count()
                     )));
                 }
-                path_nodes.push(p.nodes.iter().map(|&idx| n0 + idx).collect());
+                path_node_offsets.push(path_nodes.len());
+                path_nodes.extend(p.nodes.iter().map(|&idx| n0 + idx));
                 if path_dim > 0 {
-                    path_features.as_mut_slice()
-                        [(path_offsets[s] + j) * path_dim..(path_offsets[s] + j + 1) * path_dim]
+                    let r = path_offsets[s] + j;
+                    path_features.as_mut_slice()[r * path_dim..(r + 1) * path_dim]
                         .copy_from_slice(p.features.row(0));
                 }
             }
         }
+        path_node_offsets.push(path_nodes.len());
 
         Ok(PackedBatch {
+            graphs: graphs.to_vec(),
             x,
-            adj_res: graphs.iter().map(|g| g.adj_res.clone()).collect(),
-            adj_mean: graphs.iter().map(|g| g.adj_mean.clone()).collect(),
+            path_features,
             node_offsets,
             path_offsets,
+            path_node_offsets,
             path_nodes,
-            path_features,
         })
     }
 
     /// Number of packed graphs.
     pub fn graph_count(&self) -> usize {
-        self.adj_res.len()
+        self.graphs.len()
     }
 
     /// Total node rows across all graphs.
@@ -166,7 +205,7 @@ impl PackedBatch {
 
     /// Total path rows across all graphs.
     pub fn path_count(&self) -> usize {
-        self.path_nodes.len()
+        self.path_offsets[self.graphs.len()]
     }
 
     /// Path-row range `[start, end)` of graph `s` in the packed output,
@@ -174,104 +213,187 @@ impl PackedBatch {
     pub fn path_range(&self, s: usize) -> (usize, usize) {
         (self.path_offsets[s], self.path_offsets[s + 1])
     }
-}
 
-/// A compiled affine layer: plain weight + bias matrices.
-#[derive(Debug, Clone)]
-struct Affine {
-    w: Mat,
-    b: Mat,
-}
+    /// First node row of graph `s` and its node count.
+    pub(crate) fn node_window(&self, s: usize) -> (usize, usize) {
+        let n0 = self.node_offsets[s];
+        (n0, self.node_offsets[s + 1] - n0)
+    }
 
-impl Affine {
-    fn compile(params: &ParamSet, l: &Linear) -> Self {
-        Affine {
-            w: params.get(l.w_id()).clone(),
-            b: params.get(l.b_id()).clone(),
+    /// Packed node rows visited by path `j` (global path order).
+    pub(crate) fn path_nodes(&self, j: usize) -> &[usize] {
+        &self.path_nodes[self.path_node_offsets[j]..self.path_node_offsets[j + 1]]
+    }
+
+    /// Graph `s`'s eq.-(1) adjacency: resistance-weighted, or the mean
+    /// aggregation of the ablation.
+    pub(crate) fn adj(&self, s: usize, weighted: bool) -> &'a Mat {
+        if weighted {
+            &self.graphs[s].adj_res
+        } else {
+            &self.graphs[s].adj_mean
         }
     }
 }
 
-/// One compiled eq.-(1) layer.
-#[derive(Debug, Clone)]
-struct SageWeights {
-    w1: Affine,
-    /// `W2` is applied without its bias, matching the tape forward.
-    w2: Mat,
+/// Parameter ids of one affine layer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AffineIds {
+    pub(crate) w: usize,
+    pub(crate) b: usize,
 }
 
-/// One compiled eqs.-(2)–(3) layer.
-#[derive(Debug, Clone)]
-struct AttnWeights {
-    wq: Vec<Mat>,
-    wk: Vec<Mat>,
-    wv: Vec<Mat>,
-    w3: Affine,
-    head_dim: usize,
-    norm: bool,
+impl AffineIds {
+    fn of(l: &Linear) -> Self {
+        AffineIds {
+            w: l.w_id(),
+            b: l.b_id(),
+        }
+    }
 }
 
-/// The GNNTrans layer stack compiled into plain matrices for tape-free
-/// execution.
+/// Parameter ids of one eq.-(1) layer (`W2`'s bias is unused, matching
+/// the tape forward).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SageIds {
+    pub(crate) w1: AffineIds,
+    pub(crate) w2: usize,
+}
+
+/// Parameter ids of one eqs.-(2)–(3) layer. Q/K/V biases are registered
+/// by the model but never used (`forward_no_bias`), so they carry no
+/// gradient and are absent here.
+#[derive(Debug, Clone)]
+pub(crate) struct AttnIds {
+    pub(crate) wq: Vec<usize>,
+    pub(crate) wk: Vec<usize>,
+    pub(crate) wv: Vec<usize>,
+    pub(crate) w3: AffineIds,
+    pub(crate) head_dim: usize,
+    pub(crate) norm: bool,
+}
+
+/// The GNNTrans layer stack compiled to parameter *ids*.
 ///
-/// Compile once after training (or loading) with
-/// [`InferenceModel::compile`]; run with
-/// [`InferenceModel::forward_packed`] / [`InferenceModel::forward_one`].
-/// The struct is immutable and `Sync` — share it behind an `Arc` across
-/// serve workers, with one [`Arena`] per thread.
+/// A layout stores no weights: every forward reads them from the
+/// [`ParamSet`] it is given, which must be the parameter set of a model
+/// with this layout. So one layout serves a whole training run while
+/// the optimizer mutates the weights between steps, and an estimator
+/// forwards straight from its own model's parameters.
 #[derive(Debug, Clone)]
-pub struct InferenceModel {
-    cfg: GnnTransConfig,
-    input: Affine,
-    gnn: Vec<SageWeights>,
-    attn: Vec<AttnWeights>,
-    slew: Vec<Affine>,
-    delay: Vec<Affine>,
+pub struct Layout {
+    pub(crate) cfg: GnnTransConfig,
+    pub(crate) input: AffineIds,
+    pub(crate) gnn: Vec<SageIds>,
+    pub(crate) attn: Vec<AttnIds>,
+    pub(crate) slew: Vec<AffineIds>,
+    pub(crate) delay: Vec<AffineIds>,
 }
 
-impl InferenceModel {
-    /// Snapshots `model`'s current parameters into an executable form.
+/// Per-head activations of one attention layer.
+#[derive(Debug)]
+pub(crate) struct HeadActs {
+    pub(crate) q: Mat,
+    pub(crate) key: Mat,
+    pub(crate) v: Mat,
+    /// Post-softmax attention probabilities, one `ns x ns` matrix per
+    /// segment.
+    pub(crate) probs: Vec<Mat>,
+}
+
+/// Activations of one attention layer.
+#[derive(Debug)]
+pub(crate) struct AttnActs {
+    /// Layer-norm output when `norm` is on (`None` = input used raw).
+    pub(crate) inner: Option<Mat>,
+    pub(crate) concat: Mat,
+    pub(crate) heads: Vec<HeadActs>,
+}
+
+/// The activations a training forward keeps for the backward pass.
+#[derive(Debug, Default)]
+pub(crate) struct Acts {
+    /// `hs[i]` = activation entering layer `i` of the combined stack:
+    /// `hs[0]` after the input projection, `hs[1..=L1]` after each GNN
+    /// layer, `hs[L1+1..=L1+L2]` after each attention layer.
+    pub(crate) hs: Vec<Mat>,
+    /// Each GNN layer's aggregation `A_s · H_s`, all segments.
+    pub(crate) aggs: Vec<Mat>,
+    pub(crate) attn: Vec<AttnActs>,
+    /// The slew head's input `f` (eq. 4), then each layer's output
+    /// (post-ReLU for hidden layers).
+    pub(crate) slew: Vec<Mat>,
+    /// The delay head's input `[f, slew]`, then each layer's output.
+    pub(crate) delay: Vec<Mat>,
+}
+
+impl Acts {
+    /// Returns every kept matrix to `arena`.
+    pub(crate) fn recycle(self, arena: &mut Arena) {
+        let attn = self.attn.into_iter().flat_map(|a| {
+            let heads = a
+                .heads
+                .into_iter()
+                .flat_map(|h| [h.q, h.key, h.v].into_iter().chain(h.probs));
+            a.inner.into_iter().chain([a.concat]).chain(heads)
+        });
+        for m in self
+            .hs
+            .into_iter()
+            .chain(self.aggs)
+            .chain(attn)
+            .chain(self.slew)
+            .chain(self.delay)
+        {
+            arena.give(m);
+        }
+    }
+}
+
+impl Layout {
+    /// Compiles `model`'s layer structure (parameter ids only).
     pub fn compile(model: &GnnTrans) -> Self {
-        let params = model.param_set();
-        let gnn = model
-            .gnn_stack()
-            .iter()
-            .map(|l| SageWeights {
-                w1: Affine::compile(params, l.w1()),
-                w2: params.get(l.w2().w_id()).clone(),
-            })
-            .collect();
-        let attn = model
-            .attn_stack()
-            .iter()
-            .map(|l| AttnWeights {
-                wq: l.wq().iter().map(|p| params.get(p.w_id()).clone()).collect(),
-                wk: l.wk().iter().map(|p| params.get(p.w_id()).clone()).collect(),
-                wv: l.wv().iter().map(|p| params.get(p.w_id()).clone()).collect(),
-                w3: Affine::compile(params, l.w3()),
-                head_dim: l.head_dim(),
-                norm: l.norm(),
-            })
-            .collect();
-        let mlp = |m: &Mlp| m.layers().iter().map(|l| Affine::compile(params, l)).collect();
-        InferenceModel {
+        Layout {
             cfg: model.config().clone(),
-            input: Affine::compile(params, model.input_proj()),
-            gnn,
-            attn,
-            slew: mlp(model.slew_head()),
-            delay: mlp(model.delay_head()),
+            input: AffineIds::of(model.input_proj()),
+            gnn: model
+                .gnn_stack()
+                .iter()
+                .map(|l| SageIds {
+                    w1: AffineIds::of(l.w1()),
+                    w2: l.w2().w_id(),
+                })
+                .collect(),
+            attn: model
+                .attn_stack()
+                .iter()
+                .map(|l| AttnIds {
+                    wq: l.wq().iter().map(|p| p.w_id()).collect(),
+                    wk: l.wk().iter().map(|p| p.w_id()).collect(),
+                    wv: l.wv().iter().map(|p| p.w_id()).collect(),
+                    w3: AffineIds::of(l.w3()),
+                    head_dim: l.head_dim(),
+                    norm: l.norm(),
+                })
+                .collect(),
+            slew: model
+                .slew_head()
+                .layers()
+                .iter()
+                .map(AffineIds::of)
+                .collect(),
+            delay: model
+                .delay_head()
+                .layers()
+                .iter()
+                .map(AffineIds::of)
+                .collect(),
         }
     }
 
-    /// The compiled configuration.
-    pub fn config(&self) -> &GnnTransConfig {
-        &self.cfg
-    }
-
-    /// Runs the compiled stack over a packed batch, returning the
-    /// `P x 2` predictions (column 0 = slew, column 1 = delay) with path
-    /// rows in packed order — slice per graph with
+    /// Runs the stack over a packed batch with weights from `params`,
+    /// returning the `P x 2` predictions (column 0 = slew, column 1 =
+    /// delay) with path rows in packed order — slice per graph with
     /// [`PackedBatch::path_range`].
     ///
     /// Bit-identical to running the tape forward per graph.
@@ -280,7 +402,40 @@ impl InferenceModel {
     ///
     /// Returns [`GnnError::BadBatch`] when the packed feature widths do
     /// not match the compiled configuration.
-    pub fn forward_packed(&self, packed: &PackedBatch, arena: &mut Arena) -> Result<Mat, GnnError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params` is not the parameter set of a model with
+    /// this layout.
+    pub fn forward(
+        &self,
+        params: &ParamSet,
+        packed: &PackedBatch,
+        arena: &mut Arena,
+    ) -> Result<Mat, GnnError> {
+        let started = Instant::now();
+        let (out, _) = self.run(params, packed, arena, false)?;
+        obs::histogram_with("infer.batch_graphs", None, count_bounds)
+            .observe(packed.graph_count() as f64);
+        obs::histogram_with("infer.batch_nodes", None, count_bounds)
+            .observe(packed.node_count() as f64);
+        obs::histogram("infer.forward_seconds").observe(started.elapsed().as_secs_f64());
+        obs::gauge("infer.arena_bytes").set(arena.bytes() as f64);
+        Ok(out)
+    }
+
+    /// The GNNTrans forward (eqs. 1–6) over a packed batch. With `keep`
+    /// every activation the backward reads is returned in [`Acts`];
+    /// without it each buffer goes back to `arena` once dead and the
+    /// returned [`Acts`] is empty. The kernel calls are the same either
+    /// way, so training and inference compute identical values.
+    pub(crate) fn run(
+        &self,
+        params: &ParamSet,
+        packed: &PackedBatch,
+        arena: &mut Arena,
+        keep: bool,
+    ) -> Result<(Mat, Acts), GnnError> {
         if packed.x.cols() != self.cfg.node_dim {
             return Err(GnnError::BadBatch(format!(
                 "packed node dim {} != model node dim {}",
@@ -295,69 +450,71 @@ impl InferenceModel {
                 self.cfg.path_dim
             )));
         }
-        let started = Instant::now();
+        let stash = |list: &mut Vec<Mat>, m: Mat, arena: &mut Arena| {
+            if keep {
+                list.push(m);
+            } else {
+                arena.give(m);
+            }
+        };
+        let mut acts = Acts::default();
         let n = packed.node_count();
         let p = packed.path_count();
         let hidden = self.cfg.hidden;
-        let adjs = if self.cfg.weighted_aggregation {
-            &packed.adj_res
-        } else {
-            &packed.adj_mean
-        };
 
         // Input projection + ReLU.
         let mut h = arena.take(n, hidden);
-        ops::matmul_into(&packed.x, &self.input.w, &mut h);
-        ops::add_bias_rows(&mut h, &self.input.b);
+        ops::matmul_into(&packed.x, params.get(self.input.w), &mut h);
+        ops::add_bias_rows(&mut h, params.get(self.input.b));
         ops::relu_inplace(&mut h);
 
         // L1 edge-weighted GNN layers (eq. 1): the two projections are
         // one tall GEMM each; only A_s · X_s is per-segment.
-        let mut agg = arena.take(n, hidden);
-        let mut neigh = arena.take(n, hidden);
         for layer in &self.gnn {
             let mut self_term = arena.take(n, hidden);
-            ops::matmul_into(&h, &layer.w1.w, &mut self_term);
-            ops::add_bias_rows(&mut self_term, &layer.w1.b);
-            for (s, adj) in adjs.iter().enumerate() {
-                ops::matmul_seg_into(adj, &h, packed.node_offsets[s], &mut agg, packed.node_offsets[s]);
+            ops::matmul_into(&h, params.get(layer.w1.w), &mut self_term);
+            ops::add_bias_rows(&mut self_term, params.get(layer.w1.b));
+            let mut agg = arena.take(n, hidden);
+            for s in 0..packed.graph_count() {
+                let (n0, _) = packed.node_window(s);
+                let adj = packed.adj(s, self.cfg.weighted_aggregation);
+                ops::matmul_seg_into(adj, &h, n0, &mut agg, n0);
             }
-            ops::matmul_into(&agg, &layer.w2, &mut neigh);
+            let mut neigh = arena.take(n, hidden);
+            ops::matmul_into(&agg, params.get(layer.w2), &mut neigh);
             ops::add_assign(&mut self_term, &neigh);
             ops::relu_inplace(&mut self_term);
-            arena.give(std::mem::replace(&mut h, self_term));
+            arena.give(neigh);
+            stash(&mut acts.aggs, agg, arena);
+            stash(&mut acts.hs, std::mem::replace(&mut h, self_term), arena);
         }
-        arena.give(agg);
-        arena.give(neigh);
 
         // L2 self-attention layers (eqs. 2-3): Q/K/V/W3 are tall GEMMs;
         // scores + softmax + weighted sum run per segment, which *is*
         // the per-graph attention mask.
         for layer in &self.attn {
-            let inner_buf;
-            let inner: &Mat = if layer.norm {
+            let hd = layer.head_dim;
+            let inner_mat = layer.norm.then(|| {
                 let mut buf = arena.take(n, hidden);
                 ops::layer_norm_rows_into(&h, 1e-5, &mut buf);
-                inner_buf = Some(buf);
-                inner_buf.as_ref().expect("just set")
-            } else {
-                inner_buf = None;
-                &h
-            };
-            let scale = 1.0 / (layer.head_dim as f32).sqrt();
+                buf
+            });
+            let inner: &Mat = inner_mat.as_ref().unwrap_or(&h);
+            let scale = 1.0 / (hd as f32).sqrt();
             let mut concat = arena.take(n, hidden);
-            let mut q = arena.take(n, layer.head_dim);
-            let mut key = arena.take(n, layer.head_dim);
-            let mut v = arena.take(n, layer.head_dim);
-            let mut head_out = arena.take(n, layer.head_dim);
+            let mut head_out = arena.take(n, hd);
+            let mut heads = Vec::new();
             for k in 0..layer.wq.len() {
-                ops::matmul_into(inner, &layer.wq[k], &mut q);
-                ops::matmul_into(inner, &layer.wk[k], &mut key);
-                ops::matmul_into(inner, &layer.wv[k], &mut v);
+                let mut q = arena.take(n, hd);
+                let mut key = arena.take(n, hd);
+                let mut v = arena.take(n, hd);
+                ops::matmul_into(inner, params.get(layer.wq[k]), &mut q);
+                ops::matmul_into(inner, params.get(layer.wk[k]), &mut key);
+                ops::matmul_into(inner, params.get(layer.wv[k]), &mut v);
+                let mut probs = Vec::new();
                 for s in 0..packed.graph_count() {
-                    let n0 = packed.node_offsets[s];
-                    let ns = packed.node_offsets[s + 1] - n0;
-                    let mut kt = arena.take(layer.head_dim, ns);
+                    let (n0, ns) = packed.node_window(s);
+                    let mut kt = arena.take(hd, ns);
                     let mut scores = arena.take(ns, ns);
                     ops::transpose_rows_into(&key, n0, ns, &mut kt);
                     ops::matmul_rows_into(&q, n0, ns, &kt, &mut scores, 0);
@@ -365,108 +522,139 @@ impl InferenceModel {
                     ops::softmax_rows_inplace(&mut scores);
                     ops::matmul_seg_into(&scores, &v, n0, &mut head_out, n0);
                     arena.give(kt);
-                    arena.give(scores);
+                    stash(&mut probs, scores, arena);
                 }
-                ops::copy_cols(&mut concat, k * layer.head_dim, &head_out);
+                ops::copy_cols(&mut concat, k * hd, &head_out);
+                if keep {
+                    heads.push(HeadActs { q, key, v, probs });
+                } else {
+                    for m in [q, key, v] {
+                        arena.give(m);
+                    }
+                }
             }
-            arena.give(q);
-            arena.give(key);
-            arena.give(v);
             arena.give(head_out);
-            if let Some(buf) = inner_buf {
-                arena.give(buf);
-            }
             let mut projected = arena.take(n, hidden);
-            ops::matmul_into(&concat, &layer.w3.w, &mut projected);
-            ops::add_bias_rows(&mut projected, &layer.w3.b);
-            arena.give(concat);
+            ops::matmul_into(&concat, params.get(layer.w3.w), &mut projected);
+            ops::add_bias_rows(&mut projected, params.get(layer.w3.b));
             // Residual (eq. 3): x + projected.
             ops::add_assign(&mut projected, &h);
-            arena.give(std::mem::replace(&mut h, projected));
+            if keep {
+                acts.attn.push(AttnActs {
+                    inner: inner_mat,
+                    concat,
+                    heads,
+                });
+            } else {
+                for m in inner_mat.into_iter().chain([concat]) {
+                    arena.give(m);
+                }
+            }
+            stash(&mut acts.hs, std::mem::replace(&mut h, projected), arena);
         }
 
         // Pooling (eq. 4): mean node reps per path, concat path features.
         let pooled_dim = hidden + if self.cfg.path_features { self.cfg.path_dim } else { 0 };
         let mut f = arena.take(p, pooled_dim);
-        {
-            let mut pooled = arena.take(p, hidden);
-            for (j, nodes) in packed.path_nodes.iter().enumerate() {
-                ops::mean_rows_into(&h, nodes, &mut pooled, j);
-            }
-            ops::copy_cols(&mut f, 0, &pooled);
-            if self.cfg.path_features {
-                ops::copy_cols(&mut f, hidden, &packed.path_features);
-            }
-            arena.give(pooled);
+        let mut pooled = arena.take(p, hidden);
+        for j in 0..p {
+            ops::mean_rows_into(&h, packed.path_nodes(j), &mut pooled, j);
         }
-        arena.give(h);
+        ops::copy_cols(&mut f, 0, &pooled);
+        if self.cfg.path_features {
+            ops::copy_cols(&mut f, hidden, &packed.path_features);
+        }
+        arena.give(pooled);
+        stash(&mut acts.hs, h, arena);
 
         // Eq. (5): slew head; eq. (6): delay head conditioned on slew.
-        let slew = self.run_mlp(&self.slew, &f, arena);
+        let mut slew = vec![f];
+        mlp(params, &self.slew, &mut slew, arena);
         let mut delay_in = arena.take(p, pooled_dim + 1);
-        ops::copy_cols(&mut delay_in, 0, &f);
-        ops::copy_cols(&mut delay_in, pooled_dim, &slew);
-        arena.give(f);
-        let delay = self.run_mlp(&self.delay, &delay_in, arena);
-        arena.give(delay_in);
+        ops::copy_cols(&mut delay_in, 0, &slew[0]);
+        ops::copy_cols(
+            &mut delay_in,
+            pooled_dim,
+            slew.last().expect("slew head ran"),
+        );
+        let mut delay = vec![delay_in];
+        mlp(params, &self.delay, &mut delay, arena);
 
         let mut out = Mat::zeros(p, 2);
-        ops::copy_cols(&mut out, 0, &slew);
-        ops::copy_cols(&mut out, 1, &delay);
-        arena.give(slew);
-        arena.give(delay);
+        ops::copy_cols(&mut out, 0, slew.last().expect("slew head ran"));
+        ops::copy_cols(&mut out, 1, delay.last().expect("delay head ran"));
+        for m in slew {
+            stash(&mut acts.slew, m, arena);
+        }
+        for m in delay {
+            stash(&mut acts.delay, m, arena);
+        }
+        Ok((out, acts))
+    }
+}
 
-        obs::histogram_with("infer.batch_graphs", None, count_bounds)
-            .observe(packed.graph_count() as f64);
-        obs::histogram_with("infer.batch_nodes", None, count_bounds).observe(n as f64);
-        obs::histogram("infer.packed_gemm_seconds").observe(started.elapsed().as_secs_f64());
-        obs::gauge("infer.arena_bytes").set(arena.bytes() as f64);
-        Ok(out)
+/// Runs a ReLU MLP with linear output over `io[0]`, appending each
+/// layer's output (post-ReLU for hidden layers) to `io`.
+fn mlp(params: &ParamSet, layers: &[AffineIds], io: &mut Vec<Mat>, arena: &mut Arena) {
+    for (i, l) in layers.iter().enumerate() {
+        let w = params.get(l.w);
+        let input = io.last().expect("MLP input present");
+        let mut out = arena.take(input.rows(), w.cols());
+        ops::matmul_into(input, w, &mut out);
+        ops::add_bias_rows(&mut out, params.get(l.b));
+        if i + 1 < layers.len() {
+            ops::relu_inplace(&mut out);
+        }
+        io.push(out);
+    }
+}
+
+/// A trained model frozen for serving: its [`Layout`] plus its own
+/// snapshot of the weights.
+///
+/// Compile once after training (or loading) with
+/// [`InferenceModel::compile`]; run with
+/// [`InferenceModel::forward_packed`]. The struct is immutable and
+/// `Sync` — share it behind an `Arc` across threads, with one [`Arena`]
+/// per thread.
+#[derive(Debug, Clone)]
+pub struct InferenceModel {
+    layout: Layout,
+    params: ParamSet,
+}
+
+impl InferenceModel {
+    /// Snapshots `model`'s current parameters into an executable form.
+    pub fn compile(model: &GnnTrans) -> Self {
+        InferenceModel {
+            layout: Layout::compile(model),
+            params: model.param_set().clone(),
+        }
     }
 
-    /// Convenience single-graph forward: packs `batch` alone and runs
-    /// [`InferenceModel::forward_packed`].
+    /// [`Layout::forward`] with the snapshot weights.
     ///
     /// # Errors
     ///
-    /// Returns [`GnnError::BadBatch`] on feature-width mismatch.
-    pub fn forward_one(&self, batch: &GraphBatch, arena: &mut Arena) -> Result<Mat, GnnError> {
-        let packed = PackedBatch::pack(&[batch])?;
-        self.forward_packed(&packed, arena)
-    }
-
-    /// ReLU MLP with linear output, `x` consumed read-only.
-    fn run_mlp(&self, layers: &[Affine], x: &Mat, arena: &mut Arena) -> Mat {
-        let rows = x.rows();
-        let mut cur: Option<Mat> = None;
-        for (i, layer) in layers.iter().enumerate() {
-            let input = cur.as_ref().unwrap_or(x);
-            let mut out = arena.take(rows, layer.w.cols());
-            ops::matmul_into(input, &layer.w, &mut out);
-            ops::add_bias_rows(&mut out, &layer.b);
-            if i + 1 < layers.len() {
-                ops::relu_inplace(&mut out);
-            }
-            if let Some(prev) = cur.replace(out) {
-                arena.give(prev);
-            }
-        }
-        cur.expect("MLPs have at least one layer")
+    /// Returns [`GnnError::BadBatch`] when the packed feature widths do
+    /// not match the compiled configuration.
+    pub fn forward_packed(&self, packed: &PackedBatch, arena: &mut Arena) -> Result<Mat, GnnError> {
+        self.layout.forward(&self.params, packed, arena)
     }
 }
 
 /// Bucket bounds for small-count histograms (batch graphs/nodes):
 /// factor-2 from 1 to 2048.
-fn count_bounds() -> Vec<f64> {
+pub(crate) fn count_bounds() -> Vec<f64> {
     obs::exponential_bounds(1.0, 2.0, 12)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rcnet::{Farads, Ohms, RcNetBuilder};
 
-    fn cfg() -> GnnTransConfig {
+    pub(crate) fn cfg() -> GnnTransConfig {
         GnnTransConfig {
             node_dim: 3,
             path_dim: 2,
@@ -479,7 +667,8 @@ mod tests {
         }
     }
 
-    fn chain_batch(seed: f32, nodes: usize) -> GraphBatch {
+    /// A labelled `nodes`-node chain net with pseudo-random features.
+    pub(crate) fn chain_batch(seed: f32, nodes: usize) -> GraphBatch {
         let mut b = RcNetBuilder::new("n");
         let mut prev = b.source("s", Farads(1e-15));
         for i in 1..nodes - 1 {
@@ -494,25 +683,35 @@ mod tests {
         for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
             *v = ((i as f32 * 0.7 + seed).sin()) * 0.5;
         }
-        let pf = net
-            .paths()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| Mat::row_vector(vec![0.1 * seed, 0.2 + i as f32]))
+        let paths = net.paths().len();
+        let pf = (0..paths)
+            .map(|i| Mat::row_vector(vec![0.1 * seed, 0.2 + i as f32]))
             .collect();
-        GraphBatch::build(&net, x, pf, None).unwrap()
+        let mut t = Mat::zeros(paths, 2);
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i as f32 * 0.3 + seed).cos()) * 0.4;
+        }
+        GraphBatch::build(&net, x, pf, Some(t)).unwrap()
+    }
+
+    fn solo(model: &InferenceModel, batch: &GraphBatch, arena: &mut Arena) -> Mat {
+        let packed = PackedBatch::pack(&[batch]).unwrap();
+        model.forward_packed(&packed, arena).unwrap()
     }
 
     #[test]
-    fn forward_one_matches_tape_bit_for_bit() {
+    fn single_graph_matches_tape_bit_for_bit() {
         let model = GnnTrans::new(&cfg(), 17);
         let compiled = InferenceModel::compile(&model);
         let mut arena = Arena::new();
         for nodes in [3usize, 5, 9] {
             let batch = chain_batch(nodes as f32, nodes);
             let tape_out = model.predict(&batch);
-            let fast = compiled.forward_one(&batch, &mut arena).unwrap();
-            assert_eq!(fast, tape_out, "{nodes}-node graph drifted");
+            assert_eq!(
+                solo(&compiled, &batch, &mut arena),
+                tape_out,
+                "{nodes}-node graph drifted"
+            );
         }
     }
 
@@ -528,10 +727,7 @@ mod tests {
         let compiled = InferenceModel::compile(&model);
         let mut arena = Arena::new();
         let batch = chain_batch(2.0, 6);
-        assert_eq!(
-            compiled.forward_one(&batch, &mut arena).unwrap(),
-            model.predict(&batch)
-        );
+        assert_eq!(solo(&compiled, &batch, &mut arena), model.predict(&batch));
     }
 
     #[test]
@@ -546,11 +742,11 @@ mod tests {
         assert_eq!(packed.graph_count(), 4);
         let joint = compiled.forward_packed(&packed, &mut arena).unwrap();
         for (s, b) in batches.iter().enumerate() {
-            let solo = compiled.forward_one(b, &mut arena).unwrap();
+            let alone = solo(&compiled, b, &mut arena);
             let (p0, p1) = packed.path_range(s);
-            assert_eq!(p1 - p0, solo.rows());
+            assert_eq!(p1 - p0, alone.rows());
             for (r, pr) in (p0..p1).enumerate() {
-                assert_eq!(joint.row(pr), solo.row(r), "graph {s} path {r} drifted");
+                assert_eq!(joint.row(pr), alone.row(r), "graph {s} path {r} drifted");
             }
         }
     }
@@ -582,6 +778,23 @@ mod tests {
         let mut b = chain_batch(1.0, 4);
         b.x = Mat::zeros(4, 5); // width mismatch
         assert!(PackedBatch::pack(&[&a, &b]).is_err());
+    }
+
+    #[test]
+    fn split_packs_respects_both_budgets() {
+        let sizes = [1000usize, 1000, 100, 3000, 5, 5, 5];
+        let packs = split_packs(&sizes, |&n| n, 2);
+        assert_eq!(
+            packs,
+            vec![
+                &sizes[0..2],
+                &sizes[2..3],
+                &sizes[3..4],
+                &sizes[4..6],
+                &sizes[6..7]
+            ]
+        );
+        assert!(split_packs(&sizes[..0], |&n| n, 2).is_empty());
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //!   with plain mean pooling;
 //! * [`gbdt`] — gradient-boosted regression trees, the ML engine behind
 //!   the DAC'20 \[5\] baseline;
-//! * [`train`] — the MSE training loop (Adam) shared by all graph models,
-//!   with a tape backend (the gradient oracle) and a packed tape-free
-//!   backend;
-//! * [`grad`] — the packed-batch training engine: analytic backward
-//!   through the segment-packed kernels, one tall GEMM per layer in both
-//!   directions.
+//! * [`infer`] — the packed GNNTrans engine: one forward over K nets
+//!   stacked into tall matrices, shared by serving and training;
+//! * [`grad`] — its training step: analytic backward through the
+//!   segment-packed kernels, one tall GEMM per layer in both directions;
+//! * [`train`] — the MSE training loop (Adam) shared by all graph models:
+//!   packed for GNNTrans, one autograd tape per graph (the gradient
+//!   oracle) for the baselines.
 //!
 //! # Examples
 //!

@@ -175,8 +175,8 @@ impl GraphModel for GnnTrans {
         &self.params
     }
 
-    fn packed_trainer(&self) -> Option<crate::grad::PackedTrainer> {
-        Some(crate::grad::PackedTrainer::compile(self))
+    fn packed_layout(&self) -> Option<crate::infer::Layout> {
+        Some(crate::infer::Layout::compile(self))
     }
 
     fn param_set_mut(&mut self) -> &mut ParamSet {

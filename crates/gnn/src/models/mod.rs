@@ -43,10 +43,10 @@ pub trait GraphModel: Sync {
         tape.value(out).clone()
     }
 
-    /// Compiles this model for packed-batch tape-free training, when
-    /// supported ([`GnnTrans`] is; baselines return `None` and train on
-    /// the tape regardless of the configured backend).
-    fn packed_trainer(&self) -> Option<crate::grad::PackedTrainer> {
+    /// This model's layout for the packed engine, when it has one
+    /// ([`GnnTrans`] does; baselines return `None` and train on the
+    /// tape).
+    fn packed_layout(&self) -> Option<crate::infer::Layout> {
         None
     }
 }

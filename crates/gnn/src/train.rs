@@ -2,58 +2,22 @@
 //! end-to-end training objective (minimize MSE between estimated and
 //! golden slew/delay, §IV).
 //!
-//! Two gradient backends share the loop. The autograd tape is the
-//! oracle: one tape per graph, exact reverse-mode gradients. The packed
-//! backend ([`crate::grad::PackedTrainer`]) trains a whole pack of
-//! graphs as one tall node matrix with tape-free arena kernels — the
-//! training-side twin of the inference engine. Packs are split from
-//! each accumulation chunk by a deterministic rule (never by thread
-//! count) and reduced in chunk order, so the trained weights are
-//! bit-identical for any `PAR_THREADS` setting on either backend.
+//! A model with a packed layout ([`GraphModel::packed_layout`], i.e.
+//! GNNTrans) trains a whole pack of graphs as one tall node matrix
+//! through [`Layout::step`]; any other model (the baselines) runs one
+//! autograd tape per graph, which is also the gradient oracle. Packs are
+//! split from each accumulation chunk by a deterministic rule (never by
+//! thread count) and reduced in chunk order, so the trained weights are
+//! bit-identical for any `PAR_THREADS` setting.
 
 use crate::batch::GraphBatch;
-use crate::grad::{self, PackedTrainer};
+use crate::infer::{split_packs, Arena, Layout};
 use crate::models::GraphModel;
 use crate::GnnError;
+use std::cell::RefCell;
 use tensor::init::InitRng;
 use tensor::optim::Adam;
 use tensor::{Mat, Tape};
-
-/// Which gradient implementation [`train`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainBackend {
-    /// The packed tape-free backward (arena kernels, cross-net
-    /// packing) — the default for models that provide a
-    /// [`GraphModel::packed_trainer`]; others silently use the tape.
-    Packed,
-    /// The autograd-tape backward, kept as the gradient oracle.
-    /// Selected by `GNNTRANS_TAPE_TRAIN=1` or [`TrainConfig::backend`].
-    Tape,
-}
-
-impl TrainBackend {
-    /// Resolves the backend from the `GNNTRANS_TAPE_TRAIN` environment
-    /// variable (`1`/`true` select the tape oracle).
-    pub fn from_env() -> Self {
-        let oracle = std::env::var("GNNTRANS_TAPE_TRAIN")
-            .map(|v| {
-                let t = v.trim();
-                t == "1" || t.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false);
-        if oracle {
-            TrainBackend::Tape
-        } else {
-            TrainBackend::Packed
-        }
-    }
-}
-
-impl Default for TrainBackend {
-    fn default() -> Self {
-        TrainBackend::from_env()
-    }
-}
 
 /// Training-loop knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +38,6 @@ pub struct TrainConfig {
     /// reduced in fixed chunk order the trained weights are identical
     /// for any `PAR_THREADS` setting.
     pub accum: usize,
-    /// Gradient backend (defaults from `GNNTRANS_TAPE_TRAIN`).
-    pub backend: TrainBackend,
 }
 
 impl Default for TrainConfig {
@@ -86,7 +48,6 @@ impl Default for TrainConfig {
             seed: 0,
             grad_clip: Some(5.0),
             accum: 1,
-            backend: TrainBackend::from_env(),
         }
     }
 }
@@ -103,11 +64,11 @@ pub struct TrainReport {
     pub final_grad_norm: f32,
     /// Training throughput over the whole run, graphs per second.
     pub graphs_per_s: f64,
-    /// Peak packed-trainer arena footprint observed on any lane, bytes
-    /// (0 on the tape backend).
+    /// Peak packed-step arena footprint observed on any lane, bytes (0
+    /// when training ran on the tape).
     pub arena_bytes_peak: usize,
-    /// Graphs re-run on the per-graph tape because their pack produced
-    /// an error or a non-finite loss (0 on the tape backend).
+    /// Always 0: training has no fallback path. Kept so existing
+    /// readers of the report keep compiling.
     pub fallbacks: u64,
 }
 
@@ -123,10 +84,8 @@ impl TrainReport {
     }
 }
 
-/// One graph's tape forward/backward: `(loss, param grads)`.
-///
-/// The gradient oracle for both backends and the packed backend's
-/// per-graph fallback.
+/// One graph's tape forward/backward: `(loss, param grads)` — the
+/// gradient oracle, and the trainer of models without a packed layout.
 ///
 /// # Panics
 ///
@@ -150,75 +109,12 @@ pub(crate) fn tape_graph_grads<M: GraphModel + ?Sized>(
     (tape.value(loss).get(0, 0), grads)
 }
 
-/// Node budget of one pack: keeps tall matrices cache-friendly.
-const PACK_MAX_NODES: usize = 2048;
-/// Graph budget of one pack.
+/// Graph budget of one training pack.
 const PACK_MAX_GRAPHS: usize = 8;
 
-/// Splits an accumulation chunk into packs by a deterministic greedy
-/// rule (visit order, node/graph budgets). Depends only on the chunk
-/// contents — never on the thread count — so the pack-order reduction
-/// keeps training bit-reproducible under any parallelism.
-fn split_packs<'c>(chunk: &'c [usize], batches: &[GraphBatch]) -> Vec<&'c [usize]> {
-    let mut packs = Vec::new();
-    let mut start = 0;
-    let mut nodes = 0;
-    for (i, &bi) in chunk.iter().enumerate() {
-        let n = batches[bi].node_count();
-        if i > start && (nodes + n > PACK_MAX_NODES || i - start >= PACK_MAX_GRAPHS) {
-            packs.push(&chunk[start..i]);
-            start = i;
-            nodes = 0;
-        }
-        nodes += n;
-    }
-    packs.push(&chunk[start..]);
-    packs
-}
-
-/// Result of one pack lane: per-graph losses in pack order, pack-summed
-/// gradients, tape-fallback count, arena footprint.
-type PackOutcome = (Vec<f32>, Vec<(usize, Mat)>, u64, usize);
-
-/// Runs one pack through the packed trainer, falling back to per-graph
-/// tapes when the step errors or produces a non-finite loss — the epoch
-/// continues either way, and the tape rerun keeps divergence semantics
-/// identical to the tape backend.
-fn run_pack<M: GraphModel + ?Sized>(
-    trainer: &PackedTrainer,
-    model: &M,
-    batches: &[GraphBatch],
-    pack: &[usize],
-) -> PackOutcome {
-    grad::with_scratch(|scratch| {
-        let refs: Vec<&GraphBatch> = pack.iter().map(|&bi| &batches[bi]).collect();
-        let healthy = match trainer.step(model.param_set(), &refs, scratch) {
-            Ok(step) if step.losses.iter().all(|l| l.is_finite()) => Some(step),
-            _ => None,
-        };
-        match healthy {
-            Some(step) => {
-                let bytes = step.arena_bytes;
-                (step.losses, step.grads, 0, bytes)
-            }
-            None => {
-                let mut losses = Vec::with_capacity(pack.len());
-                let mut sum: Vec<(usize, Mat)> = Vec::new();
-                for &bi in pack {
-                    let (loss, g) = tape_graph_grads(model, &batches[bi]);
-                    losses.push(loss);
-                    for (id, mat) in g {
-                        match sum.iter_mut().find(|(i, _)| *i == id) {
-                            Some((_, acc)) => acc.axpy(1.0, &mat),
-                            None => sum.push((id, mat)),
-                        }
-                    }
-                }
-                obs::counter("train.fallbacks").add(pack.len() as u64);
-                (losses, sum, pack.len() as u64, scratch.arena_bytes())
-            }
-        }
-    })
+thread_local! {
+    /// Per-lane arena for packed training steps.
+    static ARENA: RefCell<Arena> = RefCell::new(Arena::new());
 }
 
 /// Trains `model` on labelled batches.
@@ -226,7 +122,8 @@ fn run_pack<M: GraphModel + ?Sized>(
 /// # Errors
 ///
 /// Returns [`GnnError::BadBatch`] when a batch lacks targets and
-/// [`GnnError::Diverged`] when the epoch loss becomes non-finite.
+/// [`GnnError::Diverged`] as soon as a loss becomes non-finite, before
+/// the optimizer step of that chunk.
 pub fn train<M: GraphModel + ?Sized>(
     model: &mut M,
     batches: &[GraphBatch],
@@ -241,12 +138,7 @@ pub fn train<M: GraphModel + ?Sized>(
     let loss_gauge = obs::gauge("gnn.train.loss");
     let grad_gauge = obs::gauge("gnn.train.grad_norm");
     obs::gauge("gnn.train.lr").set(cfg.lr as f64);
-    // The packed backend only engages when the model can compile one;
-    // baselines (and `GNNTRANS_TAPE_TRAIN=1`) stay on the tape.
-    let trainer: Option<PackedTrainer> = match cfg.backend {
-        TrainBackend::Packed => model.packed_trainer(),
-        TrainBackend::Tape => None,
-    };
+    let layout: Option<Layout> = model.packed_layout();
     let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..batches.len()).collect();
     let mut rng = InitRng::new(cfg.seed);
@@ -254,7 +146,6 @@ pub fn train<M: GraphModel + ?Sized>(
     let mut epoch_seconds = Vec::with_capacity(cfg.epochs);
     let mut final_grad_norm = f32::NAN;
     let mut arena_bytes_peak = 0usize;
-    let mut fallbacks = 0u64;
 
     for epoch in 0..cfg.epochs {
         let epoch_span = obs::span("epoch");
@@ -275,44 +166,48 @@ pub fn train<M: GraphModel + ?Sized>(
             // semantics). Work fans out on the par pool, and the
             // in-order result contract makes the reduction — and
             // therefore the trained weights — independent of the
-            // thread count on both backends.
+            // thread count.
+            let outcomes = match &layout {
+                // A chunk splits into packs by a deterministic budget
+                // rule; each pack trains as one tall matrix on its
+                // lane's arena.
+                Some(layout) => {
+                    let params = model.param_set();
+                    let packs = split_packs(chunk, |&bi| batches[bi].node_count(), PACK_MAX_GRAPHS);
+                    par::try_par_map("train.pack", &packs, |pack: &&[usize]| {
+                        let refs: Vec<&GraphBatch> = pack.iter().map(|&bi| &batches[bi]).collect();
+                        let step =
+                            ARENA.with(|a| layout.step(params, &refs, &mut a.borrow_mut()))?;
+                        Ok::<_, GnnError>((step.losses, step.grads, step.arena_bytes))
+                    })?
+                }
+                None => par::par_map("train.graph", chunk, |&bi| {
+                    let (loss, grads) = tape_graph_grads(model, &batches[bi]);
+                    (vec![loss], grads, 0)
+                }),
+            };
             let mut grads: Vec<(usize, Mat)> = Vec::new();
-            if let Some(trainer) = &trainer {
-                // Packed backend: the chunk splits into packs by a
-                // deterministic budget rule; each pack trains as one
-                // tall matrix on its lane's arena.
-                let model_ref: &M = model;
-                let packs = split_packs(chunk, batches);
-                let outcomes = par::par_map("train.pack", &packs, |pack: &&[usize]| {
-                    run_pack(trainer, model_ref, batches, pack)
-                });
-                for (losses, g, fb, bytes) in outcomes {
-                    for loss in losses {
-                        total += loss;
-                    }
-                    fallbacks += fb;
-                    arena_bytes_peak = arena_bytes_peak.max(bytes);
-                    for (id, mat) in g {
-                        match grads.iter_mut().find(|(i, _)| *i == id) {
-                            Some((_, acc)) => acc.axpy(1.0, &mat),
-                            None => grads.push((id, mat)),
-                        }
-                    }
-                }
-            } else {
-                // Tape backend: one tape per graph.
-                let graph_grads = par::par_map("train.graph", chunk, |&bi| {
-                    tape_graph_grads(model, &batches[bi])
-                });
-                for (loss, g) in graph_grads {
+            for (losses, g, bytes) in outcomes {
+                for loss in losses {
                     total += loss;
-                    for (id, mat) in g {
-                        match grads.iter_mut().find(|(i, _)| *i == id) {
-                            Some((_, acc)) => acc.axpy(1.0, &mat),
-                            None => grads.push((id, mat)),
-                        }
+                }
+                arena_bytes_peak = arena_bytes_peak.max(bytes);
+                for (id, mat) in g {
+                    match grads.iter_mut().find(|(i, _)| *i == id) {
+                        Some((_, acc)) => acc.axpy(1.0, &mat),
+                        None => grads.push((id, mat)),
                     }
                 }
+            }
+            if !total.is_finite() {
+                obs::event!(
+                    obs::Level::Error,
+                    "gnn.train",
+                    "training diverged",
+                    epoch = epoch,
+                    loss = total,
+                );
+                return Err(GnnError::Diverged { epoch });
             }
             if chunk.len() > 1 {
                 let inv = 1.0 / chunk.len() as f32;
@@ -350,16 +245,6 @@ pub fn train<M: GraphModel + ?Sized>(
             loss = mean,
             grad_norm = final_grad_norm,
         );
-        if !mean.is_finite() {
-            obs::event!(
-                obs::Level::Error,
-                "gnn.train",
-                "training diverged",
-                epoch = epoch,
-                loss = mean,
-            );
-            return Err(GnnError::Diverged { epoch });
-        }
         epoch_losses.push(mean);
     }
     let total_seconds: f64 = epoch_seconds.iter().sum();
@@ -375,7 +260,7 @@ pub fn train<M: GraphModel + ?Sized>(
         final_grad_norm,
         graphs_per_s,
         arena_bytes_peak,
-        fallbacks,
+        fallbacks: 0,
     })
 }
 

@@ -5,17 +5,17 @@
 //! multi-graph pack must match the summed per-graph tape gradients
 //! within 1e-6 relative error (the tall weight-grad GEMM regroups the
 //! same terms). Plus behavioral pins: a short packed training run
-//! reaches the same loss as the tape backend, and a poisoned batch
-//! falls back to the per-graph tape without aborting the epoch.
+//! reaches the same loss as tape training, and a poisoned pack stops
+//! training before its backward and before any optimizer step.
 
 use gnn::batch::GraphBatch;
-use gnn::grad::TrainScratch;
+use gnn::infer::Arena;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, TrainBackend, TrainConfig};
+use gnn::train::{train, TrainConfig};
 use gnn::GnnError;
 use netgen::nets::{NetConfig, NetGenerator};
 use proptest::prelude::*;
-use tensor::{Mat, Tape};
+use tensor::{Mat, ParamSet, Tape, Var};
 
 const NODE_DIM: usize = 5;
 const PATH_DIM: usize = 3;
@@ -74,6 +74,24 @@ fn model_for(
     GnnTrans::new(&cfg, seed)
 }
 
+/// GNNTrans without its packed layout, so `train` runs the tape.
+struct TapeOnly(GnnTrans);
+
+impl GraphModel for TapeOnly {
+    fn name(&self) -> &str {
+        "GNNTrans (tape)"
+    }
+    fn param_set(&self) -> &ParamSet {
+        self.0.param_set()
+    }
+    fn param_set_mut(&mut self) -> &mut ParamSet {
+        self.0.param_set_mut()
+    }
+    fn forward(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
+        self.0.forward(tape, batch)
+    }
+}
+
 /// The oracle: one graph's loss and gradients off a fresh tape.
 fn tape_grads(model: &GnnTrans, batch: &GraphBatch) -> (f32, Vec<(usize, Mat)>) {
     let mut tape = Tape::new();
@@ -110,11 +128,11 @@ proptest! {
         pathfeat in any::<bool>(),
     ) {
         let model = model_for(seed, gnn_layers, attn_layers, weighted, norm, pathfeat);
-        let trainer = model.packed_trainer().expect("GnnTrans packs");
+        let layout = model.packed_layout().expect("GnnTrans packs");
         let batch = batch_for(seed, nontree);
         let (tape_loss, oracle) = tape_grads(&model, &batch);
-        let mut scratch = TrainScratch::new();
-        let step = trainer.step(model.param_set(), &[&batch], &mut scratch).expect("step");
+        let mut arena = Arena::new();
+        let step = layout.step(model.param_set(), &[&batch], &mut arena).expect("step");
         prop_assert_eq!(step.losses, vec![tape_loss]);
         prop_assert_eq!(step.grads.len(), oracle.len());
         for ((id_p, g_p), (id_t, g_t)) in step.grads.iter().zip(&oracle) {
@@ -134,12 +152,12 @@ proptest! {
         norm in any::<bool>(),
     ) {
         let model = model_for(seed, 2, 1, weighted, norm, true);
-        let trainer = model.packed_trainer().expect("GnnTrans packs");
+        let layout = model.packed_layout().expect("GnnTrans packs");
         let batches: Vec<GraphBatch> =
             (0..k).map(|i| batch_for(seed + i as u64, i % 2 == 1)).collect();
         let refs: Vec<&GraphBatch> = batches.iter().collect();
-        let mut scratch = TrainScratch::new();
-        let step = trainer.step(model.param_set(), &refs, &mut scratch).expect("step");
+        let mut arena = Arena::new();
+        let step = layout.step(model.param_set(), &refs, &mut arena).expect("step");
 
         let mut tape_losses = Vec::with_capacity(k);
         let mut oracle: Vec<(usize, Mat)> = Vec::new();
@@ -167,98 +185,81 @@ proptest! {
     }
 }
 
-/// Trained-model quality is unchanged: at `accum = 1` the packed
-/// backend IS the tape run bit for bit; at `accum > 1` the regrouped
-/// weight-grad sums keep the loss within noise of the tape backend.
+/// Trained-model quality is unchanged: at `accum = 1` packed training
+/// IS the tape run bit for bit; at `accum > 1` the regrouped weight-grad
+/// sums keep the loss within noise of tape training.
 #[test]
 fn packed_training_reaches_tape_loss() {
     let batches: Vec<GraphBatch> = (0..8).map(|i| batch_for(100 + i, i.is_multiple_of(3))).collect();
-    let cfg_for = |backend: TrainBackend, accum: usize| TrainConfig {
+    let cfg_for = |accum: usize| TrainConfig {
         epochs: 6,
         seed: 7,
         accum,
-        backend,
         ..Default::default()
     };
 
     // accum = 1: single-graph packs are exact, so the whole training
     // trajectory is bit-identical.
-    let mut tape_model = model_for(3, 2, 1, true, true, true);
-    let tape = train(&mut tape_model, &batches, &cfg_for(TrainBackend::Tape, 1)).unwrap();
+    let mut tape_model = TapeOnly(model_for(3, 2, 1, true, true, true));
+    let tape = train(&mut tape_model, &batches, &cfg_for(1)).unwrap();
     let mut packed_model = model_for(3, 2, 1, true, true, true);
-    let packed = train(&mut packed_model, &batches, &cfg_for(TrainBackend::Packed, 1)).unwrap();
+    let packed = train(&mut packed_model, &batches, &cfg_for(1)).unwrap();
     assert_eq!(tape.epoch_losses, packed.epoch_losses);
     assert_eq!(
-        tape_model.predict(&batches[0]),
+        tape_model.0.predict(&batches[0]),
         packed_model.predict(&batches[0])
     );
-    assert!(packed.fallbacks == 0 && packed.arena_bytes_peak > 0);
+    assert_eq!(tape.arena_bytes_peak, 0, "the tape wrapper must not pack");
+    assert!(packed.arena_bytes_peak > 0);
     assert!(packed.graphs_per_s > 0.0);
 
     // accum = 4: trajectories may differ in the last bits; final loss
     // must agree within noise and both must actually learn.
-    let mut tape_model = model_for(3, 2, 1, true, true, true);
-    let tape = train(&mut tape_model, &batches, &cfg_for(TrainBackend::Tape, 4)).unwrap();
+    let mut tape_model = TapeOnly(model_for(3, 2, 1, true, true, true));
+    let tape = train(&mut tape_model, &batches, &cfg_for(4)).unwrap();
     let mut packed_model = model_for(3, 2, 1, true, true, true);
-    let packed = train(&mut packed_model, &batches, &cfg_for(TrainBackend::Packed, 4)).unwrap();
+    let packed = train(&mut packed_model, &batches, &cfg_for(4)).unwrap();
     let (lt, lp) = (tape.final_loss(), packed.final_loss());
     assert!(
         (lt - lp).abs() <= 1e-4 * lt.abs().max(lp.abs()).max(1e-3),
         "packed final loss {lp} drifted from tape {lp} vs {lt}"
     );
-    assert!(lt < tape.epoch_losses[0], "tape backend must learn");
-    assert!(lp < packed.epoch_losses[0], "packed backend must learn");
+    assert!(lt < tape.epoch_losses[0], "tape training must learn");
+    assert!(lp < packed.epoch_losses[0], "packed training must learn");
 }
 
-/// A poisoned batch (non-finite features) makes the packed step
-/// non-finite; the trainer re-runs that pack on the per-graph tape —
-/// counted in `train.fallbacks` — finishes the epoch, and reports the
-/// same divergence the tape backend would.
+/// A poisoned batch (non-finite features) makes its pack's loss
+/// non-finite: training stops with `Diverged` before that pack's
+/// backward and before the chunk's optimizer step, so the weights are
+/// untouched — and tape training diverges at the same epoch.
 #[test]
-fn poisoned_batch_falls_back_to_tape_without_aborting_epoch() {
+fn poisoned_pack_diverges_before_any_weight_update() {
     let mut batches: Vec<GraphBatch> = (0..4).map(|i| batch_for(200 + i, false)).collect();
     let rows = batches[1].x.rows();
     batches[1].x = Mat::full(rows, NODE_DIM, f32::NAN);
-
-    let fallback_count = || {
-        obs::metrics::snapshot()
-            .counters
-            .iter()
-            .filter(|(k, _)| k.name == "train.fallbacks")
-            .map(|(_, v)| *v)
-            .sum::<u64>()
-    };
-    let before = fallback_count();
-
     let cfg = TrainConfig {
         epochs: 1,
         seed: 0,
         accum: 4, // one chunk = one pack holding the poisoned graph
-        backend: TrainBackend::Packed,
         ..Default::default()
     };
+
     let mut model = model_for(5, 2, 1, true, true, true);
+    let before = model.param_set().clone();
     let err = train(&mut model, &batches, &cfg).unwrap_err();
     assert!(
         matches!(err, GnnError::Diverged { epoch: 0 }),
         "poisoned data must surface as divergence, got {err:?}"
     );
-    assert!(
-        fallback_count() > before,
-        "packed trainer must count tape fallbacks for the poisoned pack"
-    );
+    for (id, (_, w)) in before.iter().enumerate() {
+        assert_eq!(
+            w,
+            model.param_set().get(id),
+            "a diverged chunk changed weights"
+        );
+    }
 
-    // The tape backend diverges identically — the fallback changes
-    // accounting, not semantics.
-    let mut model = model_for(5, 2, 1, true, true, true);
-    let tape_err = train(
-        &mut model,
-        &batches,
-        &TrainConfig {
-            backend: TrainBackend::Tape,
-            ..cfg
-        },
-    )
-    .unwrap_err();
+    let mut tape_model = TapeOnly(model_for(5, 2, 1, true, true, true));
+    let tape_err = train(&mut tape_model, &batches, &cfg).unwrap_err();
     assert!(matches!(tape_err, GnnError::Diverged { epoch: 0 }));
 }

@@ -80,7 +80,8 @@ proptest! {
         let mut arena = Arena::new();
         let batch = batch_for(seed, nontree);
         let tape = model.predict(&batch);
-        let fast = compiled.forward_one(&batch, &mut arena).expect("forward");
+        let packed = PackedBatch::pack(&[&batch]).expect("pack");
+        let fast = compiled.forward_packed(&packed, &mut arena).expect("forward");
         prop_assert_eq!(fast.shape(), tape.shape());
         prop_assert!(
             max_rel_err(&fast, &tape) <= 1e-6,
@@ -108,7 +109,8 @@ proptest! {
         let packed = PackedBatch::pack(&refs).expect("pack");
         let joint = compiled.forward_packed(&packed, &mut arena).expect("forward");
         for (g, batch) in batches.iter().enumerate() {
-            let solo = compiled.forward_one(batch, &mut arena).expect("forward");
+            let alone = PackedBatch::pack(&[batch]).expect("pack");
+            let solo = compiled.forward_packed(&alone, &mut arena).expect("forward");
             let (p0, p1) = packed.path_range(g);
             prop_assert_eq!(p1 - p0, solo.rows());
             for p in 0..solo.rows() {

@@ -1,19 +1,19 @@
-//! Thread-count determinism gate for the packed training backend: an
-//! epoch whose chunks split into multiple packs (accum 16 over 20 nets
-//! → two 8-graph packs plus a 4-graph pack per chunk, fanned out on
+//! Thread-count determinism gate for packed training: an epoch whose
+//! chunks split into multiple packs (accum 16 over 20 nets → two
+//! 8-graph packs plus a 4-graph pack per chunk, fanned out on
 //! the `par` pool) must produce bit-identical weights at one and four
 //! threads. The pack split is computed from the chunk alone — never
 //! from the pool size — and pack results reduce in fixed chunk order,
-//! so the packed backend keeps the tape backend's reproducibility
-//! contract. `check.sh` runs this with `PAR_THREADS=4 PAR_FORCE_POOL=1`
-//! so the four-thread leg exercises a real pool even on 1-core hosts.
+//! so packed training keeps the tape's reproducibility contract.
+//! `check.sh` runs this with `PAR_THREADS=4 PAR_FORCE_POOL=1` so the
+//! four-thread leg exercises a real pool even on 1-core hosts.
 //!
 //! Single test function on purpose: `par::set_threads` is
 //! process-global, so concurrent test functions flipping it would race.
 
 use gnn::batch::GraphBatch;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, validation_loss, TrainBackend, TrainConfig};
+use gnn::train::{train, validation_loss, TrainConfig};
 use netgen::nets::{NetConfig, NetGenerator};
 use tensor::Mat;
 
@@ -80,7 +80,6 @@ fn packed_epoch_is_bit_identical_across_thread_counts() {
     let cfg = TrainConfig {
         epochs: 2,
         accum: 16, // each chunk splits into multiple packs that fan out
-        backend: TrainBackend::Packed,
         ..Default::default()
     };
 
@@ -97,8 +96,6 @@ fn packed_epoch_is_bit_identical_across_thread_counts() {
 
     assert_eq!(rs.epoch_losses, rp.epoch_losses);
     assert_eq!(rs.final_grad_norm.to_bits(), rp.final_grad_norm.to_bits());
-    assert_eq!(rs.fallbacks, 0);
-    assert_eq!(rp.fallbacks, 0);
     assert_eq!(
         weight_bits(&serial),
         weight_bits(&parallel),

@@ -116,8 +116,8 @@ impl RunReport {
 
         self.push_par_section(&mut out);
         self.push_solver_section(&mut out);
-        self.push_infer_section(&mut out);
-        self.push_train_section(&mut out);
+        self.push_engine_section(&mut out, "infer", &["forward"]);
+        self.push_engine_section(&mut out, "train", &["forward", "backward"]);
         out.push('}');
         out
     }
@@ -235,100 +235,30 @@ impl RunReport {
         out.push('}');
     }
 
-    /// Emits a derived `"infer"` section summarizing the tape-free
-    /// inference engine: resident arena bytes (`infer.arena_bytes`
-    /// gauge), packed batch shape (`infer.batch_graphs` /
-    /// `infer.batch_nodes` histograms), the packed-vs-unpacked forward
-    /// time split (`infer.packed_gemm_seconds` /
-    /// `infer.unpacked_seconds`) and the `infer.fallbacks` counter, so
-    /// one glance at a run report answers "did serving actually run the
-    /// packed path, and how big were its batches". Empty-but-present
-    /// when no inference ran.
-    fn push_infer_section(&self, out: &mut String) {
-        let gauge = |name: &str| {
-            self.metrics
-                .gauges
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0)
-        };
-        let counter = |name: &str| {
-            self.metrics
-                .counters
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        out.push_str(",\"infer\":{\"arena_bytes\":");
-        json::push_f64(out, gauge("infer.arena_bytes"));
-        out.push_str(",\"fallbacks\":");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", counter("infer.fallbacks")));
-        for (field, name) in [
-            ("batch_graphs", "infer.batch_graphs"),
-            ("batch_nodes", "infer.batch_nodes"),
-            ("packed", "infer.packed_gemm_seconds"),
-            ("unpacked", "infer.unpacked_seconds"),
-        ] {
-            let hist = self
-                .metrics
-                .histograms
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, h)| h);
-            let _ = std::fmt::Write::write_fmt(out, format_args!(",\"{field}\":{{\"count\":"));
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!("{}", hist.map(|h| h.count()).unwrap_or(0)),
-            );
-            out.push_str(",\"sum\":");
-            json::push_f64(out, hist.map(|h| h.sum()).unwrap_or(0.0));
-            out.push_str(",\"mean\":");
-            json::push_f64(out, hist.map(|h| h.mean()).unwrap_or(0.0));
-            out.push_str(",\"p95\":");
-            json::push_f64(out, hist.map(|h| h.quantile(0.95)).unwrap_or(0.0));
-            out.push('}');
-        }
-        out.push('}');
-    }
-
-    /// Emits a derived `"train"` section summarizing the packed
-    /// training engine: the `train.arena_bytes` gauge, the
-    /// `train.fallbacks` counter (graphs re-run on the per-graph tape),
-    /// pack-size distributions (`train.batch_graphs` /
-    /// `train.batch_nodes`) and the forward/backward GEMM time split
-    /// (`train.forward_seconds` / `train.backward_seconds`), so one
-    /// glance at a run report answers "did training actually run the
-    /// packed backward, and how big were its packs". Empty-but-present
-    /// when no training ran.
-    fn push_train_section(&self, out: &mut String) {
-        let gauge = |name: &str| {
-            self.metrics
-                .gauges
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0)
-        };
-        let counter = |name: &str| {
-            self.metrics
-                .counters
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        out.push_str(",\"train\":{\"arena_bytes\":");
-        json::push_f64(out, gauge("train.arena_bytes"));
-        out.push_str(",\"fallbacks\":");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", counter("train.fallbacks")));
-        for (field, name) in [
-            ("batch_graphs", "train.batch_graphs"),
-            ("batch_nodes", "train.batch_nodes"),
-            ("forward", "train.forward_seconds"),
-            ("backward", "train.backward_seconds"),
-        ] {
+    /// Emits a derived `"infer"` or `"train"` section summarizing the
+    /// packed engine: the `{section}.arena_bytes` gauge, pack shapes
+    /// (`{section}.batch_graphs` / `{section}.batch_nodes` histograms)
+    /// and the time spent in each pass (`{section}.{pass}_seconds`), so
+    /// one glance at a run report answers "did serving or training run
+    /// the packed engine, how big were its packs, and where did the
+    /// time go". Empty-but-present when the engine did not run.
+    fn push_engine_section(&self, out: &mut String, section: &str, passes: &[&str]) {
+        let gauge = self
+            .metrics
+            .gauges
+            .iter()
+            .find(|(k, _)| k.name == format!("{section}.arena_bytes") && k.label.is_none())
+            .map(|(_, v)| *v)
+            .unwrap_or(0.0);
+        let _ = std::fmt::Write::write_fmt(out, format_args!(",\"{section}\":{{\"arena_bytes\":"));
+        json::push_f64(out, gauge);
+        let fields = ["batch_graphs", "batch_nodes"]
+            .iter()
+            .map(|f| (*f, format!("{section}.{f}")));
+        let timers = passes
+            .iter()
+            .map(|p| (*p, format!("{section}.{p}_seconds")));
+        for (field, name) in fields.chain(timers) {
             let hist = self
                 .metrics
                 .histograms
@@ -462,25 +392,23 @@ mod tests {
     #[test]
     fn report_has_derived_infer_section() {
         crate::metrics::gauge("infer.arena_bytes").set(4096.0);
-        crate::metrics::counter("infer.fallbacks").add(2);
         let h = crate::metrics::histogram_with("infer.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
         h.observe(4.0);
         h.observe(16.0);
-        let t = crate::metrics::histogram("infer.packed_gemm_seconds");
+        let t = crate::metrics::histogram("infer.forward_seconds");
         t.observe(0.003);
         let json = RunReport::capture().to_json();
         assert_balanced_json(&json);
-        assert!(json.contains("\"infer\":{\"arena_bytes\":4096"));
-        assert!(json.contains("\"fallbacks\":2"));
-        assert!(json.contains("\"batch_graphs\":{\"count\":2"));
-        assert!(json.contains("\"packed\":{\"count\":1"));
-        assert!(json.contains("\"unpacked\":{\"count\":0"));
+        let infer = &json[json.find("\"infer\":").unwrap()..json.find("\"train\":").unwrap()];
+        assert!(infer.starts_with("\"infer\":{\"arena_bytes\":4096"));
+        assert!(infer.contains("\"batch_graphs\":{\"count\":2"));
+        assert!(infer.contains("\"forward\":{\"count\":1"));
+        assert!(!infer.contains("\"backward\""));
     }
 
     #[test]
     fn report_has_derived_train_section() {
         crate::metrics::gauge("train.arena_bytes").set(8192.0);
-        crate::metrics::counter("train.fallbacks").add(3);
         let h = crate::metrics::histogram_with("train.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
         h.observe(8.0);
         h.observe(2.0);
@@ -488,11 +416,11 @@ mod tests {
         t.observe(0.004);
         let json = RunReport::capture().to_json();
         assert_balanced_json(&json);
-        assert!(json.contains("\"train\":{\"arena_bytes\":8192"));
-        assert!(json.contains("\"fallbacks\":3"));
-        assert!(json.contains("\"batch_graphs\":{\"count\":2"));
-        assert!(json.contains("\"backward\":{\"count\":1"));
-        assert!(json.contains("\"forward\":{\"count\":0"));
+        let train = &json[json.find("\"train\":").unwrap()..];
+        assert!(train.starts_with("\"train\":{\"arena_bytes\":8192"));
+        assert!(train.contains("\"batch_graphs\":{\"count\":2"));
+        assert!(train.contains("\"backward\":{\"count\":1"));
+        assert!(train.contains("\"forward\":{\"count\":0"));
     }
 
     #[test]

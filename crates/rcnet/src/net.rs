@@ -341,8 +341,9 @@ impl RcNetBuilder {
     /// # Errors
     ///
     /// Returns [`RcNetError::InvalidNet`] when the net has no or multiple
-    /// sources, no sinks, non-positive resistances, negative capacitances,
-    /// self-loop resistors, or is not connected.
+    /// sources, no sinks, non-positive or non-finite resistances,
+    /// negative or non-finite capacitances, self-loop resistors, or is
+    /// not connected.
     pub fn build(self) -> Result<RcNet, RcNetError> {
         let n = self.nodes.len();
         if n == 0 {
@@ -377,9 +378,9 @@ impl RcNetBuilder {
             )));
         }
         for (i, nd) in self.nodes.iter().enumerate() {
-            if nd.cap.value() < 0.0 {
+            if !(nd.cap.value() >= 0.0 && nd.cap.value().is_finite()) {
                 return Err(RcNetError::InvalidNet(format!(
-                    "node {i} (`{}`) has negative capacitance {}",
+                    "node {i} (`{}`) has invalid capacitance {}",
                     nd.name, nd.cap
                 )));
             }
@@ -391,19 +392,18 @@ impl RcNetBuilder {
                     e.a
                 )));
             }
-            let positive = e.res.value() > 0.0;
-            if !positive {
+            if !(e.res.value() > 0.0 && e.res.value().is_finite()) {
                 return Err(RcNetError::InvalidNet(format!(
-                    "edge {i} has non-positive resistance {}",
+                    "edge {i} has invalid resistance {}",
                     e.res
                 )));
             }
         }
         for c in &self.couplings {
-            if c.cap.value() < 0.0 {
+            if !(c.cap.value() >= 0.0 && c.cap.value().is_finite()) {
                 return Err(RcNetError::InvalidNet(format!(
-                    "coupling cap at node {} is negative",
-                    c.node
+                    "coupling cap at node {} is invalid: {}",
+                    c.node, c.cap
                 )));
             }
         }

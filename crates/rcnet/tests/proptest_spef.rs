@@ -196,3 +196,17 @@ fn fixture_itself_parses_cleanly() {
     assert_eq!(doc.nets[0].name(), "blk/net0");
     assert_eq!(doc.nets[1].name(), "blk/net1");
 }
+
+#[test]
+fn non_finite_values_are_rejected() {
+    for bad in ["NaN", "inf", "-inf"] {
+        for (line, value) in [
+            ("2 *3:A 1.5", "2 *3:A"),
+            ("3 *1:1 agg:7 0.25", "3 *1:1 agg:7"),
+            ("2 *1:1 *3:A 8.0", "2 *1:1 *3:A"),
+        ] {
+            let text = FIXTURE.replace(line, &format!("{value} {bad}"));
+            assert!(parse(&text).is_err(), "`{value} {bad}` must be rejected");
+        }
+    }
+}

@@ -99,6 +99,7 @@ fn predict_returns_finite_estimates_for_spef_and_netgen() {
 fn predict_rejects_malformed_bodies_with_400() {
     let server = test_server(1);
     let mut client = Client::new(server.local_addr());
+    let nan_cap = spef_body().replace("2 l:A 2.0", "2 l:A NaN");
     for bad in [
         "not json at all",
         "{\"spef\": 42}",
@@ -107,6 +108,7 @@ fn predict_rejects_malformed_bodies_with_400() {
         "{\"spef\":\"x\",\"netgen\":{}}",
         "{\"netgen\":{\"count\":0}}",
         "{\"netgen\":{\"count\":100000}}",
+        nan_cap.as_str(),
     ] {
         let r = client.request("POST", "/v1/predict", Some(bad)).unwrap();
         assert_eq!(r.status, 400, "`{bad}` should 400, got {}: {}", r.status, r.body);

@@ -378,7 +378,9 @@ impl Tape {
 
         for i in (0..self.nodes.len()).rev() {
             let g = self.nodes[i].grad.clone();
-            if g.max_abs() == 0.0 {
+            // Skip only exact zeros: `max_abs` would also skip an
+            // all-NaN gradient, hiding a poisoned loss from the caller.
+            if g.as_slice().iter().all(|&v| v == 0.0) {
                 continue;
             }
             let op = self.nodes[i].op.clone();
@@ -632,6 +634,17 @@ mod tests {
             *v = ((i as f32 * 0.37 + seed).sin()) * 0.8;
         }
         m
+    }
+
+    #[test]
+    fn nan_loss_reaches_parameter_gradients() {
+        let mut tape = Tape::new();
+        let w = tape.param(0, sample(3, 2, 1.0));
+        let x = tape.constant(sample(2, 3, 0.0));
+        let y = tape.matmul(x, w);
+        let loss = tape.mse_loss(y, &Mat::full(2, 2, f32::NAN));
+        tape.backward(loss);
+        assert!(tape.grad(w).as_slice().iter().all(|v| v.is_nan()));
     }
 
     #[test]

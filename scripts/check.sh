@@ -21,6 +21,12 @@ PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q -p gnn --test par_determinism
 # multiple packs must be bit-identical at 1 vs 4 pool threads.
 PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q -p gnn --test packed_determinism
 
+# Release-mode parity gate: the packed engine must match the tape
+# oracle bit for bit (single graphs) and within 1e-6 (multi-graph
+# weight gradients) in the optimized build that serves and trains too,
+# not only under the debug `cargo test` above.
+cargo test -q --release -p gnn --test infer_parity --test grad_parity
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Compute-layer smoke: kernels + 1-vs-N pool runs at a reduced step
