@@ -143,8 +143,10 @@ fn main() {
 
     // --- matmul throughput (single thread; the kernel itself is serial).
     // Square shapes exercise the cache blocking; the skinny shapes are
-    // the hidden-dim products GNNTrans actually runs (hidden 24, node
-    // counts tens to hundreds).
+    // the products GNNTrans actually runs: hidden-dim projections (hidden
+    // 24, node counts tens to a full 2048-row pack), the per-head
+    // projections of hidden 24 over 4 heads (6 columns), and a 1000-node
+    // net's attention P·V (1000 x 1000 x 6).
     eprintln!("compute: matmul kernels ({} reps)...", args.steps);
     let shapes = [
         (64, 64, 64),
@@ -152,6 +154,8 @@ fn main() {
         (256, 256, 256),
         (64, 24, 24),
         (200, 13, 24),
+        (2048, 24, 6),
+        (1000, 1000, 6),
     ];
     let reps = args.steps.clamp(3, 60);
     let matmul: Vec<MatmulRow> = shapes

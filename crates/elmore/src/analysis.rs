@@ -75,7 +75,7 @@ impl WireAnalysis {
         };
         let downstream = tree::downstream_caps(net, &orientation);
         let stages = tree::stage_delays(net, &orientation, &downstream);
-        let moments = Moments::new(net)?;
+        let moments = Moments::with_tree(net, &orientation)?;
         let tree_elmore = tree::tree_elmore(net, &orientation, &stages);
 
         // Tree second moment: m2(i) = sum_k R_shared(i,k) * C_k * m1(k),

@@ -13,9 +13,22 @@
 //! into the right-hand side). `-m1_i` is the Elmore delay of node `i`,
 //! exact for *any* RC topology including resistive loops — this is how the
 //! reproduction honours the paper's emphasis on non-tree nets.
+//!
+//! # Solver
+//!
+//! `G` has one off-diagonal pair per resistor, so it is assembled sparse
+//! and factored once with the sparse LDLᵀ of [`numeric::sparse`], then
+//! the three moments are three triangular solves. The elimination order
+//! is leaf-first over a source-rooted spanning tree of the net: every
+//! node is eliminated after its tree children, so a tree factors with no
+//! fill at all and each loop chord adds fill only along its tree cycle.
+//! [`crate::WireAnalysis`] hands over the tree it has already computed,
+//! so the order costs nothing. One path serves every net size; the dense
+//! [`numeric::LuFactor`] remains only as the test oracle.
 
 use crate::ElmoreError;
-use numeric::{LuFactor, Matrix, Vector};
+use numeric::sparse::{LdlSymbolic, TripletBuilder};
+use rcnet::topology::{orient, Orientation};
 use rcnet::{NodeId, RcNet, Seconds};
 
 /// First three voltage moments per node, plus derived delay metrics.
@@ -30,16 +43,29 @@ pub struct Moments {
 }
 
 impl Moments {
-    /// Computes the first three moments of every node of `net`.
+    /// Computes the first three moments of every node of `net`, ordering
+    /// the elimination by `net`'s shortest-path tree.
+    ///
+    /// # Errors
+    ///
+    /// See [`Moments::with_tree`].
+    pub fn new(net: &RcNet) -> Result<Self, ElmoreError> {
+        Self::with_tree(net, &orient(net))
+    }
+
+    /// Computes the first three moments of every node of `net`,
+    /// eliminating leaf-first over `tree`, a source-rooted spanning tree
+    /// of `net` (any loop-breaking policy's).
     ///
     /// Coupling capacitors are lumped to ground at the victim node (the
     /// grounded-aggressor approximation used by every moment-based metric).
     ///
     /// # Errors
     ///
-    /// Returns [`ElmoreError::Numeric`] when the reduced conductance matrix
-    /// is singular, which a validated connected net cannot produce.
-    pub fn new(net: &RcNet) -> Result<Self, ElmoreError> {
+    /// Returns [`ElmoreError::Numeric`] when `tree` does not span `net`,
+    /// or when the reduced conductance matrix is not positive definite,
+    /// which a validated connected net cannot produce.
+    pub fn with_tree(net: &RcNet, tree: &Orientation) -> Result<Self, ElmoreError> {
         let n = net.node_count();
         let src = net.source().index();
 
@@ -62,25 +88,35 @@ impl Moments {
         }
 
         // Reduced conductance matrix.
-        let mut g = Matrix::zeros(m, m);
+        let mut g = TripletBuilder::new(m, m);
         for (_, e) in net.iter_edges() {
             let cond = 1.0 / e.res.value();
             let (a, b) = (e.a.index(), e.b.index());
             if a != src {
-                let ra = reduced[a];
-                g[(ra, ra)] += cond;
+                g.add(reduced[a], reduced[a], cond);
             }
             if b != src {
-                let rb = reduced[b];
-                g[(rb, rb)] += cond;
+                g.add(reduced[b], reduced[b], cond);
             }
             if a != src && b != src {
                 let (ra, rb) = (reduced[a], reduced[b]);
-                g[(ra, rb)] -= cond;
-                g[(rb, ra)] -= cond;
+                g.add(ra, rb, -cond);
+                g.add(rb, ra, -cond);
             }
         }
-        let lu = LuFactor::new(&g)?;
+        let g = g.build();
+
+        // Leaf-first: the reverse of the tree's parent-before-child
+        // order, source excluded. A tree that misses a node yields no
+        // permutation, which the analysis rejects.
+        let leaf_first = tree
+            .order
+            .iter()
+            .rev()
+            .filter(|v| v.index() != src)
+            .map(|v| reduced[v.index()])
+            .collect();
+        let ldl = LdlSymbolic::analyze_with(&g, leaf_first)?.factor(&g)?;
 
         // Node capacitances (ground + coupling lumped).
         let mut caps = vec![0.0; n];
@@ -91,35 +127,28 @@ impl Moments {
             caps[c.node.index()] += c.cap.value();
         }
 
-        // w0 = DC solution = all ones (every node settles at the source value).
-        let mut w_prev = vec![1.0; m];
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(3);
-        for _ in 0..3 {
-            // rhs = -C * w_prev (reduced; the source row contributes nothing
-            // because its voltage moment beyond order 0 is zero).
-            let rhs: Vector = (0..n)
-                .filter(|&i| i != src)
-                .map(|i| -caps[i] * w_prev[reduced[i]])
-                .collect();
-            let w = lu.solve(&rhs)?;
-            out.push(w.as_slice().to_vec());
-            w_prev = w.into_inner();
-        }
-
-        let expand = |w: &[f64]| -> Vec<f64> {
-            let mut full = vec![0.0; n];
-            for i in 0..n {
+        // w0 = DC solution = all ones (every node settles at the source
+        // value). rhs = -C * w_prev (reduced; the source row contributes
+        // nothing because its voltage moment beyond order 0 is zero).
+        let mut full = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let mut w = vec![1.0; m];
+        let mut rhs = vec![0.0; m];
+        let mut work = vec![0.0; m];
+        for moment in &mut full {
+            for (i, &ri) in reduced.iter().enumerate() {
                 if i != src {
-                    full[i] = w[reduced[i]];
+                    rhs[ri] = -caps[i] * w[ri];
                 }
             }
-            full
-        };
-        Ok(Moments {
-            m1: expand(&out[0]),
-            m2: expand(&out[1]),
-            m3: expand(&out[2]),
-        })
+            ldl.solve_into(&rhs, &mut w, &mut work);
+            for (i, &ri) in reduced.iter().enumerate() {
+                if i != src {
+                    moment[i] = w[ri];
+                }
+            }
+        }
+        let [m1, m2, m3] = full;
+        Ok(Moments { m1, m2, m3 })
     }
 
     /// Elmore delay of `node` (`-m1`), exact for any topology.

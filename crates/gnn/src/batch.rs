@@ -3,13 +3,17 @@
 //! Following the paper's data representation (§III-B, Fig. 5), each net
 //! becomes a node feature matrix `X`, a weighted adjacency matrix `A`
 //! whose entries are (normalized) resistance values, and a path feature
-//! matrix `H` with one row per wire path. The baselines additionally need
-//! a mean-aggregation adjacency (GraphSage), a symmetrically normalized
-//! one with self-loops (GCNII) and an attention mask (GAT), all derived
-//! from the same connectivity here.
+//! matrix `H` with one row per wire path. RC nets have about one edge
+//! per node, so `A` is stored once, sparse: an [`Adjacency`] holds one
+//! CSR pattern with the resistance weights and the mean-aggregation
+//! weights `1/deg` as two value sets. The packed engine aggregates with
+//! it directly; the tape models and the baselines expand the dense
+//! matrices they need (weighted, mean, the GCN normalization with
+//! self-loops, the GAT mask) on demand.
 
 use crate::GnnError;
 use rcnet::RcNet;
+use tensor::sparse::{Csr, CsrRef};
 use tensor::Mat;
 
 /// Resistance normalization constant: adjacency weights are
@@ -26,22 +30,98 @@ pub struct PathSpec {
     pub features: Mat,
 }
 
+/// A net's symmetric adjacency in CSR form: neighbours ascending per
+/// row, one entry per connected node pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Adjacency {
+    /// `R / R_SCALE` per entry, parallel resistors summed in edge order
+    /// (eq. (1) aggregation).
+    res: Csr,
+    /// `1 / deg(row)` per entry: GraphSage mean aggregation.
+    mean: Vec<f32>,
+}
+
+impl Adjacency {
+    /// Builds the adjacency of `net`'s resistor graph.
+    pub(crate) fn of(net: &RcNet) -> Self {
+        let n = net.node_count();
+        let triplets: Vec<(usize, usize, f32)> = net
+            .iter_edges()
+            .flat_map(|(_, e)| {
+                let (a, b) = (e.a.index(), e.b.index());
+                let w = e.res.value() as f32 / R_SCALE;
+                [(a, b, w), (b, a, w)]
+            })
+            .collect();
+        let res = Csr::from_triplets(n, n, &triplets);
+        let mean = (0..n)
+            .flat_map(|r| {
+                let deg = res.row(r).0.len();
+                std::iter::repeat_n(1.0 / deg as f32, deg)
+            })
+            .collect();
+        Adjacency { res, mean }
+    }
+
+    /// The eq.-(1) aggregation operand: resistance-weighted, or the
+    /// mean aggregation of the ablation.
+    pub(crate) fn csr(&self, weighted: bool) -> CsrRef<'_> {
+        if weighted {
+            self.res.view()
+        } else {
+            self.res.view_with(&self.mean)
+        }
+    }
+
+    /// Dense `n x n` resistance-weighted adjacency.
+    pub fn dense_res(&self) -> Mat {
+        self.res.to_dense()
+    }
+
+    /// Dense `n x n` row-normalized binary adjacency.
+    pub fn dense_mean(&self) -> Mat {
+        self.res.with_values(self.mean.clone()).to_dense()
+    }
+
+    /// Dense `n x n` symmetrically normalized adjacency with self-loops,
+    /// `D^-1/2 (A + I) D^-1/2` (GCN/GCNII propagation).
+    pub fn dense_gcn(&self) -> Mat {
+        let n = self.res.rows();
+        // Degree with the self-loop (nets have no self-edges).
+        let deg: Vec<f32> = (0..n)
+            .map(|r| (self.res.row(r).0.len() + 1) as f32)
+            .collect();
+        let mut m = Mat::zeros(n, n);
+        for r in 0..n {
+            for c in self.res.row(r).0.iter().copied().chain([r]) {
+                m.set(r, c, 1.0 / (deg[r] * deg[c]).sqrt());
+            }
+        }
+        m
+    }
+
+    /// Dense `n x n` attention mask: 0 on edges and the diagonal, a
+    /// large negative value elsewhere (GAT masked softmax).
+    pub fn dense_mask(&self) -> Mat {
+        let n = self.res.rows();
+        let mut m = Mat::full(n, n, -1e9);
+        for r in 0..n {
+            m.set(r, r, 0.0);
+            for &c in self.res.row(r).0 {
+                m.set(r, c, 0.0);
+            }
+        }
+        m
+    }
+}
+
 /// A net packed for the graph models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphBatch {
     /// `n x d_x` node features.
     pub x: Mat,
-    /// `n x n` resistance-weighted adjacency (eq. (1) aggregation).
-    pub adj_res: Mat,
-    /// `n x n` row-normalized binary adjacency (GraphSage mean
-    /// aggregation).
-    pub adj_mean: Mat,
-    /// `n x n` symmetrically normalized adjacency with self-loops
-    /// (GCN/GCNII propagation).
-    pub adj_gcn: Mat,
-    /// `n x n` attention mask: 0 on edges and the diagonal, a large
-    /// negative value elsewhere (GAT masked softmax).
-    pub adj_mask: Mat,
+    /// The net's adjacency, sparse.
+    pub adj: Adjacency,
     /// Wire paths, aligned with `net.paths()`.
     pub paths: Vec<PathSpec>,
     /// Optional `p x 2` training targets: column 0 = slew, column 1 =
@@ -97,58 +177,6 @@ impl GraphBatch {
             }
         }
 
-        let mut adj_res = Mat::zeros(n, n);
-        let mut binary = Mat::zeros(n, n);
-        for (_, e) in net.iter_edges() {
-            let (a, b) = (e.a.index(), e.b.index());
-            let w = e.res.value() as f32 / R_SCALE;
-            // Parallel resistors accumulate.
-            adj_res.set(a, b, adj_res.get(a, b) + w);
-            adj_res.set(b, a, adj_res.get(b, a) + w);
-            binary.set(a, b, 1.0);
-            binary.set(b, a, 1.0);
-        }
-
-        // Row-normalized mean aggregation.
-        let mut adj_mean = binary.clone();
-        for r in 0..n {
-            let deg: f32 = (0..n).map(|c| adj_mean.get(r, c)).sum();
-            if deg > 0.0 {
-                for c in 0..n {
-                    adj_mean.set(r, c, adj_mean.get(r, c) / deg);
-                }
-            }
-        }
-
-        // Symmetric normalization with self-loops: D^-1/2 (A+I) D^-1/2.
-        let mut adj_gcn = binary.clone();
-        for i in 0..n {
-            adj_gcn.set(i, i, 1.0);
-        }
-        let deg: Vec<f32> = (0..n)
-            .map(|r| (0..n).map(|c| adj_gcn.get(r, c)).sum::<f32>())
-            .collect();
-        for r in 0..n {
-            for c in 0..n {
-                let v = adj_gcn.get(r, c);
-                if v != 0.0 {
-                    adj_gcn.set(r, c, v / (deg[r] * deg[c]).sqrt());
-                }
-            }
-        }
-
-        // GAT mask: 0 where attention is allowed (edges + self), -1e9
-        // elsewhere.
-        let mut adj_mask = Mat::full(n, n, -1e9);
-        for r in 0..n {
-            adj_mask.set(r, r, 0.0);
-            for c in 0..n {
-                if binary.get(r, c) != 0.0 {
-                    adj_mask.set(r, c, 0.0);
-                }
-            }
-        }
-
         let paths = net
             .paths()
             .iter()
@@ -161,10 +189,7 @@ impl GraphBatch {
 
         Ok(GraphBatch {
             x,
-            adj_res,
-            adj_mean,
-            adj_gcn,
-            adj_mask,
+            adj: Adjacency::of(net),
             paths,
             targets,
         })
@@ -228,31 +253,40 @@ mod tests {
         assert_eq!(b.path_dim(), 2);
         assert_eq!(b.path_count(), 1);
 
-        // adj_res symmetric, weighted by normalized resistance.
+        assert_eq!(b.adj.res.nnz(), 6);
+
+        // Weighted adjacency symmetric, weighted by normalized resistance.
+        let res = b.adj.dense_res();
         for r in 0..n {
             for c in 0..n {
-                assert_eq!(b.adj_res.get(r, c), b.adj_res.get(c, r));
+                assert_eq!(res.get(r, c), res.get(c, r));
             }
         }
         let s = net.source().index();
         let k = net.node_by_name("k").unwrap().index();
-        assert!((b.adj_res.get(s, k) - 1.0).abs() < 1e-6); // 120/120
+        assert!((res.get(s, k) - 1.0).abs() < 1e-6); // 120/120
 
-        // adj_mean rows sum to 1 for connected nodes.
+        // Mean-aggregation rows sum to 1 for connected nodes.
+        let mean = b.adj.dense_mean();
         for r in 0..n {
-            let sum: f32 = (0..n).map(|c| b.adj_mean.get(r, c)).sum();
+            let sum: f32 = (0..n).map(|c| mean.get(r, c)).sum();
             assert!((sum - 1.0).abs() < 1e-5);
         }
 
-        // adj_gcn symmetric with self-loops.
+        // GCN normalization symmetric with self-loops.
+        let gcn = b.adj.dense_gcn();
         for r in 0..n {
-            assert!(b.adj_gcn.get(r, r) > 0.0);
+            assert!(gcn.get(r, r) > 0.0);
+            for c in 0..n {
+                assert_eq!(gcn.get(r, c), gcn.get(c, r));
+            }
         }
 
         // mask: diagonal open, edges open, everything in a diamond is
         // connected so check an explicit non-edge in a path graph instead.
-        assert_eq!(b.adj_mask.get(s, s), 0.0);
-        assert_eq!(b.adj_mask.get(s, k), 0.0);
+        let mask = b.adj.dense_mask();
+        assert_eq!(mask.get(s, s), 0.0);
+        assert_eq!(mask.get(s, k), 0.0);
     }
 
     #[test]
@@ -265,8 +299,26 @@ mod tests {
         bld.resistor(m, k, Ohms(10.0));
         let net = bld.build().unwrap();
         let b = build_ok(&net);
-        assert!(b.adj_mask.get(s.index(), k.index()) < -1e8);
-        assert_eq!(b.adj_mask.get(s.index(), m.index()), 0.0);
+        let mask = b.adj.dense_mask();
+        assert!(mask.get(s.index(), k.index()) < -1e8);
+        assert_eq!(mask.get(s.index(), m.index()), 0.0);
+    }
+
+    #[test]
+    fn parallel_resistors_sum_in_edge_order() {
+        let mut bld = RcNetBuilder::new("par");
+        let s = bld.source("s", Farads(1e-15));
+        let k = bld.sink("k", Farads(1e-15));
+        let rs = [13.0, 29.0, 71.0];
+        for r in rs {
+            bld.resistor(s, k, Ohms(r));
+        }
+        let net = bld.build().unwrap();
+        let b = build_ok(&net);
+        assert_eq!(b.adj.res.nnz(), 2, "one entry per connected pair");
+        let want = rs.iter().fold(0.0f32, |acc, &r| acc + r as f32 / R_SCALE);
+        assert_eq!(b.adj.dense_res().get(s.index(), k.index()), want);
+        assert_eq!(b.adj.dense_mean().get(k.index(), s.index()), 1.0);
     }
 
     #[test]

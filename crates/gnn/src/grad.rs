@@ -22,7 +22,9 @@
 //!   `Q` order — the reverse of the forward's `Q`, `K`, `V` node
 //!   creation;
 //! * per WSAGE layer: the aggregation path `A_sᵀ · dAgg` lands in the
-//!   input gradient **before** the self-term `dPre · W1ᵀ`;
+//!   input gradient **before** the self-term `dPre · W1ᵀ`; the sparse
+//!   `A_sᵀ` scatter adds rows of `dAgg` in ascending order, the order
+//!   the tape's dense `gemm_tn` adds them in;
 //! * pooling scatters path gradients in **reverse** global path order,
 //!   node indices ascending within a path;
 //! * per-graph loss seeds use the tape's exact `2/n · (pred − target)`
@@ -333,7 +335,7 @@ impl Layout {
             for s in 0..k_graphs {
                 let (n0, _) = packed.node_window(s);
                 let adj = packed.adj(s, self.cfg.weighted_aggregation);
-                tg::matmul_tn_seg_into(adj, &d_agg, n0, &mut g_next, n0);
+                tg::spmm_tn_seg_into(adj, &d_agg, n0, &mut g_next, n0);
             }
             arena.give(d_agg);
             // Self term: bias column sums, then dPre · W1ᵀ on top of

@@ -34,7 +34,8 @@
 //! block-diagonal matrix:
 //!
 //! * neighbor aggregation `A_s · X_s` (eq. 1) multiplies each graph's
-//!   own adjacency against its own row window;
+//!   own sparse adjacency against its own row window, at a cost that
+//!   follows the graph's edge count;
 //! * attention scores `Q_s K_sᵀ` (eq. 2) are formed per segment, so the
 //!   softmax row only ever sees the graph's own nodes — exactly the
 //!   per-graph mask, with the `-inf` entries never computed at all.
@@ -44,7 +45,10 @@
 //! position and of the total row count, a net's prediction is
 //! **bit-identical** whether it is packed alone or with neighbors, and
 //! matches the tape forward (pinned by tests here and in
-//! `tensor::infer`).
+//! `tensor::infer`). The sparse aggregation keeps that: the CSR kernel
+//! skips only the dense product's zero terms and flushes its
+//! accumulators at the GEMM's `KC` block boundaries, so it sums every
+//! output element exactly as the tape's dense `A_s · X_s` does.
 
 use crate::batch::GraphBatch;
 use crate::layers::Linear;
@@ -52,6 +56,7 @@ use crate::models::{GnnTrans, GnnTransConfig, GraphModel};
 use crate::GnnError;
 use std::time::Instant;
 use tensor::infer::{self as ops};
+use tensor::sparse::CsrRef;
 use tensor::{Mat, ParamSet};
 
 pub use tensor::infer::Arena;
@@ -227,12 +232,8 @@ impl<'a> PackedBatch<'a> {
 
     /// Graph `s`'s eq.-(1) adjacency: resistance-weighted, or the mean
     /// aggregation of the ablation.
-    pub(crate) fn adj(&self, s: usize, weighted: bool) -> &'a Mat {
-        if weighted {
-            &self.graphs[s].adj_res
-        } else {
-            &self.graphs[s].adj_mean
-        }
+    pub(crate) fn adj(&self, s: usize, weighted: bool) -> CsrRef<'a> {
+        self.graphs[s].adj.csr(weighted)
     }
 }
 
@@ -478,7 +479,7 @@ impl Layout {
             for s in 0..packed.graph_count() {
                 let (n0, _) = packed.node_window(s);
                 let adj = packed.adj(s, self.cfg.weighted_aggregation);
-                ops::matmul_seg_into(adj, &h, n0, &mut agg, n0);
+                ops::spmm_seg_into(adj, &h, n0, &mut agg, n0);
             }
             let mut neigh = arena.take(n, hidden);
             ops::matmul_into(&agg, params.get(layer.w2), &mut neigh);

@@ -35,7 +35,7 @@ impl GatLayer {
 
     /// Applies the layer. `adj_mask` is 0 on edges/self and a large
     /// negative number elsewhere (see
-    /// [`crate::batch::GraphBatch::adj_mask`]).
+    /// [`crate::batch::Adjacency::dense_mask`]).
     pub fn forward(&self, tape: &mut Tape, params: &ParamSet, x: Var, adj_mask: Var) -> Var {
         let h = self.w.forward_no_bias(tape, params, x); // n x d
         let f_src = self.a_src.forward_no_bias(tape, params, h); // n x 1

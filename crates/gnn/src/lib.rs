@@ -44,7 +44,7 @@ pub mod layers;
 pub mod models;
 pub mod train;
 
-pub use batch::{GraphBatch, PathSpec};
+pub use batch::{Adjacency, GraphBatch, PathSpec};
 pub use models::GraphModel;
 
 use std::error::Error;

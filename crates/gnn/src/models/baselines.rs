@@ -90,7 +90,7 @@ impl GraphSageNet {
     fn encode(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
         let x0 = tape.constant(batch.x.clone());
         // Mean aggregation: binary row-normalized adjacency.
-        let adj = tape.constant(batch.adj_mean.clone());
+        let adj = tape.constant(batch.adj.dense_mean());
         let mut x = self.proj.forward(tape, &self.params, x0);
         x = tape.relu(x);
         for layer in &self.layers {
@@ -130,7 +130,7 @@ impl GatNet {
 
     fn encode(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
         let x0 = tape.constant(batch.x.clone());
-        let mask = tape.constant(batch.adj_mask.clone());
+        let mask = tape.constant(batch.adj.dense_mask());
         let mut x = self.proj.forward(tape, &self.params, x0);
         x = tape.relu(x);
         for layer in &self.layers {
@@ -181,7 +181,7 @@ impl Gcn2Net {
 
     fn encode(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
         let xin = tape.constant(batch.x.clone());
-        let adj = tape.constant(batch.adj_gcn.clone());
+        let adj = tape.constant(batch.adj.dense_gcn());
         let mut x0 = self.proj.forward(tape, &self.params, xin);
         x0 = tape.relu(x0);
         let mut x = x0;

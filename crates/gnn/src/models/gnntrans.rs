@@ -186,9 +186,9 @@ impl GraphModel for GnnTrans {
     fn forward(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
         let x0 = tape.constant(batch.x.clone());
         let adj = if self.cfg.weighted_aggregation {
-            tape.constant(batch.adj_res.clone())
+            tape.constant(batch.adj.dense_res())
         } else {
-            tape.constant(batch.adj_mean.clone())
+            tape.constant(batch.adj.dense_mean())
         };
         let mut x = self.input_proj.forward(tape, &self.params, x0);
         x = tape.relu(x);

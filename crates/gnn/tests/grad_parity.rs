@@ -21,9 +21,13 @@ const NODE_DIM: usize = 5;
 const PATH_DIM: usize = 3;
 
 fn batch_for(seed: u64, nontree: bool) -> GraphBatch {
+    sized_batch(seed, nontree, 4, 20)
+}
+
+fn sized_batch(seed: u64, nontree: bool, nodes_min: usize, nodes_max: usize) -> GraphBatch {
     let cfg = NetConfig {
-        nodes_min: 4,
-        nodes_max: 20,
+        nodes_min,
+        nodes_max,
         ..Default::default()
     };
     let net = NetGenerator::new(seed, cfg).net(format!("g{seed}"), nontree);
@@ -180,6 +184,41 @@ proptest! {
                 "param {} rel err {} exceeds 1e-6",
                 model.param_set().name(*id_p),
                 rel
+            );
+        }
+    }
+}
+
+/// Single-graph packs of 150–400-node nets — neighbours on both sides
+/// of the GEMM's 128-column `KC` block — reproduce the tape's loss and
+/// every gradient bit for bit: tree and non-tree, weighted and mean
+/// aggregation. The sparse `A_sᵀ` scatter must add rows in the order
+/// the tape's dense `gemm_tn` does.
+#[test]
+fn large_net_gradients_match_tape_bit_for_bit() {
+    let mut arena = Arena::new();
+    let cases = [(false, true), (true, true), (false, false), (true, false)];
+    for (i, &(nontree, weighted)) in cases.iter().enumerate() {
+        let seed = 6_000 + i as u64;
+        let model = model_for(seed, 2, 1, weighted, i % 2 == 0, true);
+        let layout = model.packed_layout().expect("GnnTrans packs");
+        let batch = sized_batch(seed, nontree, 150, 400);
+        assert!(batch.node_count() > 128, "{} nodes", batch.node_count());
+        let (tape_loss, oracle) = tape_grads(&model, &batch);
+        let step = layout
+            .step(model.param_set(), &[&batch], &mut arena)
+            .expect("step");
+        assert_eq!(step.losses[0].to_bits(), tape_loss.to_bits());
+        assert_eq!(step.grads.len(), oracle.len());
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((id_p, g_p), (id_t, g_t)) in step.grads.iter().zip(&oracle) {
+            assert_eq!(id_p, id_t, "gradient order diverged from tape");
+            assert_eq!(
+                bits(g_p),
+                bits(g_t),
+                "{}-node net (nontree {nontree}, weighted {weighted}): param {} diverged",
+                batch.node_count(),
+                model.param_set().name(*id_p)
             );
         }
     }

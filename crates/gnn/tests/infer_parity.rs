@@ -15,9 +15,13 @@ const NODE_DIM: usize = 5;
 const PATH_DIM: usize = 3;
 
 fn batch_for(seed: u64, nontree: bool) -> GraphBatch {
+    sized_batch(seed, nontree, 4, 20)
+}
+
+fn sized_batch(seed: u64, nontree: bool, nodes_min: usize, nodes_max: usize) -> GraphBatch {
     let cfg = NetConfig {
-        nodes_min: 4,
-        nodes_max: 20,
+        nodes_min,
+        nodes_max,
         ..Default::default()
     };
     let net = NetGenerator::new(seed, cfg).net(format!("i{seed}"), nontree);
@@ -123,6 +127,62 @@ proptest! {
                         g, p, c
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Nets of 150–400 nodes put neighbours on both sides of the GEMM's
+/// 128-column `KC` block, where the sparse aggregation must flush its
+/// accumulators exactly as the tape's dense `A · X` does. Tree and
+/// non-tree nets, weighted and mean aggregation, compared bit for bit;
+/// then the same nets packed with small neighbours, which must not
+/// move a bit either.
+#[test]
+fn large_nets_match_tape_bit_for_bit() {
+    let mut arena = Arena::new();
+    let cases = [(false, true), (true, true), (false, false), (true, false)];
+    let mut larges = Vec::new();
+    for (i, &(nontree, weighted)) in cases.iter().enumerate() {
+        let seed = 4_000 + i as u64;
+        let model = model_for(seed, weighted, i % 2 == 0);
+        let compiled = InferenceModel::compile(&model);
+        let batch = sized_batch(seed, nontree, 150, 400);
+        assert!(batch.node_count() > 128, "{} nodes", batch.node_count());
+        let tape = model.predict(&batch);
+        let packed = PackedBatch::pack(&[&batch]).expect("pack");
+        let fast = compiled
+            .forward_packed(&packed, &mut arena)
+            .expect("forward");
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&fast),
+            bits(&tape),
+            "{}-node net (nontree {nontree}, weighted {weighted}) drifted from the tape",
+            batch.node_count()
+        );
+        larges.push(batch);
+    }
+
+    let model = model_for(77, true, true);
+    let compiled = InferenceModel::compile(&model);
+    let small = batch_for(78, true);
+    let refs = [&larges[0], &small, &larges[1]];
+    let packed = PackedBatch::pack(&refs).expect("pack");
+    let joint = compiled
+        .forward_packed(&packed, &mut arena)
+        .expect("forward");
+    for (g, batch) in refs.iter().enumerate() {
+        let solo = model.predict(batch);
+        let (p0, p1) = packed.path_range(g);
+        assert_eq!(p1 - p0, solo.rows());
+        for p in 0..solo.rows() {
+            for c in 0..2 {
+                assert_eq!(
+                    joint.get(p0 + p, c).to_bits(),
+                    solo.get(p, c).to_bits(),
+                    "graph {g} path {p} col {c} differs packed vs tape"
+                );
             }
         }
     }

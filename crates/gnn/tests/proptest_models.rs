@@ -96,17 +96,18 @@ proptest! {
     fn batch_adjacencies_are_consistent(seed in 0u64..5_000, nontree in any::<bool>()) {
         let batch = batch_for(seed, nontree);
         let n = batch.node_count();
+        let (res, mean, mask) = (batch.adj.dense_res(), batch.adj.dense_mean(), batch.adj.dense_mask());
         for r in 0..n {
             let mut row_sum = 0.0f32;
             for c in 0..n {
                 // Weighted adjacency is symmetric and non-negative.
-                prop_assert!(batch.adj_res.get(r, c) >= 0.0);
-                prop_assert!((batch.adj_res.get(r, c) - batch.adj_res.get(c, r)).abs() < 1e-6);
-                row_sum += batch.adj_mean.get(r, c);
+                prop_assert!(res.get(r, c) >= 0.0);
+                prop_assert!((res.get(r, c) - res.get(c, r)).abs() < 1e-6);
+                row_sum += mean.get(r, c);
                 // Mask opens exactly where the binary adjacency or the
                 // diagonal is set.
-                let open = batch.adj_mask.get(r, c) == 0.0;
-                let connected = batch.adj_res.get(r, c) > 0.0 || r == c;
+                let open = mask.get(r, c) == 0.0;
+                let connected = res.get(r, c) > 0.0 || r == c;
                 prop_assert_eq!(open, connected);
             }
             // Mean-aggregation rows are stochastic (all nodes have degree

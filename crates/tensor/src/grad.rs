@@ -39,6 +39,7 @@
 //! with neighbours.
 
 use crate::kernels;
+use crate::sparse::CsrRef;
 use crate::Mat;
 
 /// `out += a * bᵀ` for `a` (`m x k`), `b` (`n x k`), `out` (`m x n`).
@@ -153,10 +154,7 @@ pub fn matmul_nt_seg_into(a: &Mat, b: &Mat, out: &mut Mat, out_row0: usize) {
 /// `a` (`k x m`) transposed against a row window of a tall `b`, written
 /// into a row window of a tall `out`. The window is fully overwritten.
 ///
-/// Two backward uses, both per segment `s`: the value gradient
-/// `dV_s = P_sᵀ · dHeadOut_s` and the aggregation input-gradient
-/// `A_sᵀ · dAgg_s` (eq. 1's backward — works for asymmetric
-/// mean-aggregation adjacencies too).
+/// The per-segment attention value gradient `dV_s = P_sᵀ · dHeadOut_s`.
 ///
 /// # Panics
 ///
@@ -171,6 +169,28 @@ pub fn matmul_tn_seg_into(a: &Mat, b: &Mat, b_row0: usize, out: &mut Mat, out_ro
     let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + a.cols()) * n];
     c_view.fill(0.0);
     kernels::gemm_tn(k, a.cols(), n, a.as_slice(), b_view, c_view);
+}
+
+/// `out[out_row0..][..rows] = aᵀ * b[b_row0..][..rows]` for a square
+/// sparse `a` (CSR, `rows x rows`) against a row window of a tall `b`:
+/// the aggregation input-gradient `A_sᵀ · dAgg_s` at `O(nnz · cols)`.
+/// Rows of `b` scatter in ascending order, so the result is
+/// bit-identical to [`matmul_tn_seg_into`] with the dense `a` whenever
+/// `b` is finite. The output window is fully overwritten.
+///
+/// # Panics
+///
+/// Panics on shape or bounds mismatch, or a column index of `a` past
+/// `rows`.
+pub fn spmm_tn_seg_into(a: CsrRef<'_>, b: &Mat, b_row0: usize, out: &mut Mat, out_row0: usize) {
+    let (rows, n) = (a.rows(), b.cols());
+    assert!(b_row0 + rows <= b.rows(), "spmm_tn_seg_into b bounds");
+    assert_eq!(out.cols(), n, "spmm_tn_seg_into out width");
+    assert!(out_row0 + rows <= out.rows(), "spmm_tn_seg_into out bounds");
+    let b_view = &b.as_slice()[b_row0 * n..(b_row0 + rows) * n];
+    let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + rows) * n];
+    c_view.fill(0.0);
+    kernels::csr_gemm_tn(a, n, b_view, c_view);
 }
 
 /// Transposes a small `src` (`c x rows`) into a row window of a tall

@@ -22,8 +22,8 @@
 //! by `gemm_rows_are_position_independent`).
 
 use crate::kernels;
+use crate::sparse::CsrRef;
 use crate::Mat;
-
 
 /// A pool of reusable `f32` buffers for tape-free forward passes.
 ///
@@ -170,8 +170,8 @@ pub fn matmul_rows_into(
 }
 
 /// `out[out_row0..] = a * b[b_row0..][..a.cols()]`: multiplies `a` by a
-/// contiguous row window of `b` (the per-segment adjacency aggregation
-/// `A_s · X_s` of a packed batch), writing into a row window of `out`.
+/// contiguous row window of `b` (the per-segment attention product
+/// `P_s · V_s` of a packed batch), writing into a row window of `out`.
 ///
 /// # Panics
 ///
@@ -186,6 +186,31 @@ pub fn matmul_seg_into(a: &Mat, b: &Mat, b_row0: usize, out: &mut Mat, out_row0:
     let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + a.rows()) * n];
     c_view.fill(0.0);
     kernels::gemm(a.rows(), k, n, a.as_slice(), b_view, c_view);
+}
+
+/// `out[out_row0..][..rows] = a * b[b_row0..][..rows]` for a square
+/// sparse `a` (CSR, `rows x rows`) against a row window of a tall `b`:
+/// the per-segment neighbour aggregation `A_s · X_s` at `O(nnz · cols)`.
+/// Bit-identical to [`matmul_seg_into`] with the dense `a` whenever `b`
+/// is finite (see [`kernels::csr_gemm`]). The output window is fully
+/// overwritten.
+///
+/// # Panics
+///
+/// Panics on shape or bounds mismatch, or a column index of `a` past
+/// `rows`.
+pub fn spmm_seg_into(a: CsrRef<'_>, b: &Mat, b_row0: usize, out: &mut Mat, out_row0: usize) {
+    let n = b.cols();
+    assert_eq!(out.cols(), n, "spmm_seg_into out width");
+    assert!(
+        out_row0 + a.rows() <= out.rows(),
+        "spmm_seg_into out bounds"
+    );
+    assert!(b_row0 + a.rows() <= b.rows(), "spmm_seg_into b bounds");
+    let b_view = &b.as_slice()[b_row0 * n..(b_row0 + a.rows()) * n];
+    let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + a.rows()) * n];
+    c_view.fill(0.0);
+    kernels::csr_gemm(a, n, b_view, c_view);
 }
 
 /// `dst += src` element-wise.

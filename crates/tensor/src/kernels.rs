@@ -1,12 +1,16 @@
-//! Cache-blocked, register-tiled `f32` GEMM kernels.
+//! Cache-blocked, register-tiled `f32` GEMM kernels and the CSR
+//! aggregation kernels that sum exactly like them.
 //!
-//! Three entry points, all row-major, all accumulating in ascending-`k`
-//! order per output element (so repeated calls are bit-identical and
-//! the parallel/serial determinism contract upstream holds):
+//! Row-major entry points, all accumulating in ascending-`k` order per
+//! output element (so repeated calls are bit-identical and the
+//! parallel/serial determinism contract upstream holds):
 //!
 //! * [`gemm`] — `C += A * B`, the workhorse behind [`crate::Mat::matmul`].
 //! * [`gemm_tn`] — `C += Aᵀ * B` with `A` stored untransposed.
 //! * [`gemm_nt`] — `C += A * Bᵀ` with `B` stored untransposed.
+//! * [`csr_gemm`] / [`csr_gemm_tn`] — the same `A * B` / `Aᵀ * B` with
+//!   a sparse `A` in CSR form, summing every output element in exactly
+//!   the order [`gemm`] / [`gemm_tn`] would on the dense `A`.
 //!
 //! The `_tn` / `_nt` variants exist for the autograd backward pass:
 //! `d(A*B)` needs `G*Bᵀ` and `Aᵀ*G`, and materializing the transposes
@@ -14,21 +18,32 @@
 //!
 //! # Blocking scheme
 //!
-//! [`gemm`] follows the classic three-level GotoBLAS decomposition,
-//! sized small because every matrix this workspace multiplies is small
-//! (node-count × feature-dim, at most a few hundred rows):
+//! [`gemm`] follows the classic three-level GotoBLAS decomposition.
+//! Operands range from hidden-width weight panels (24 x 72 at most) to
+//! attention products of a 2048-row pack against a 1000-node segment:
 //!
 //! * the `j` dimension is split into panels of `NC` columns and the `k`
 //!   dimension into blocks of `KC` rows; each `KC x NC` block of `B` is
-//!   **packed** into a contiguous scratch buffer so the micro-kernel
-//!   streams it linearly regardless of `B`'s row stride;
+//!   **packed** into a contiguous scratch buffer, zero-padded to a
+//!   multiple of `NR` columns, so the micro-kernel streams it linearly
+//!   regardless of `B`'s row stride and every tile is full width;
 //! * the micro-kernel computes an `MR x NR` (6 x 16) tile of `C` held
 //!   entirely in registers — 12 8-lane accumulators plus the two `B`
-//!   vectors and the `A` broadcast fill the 16 AVX registers;
+//!   vectors and the `A` broadcast fill the 16 AVX registers. Only the
+//!   store is bounded to the tile's real width; the padded columns are
+//!   computed and dropped, so a 6-wide attention product runs the same
+//!   vector loop as a 16-wide one;
+//! * the packing buffers are per-thread scratch that only ever grows,
+//!   so a warm call allocates nothing;
 //! * there is no per-element zero test (the seed kernel branched on
 //!   `a == 0.0` for every scalar, which costs more than the multiply
 //!   it occasionally saves, breaks vectorization, and breaks IEEE
 //!   semantics for non-finite operands).
+//!
+//! Per output element the blocked kernel therefore computes, for each
+//! `KC` block in ascending order, a private accumulator started at zero
+//! and summed over the block's `k` ascending, then one `c += acc`.
+//! [`csr_gemm`] reproduces that order on the stored entries alone.
 //!
 //! # Dispatch
 //!
@@ -39,13 +54,21 @@
 //! `#[inline(always)]` body, the std-only equivalent of function
 //! multi-versioning) when the CPU supports it. The FMA path contracts
 //! `mul`+`add` into one rounding; both paths keep the ascending-`k`
-//! order, so each path is individually deterministic.
+//! order, so each path is individually deterministic. Everything the
+//! body needs (the scratch borrow included) is set up before entering
+//! the `#[target_feature]` clone: a closure created inside it is not
+//! compiled with the clone's features, and its `mul_add` would fall back
+//! to the libm routine.
+
+use crate::sparse::CsrRef;
+use std::cell::RefCell;
 
 /// Micro-tile rows (of `A` / `C`).
 const MR: usize = 6;
 /// Micro-tile columns (of `B` / `C`); two 8-lane `f32` vectors.
 const NR: usize = 16;
-/// `k`-dimension cache block: `KC x NR` of packed `B` stays in L1.
+/// `k`-dimension cache block: `KC x NR` of packed `B` stays in L1. The
+/// CSR kernels flush their accumulators at the same boundaries.
 const KC: usize = 128;
 /// `j`-dimension cache block (columns of one packed `B` panel).
 const NC: usize = 512;
@@ -63,10 +86,31 @@ fn madd<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
     }
 }
 
+/// Whether the AVX2+FMA clones may run on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Per-thread packing scratch of [`gemm`]: the `B` panel and the `A`
+/// micro-panel. Grows to the largest shape seen and is never shrunk;
+/// the blocking caps it at `KC x NC` + `MR x KC` floats (259 KiB).
+#[derive(Default)]
+struct Scratch {
+    panel: Vec<f32>,
+    apack: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 /// `C += A * B` for row-major `A` (`m x k`), `B` (`k x n`), `C` (`m x n`).
 ///
 /// Shape agreement is the caller's contract (the `Mat` wrappers assert
-/// it); slice lengths are debug-asserted.
+/// it); slice lengths are debug-asserted. Allocation-free once the
+/// calling thread has run a shape at least this large.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -74,22 +118,46 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    {
-        // SAFETY: the required target features were just detected.
-        unsafe { gemm_avx2(m, k, n, a, b, c) };
-        return;
-    }
-    gemm_body::<false>(m, k, n, a, b, c);
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let Scratch { panel, apack } = &mut *scratch;
+        let panel_len = KC.min(k) * NC.min(n).next_multiple_of(NR);
+        if panel.len() < panel_len {
+            panel.resize(panel_len, 0.0);
+        }
+        if apack.len() < MR * KC.min(k) {
+            apack.resize(MR * KC.min(k), 0.0);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2_fma() {
+            // SAFETY: the required target features were just detected.
+            unsafe { gemm_avx2(m, k, n, a, b, c, panel, apack) };
+            return;
+        }
+        gemm_body::<false>(m, k, n, a, b, c, panel, apack);
+    });
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_body::<true>(m, k, n, a, b, c);
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_avx2(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    panel: &mut [f32],
+    apack: &mut [f32],
+) {
+    gemm_body::<true>(m, k, n, a, b, c, panel, apack);
 }
 
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gemm_body<const FMA: bool>(
     m: usize,
@@ -98,20 +166,24 @@ fn gemm_body<const FMA: bool>(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    panel: &mut [f32],
+    apack: &mut [f32],
 ) {
-    // Reusable packing buffers per call: one KC x NC panel of B, one
-    // MR x KC micro-panel of A (p-major, MR-interleaved, zero-padded on
-    // the row edge so the micro-kernel never branches on `mr`).
-    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
-    let mut apack = vec![0.0f32; MR * KC.min(k)];
+    // `panel` holds one KC x NC block of B, its rows padded with zeros
+    // to `ncp` (a multiple of NR) columns; `apack` one MR x KC
+    // micro-panel of A (p-major, MR-interleaved, zero-padded on the row
+    // edge so the micro-kernel never branches on `mr`).
     for jj in (0..n).step_by(NC) {
         let nc = NC.min(n - jj);
+        let ncp = nc.next_multiple_of(NR);
         for kk in (0..k).step_by(KC) {
             let kc = KC.min(k - kk);
-            // Pack B[kk..kk+kc, jj..jj+nc] row-contiguous.
+            // Pack B[kk..kk+kc, jj..jj+nc] row-contiguous, zero-padded.
             for p in 0..kc {
                 let src = (kk + p) * n + jj;
-                panel[p * nc..p * nc + nc].copy_from_slice(&b[src..src + nc]);
+                let row = &mut panel[p * ncp..(p + 1) * ncp];
+                row[..nc].copy_from_slice(&b[src..src + nc]);
+                row[nc..].fill(0.0);
             }
             for ii in (0..m).step_by(MR) {
                 let mr = MR.min(m - ii);
@@ -124,19 +196,18 @@ fn gemm_body<const FMA: bool>(
                 }
                 for jt in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jt);
-                    micro_kernel::<FMA>(
-                        &apack, &panel, c, n, nc, ii, jj + jt, jt, kc, mr, nr,
-                    );
+                    micro_kernel::<FMA>(apack, panel, c, n, ncp, ii, jj + jt, jt, kc, mr, nr);
                 }
             }
         }
     }
 }
 
-/// Computes one `mr x nr` tile of `C` (`mr <= MR`, `nr <= NR`) from the
-/// packed A micro-panel (`apack[p * MR + r]`, zero-padded rows) and the
-/// packed B panel (`kc x nc`, tile starting at column `jt`).
-/// Accumulators live in a fixed-size register block; `k` ascends, so
+/// Computes one `MR x NR` tile of `C` from the packed A micro-panel
+/// (`apack[p * MR + r]`, zero-padded rows) and the packed, zero-padded B
+/// panel (`kc x ncp`, tile starting at column `jt`), and adds its
+/// leading `mr x nr` corner into `C`. The loops have fixed bounds, so
+/// the compiler unrolls and vectorizes them; `k` ascends, so
 /// per-element summation order is deterministic.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -145,7 +216,7 @@ fn micro_kernel<const FMA: bool>(
     panel: &[f32],
     c: &mut [f32],
     n: usize,
-    nc: usize,
+    ncp: usize,
     ii: usize,
     j0: usize,
     jt: usize,
@@ -154,32 +225,16 @@ fn micro_kernel<const FMA: bool>(
     nr: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    if nr == NR {
-        // Full-width tile: fixed-bound loops the compiler unrolls and
-        // vectorizes. Both operand streams are contiguous; the padded
-        // A rows multiply into accumulators that are never stored.
-        for p in 0..kc {
-            let brow: &[f32; NR] = panel[p * nc + jt..p * nc + jt + NR]
-                .try_into()
-                .expect("packed tile row");
-            let acol: &[f32; MR] = apack[p * MR..(p + 1) * MR]
-                .try_into()
-                .expect("packed A column");
-            for (acc_row, &av) in acc.iter_mut().zip(acol) {
-                for (s, &bv) in acc_row.iter_mut().zip(brow) {
-                    *s = madd::<FMA>(*s, av, bv);
-                }
-            }
-        }
-    } else {
-        // Edge tile: same loop with a runtime column bound.
-        for p in 0..kc {
-            let brow = &panel[p * nc + jt..p * nc + jt + nr];
-            let acol = &apack[p * MR..(p + 1) * MR];
-            for (acc_row, &av) in acc.iter_mut().zip(acol) {
-                for (s, &bv) in acc_row.iter_mut().zip(brow) {
-                    *s = madd::<FMA>(*s, av, bv);
-                }
+    for p in 0..kc {
+        let brow: &[f32; NR] = panel[p * ncp + jt..p * ncp + jt + NR]
+            .try_into()
+            .expect("packed tile row");
+        let acol: &[f32; MR] = apack[p * MR..(p + 1) * MR]
+            .try_into()
+            .expect("packed A column");
+        for (acc_row, &av) in acc.iter_mut().zip(acol) {
+            for (s, &bv) in acc_row.iter_mut().zip(brow) {
+                *s = madd::<FMA>(*s, av, bv);
             }
         }
     }
@@ -187,6 +242,122 @@ fn micro_kernel<const FMA: bool>(
         let dst = &mut c[(ii + r) * n + j0..(ii + r) * n + j0 + nr];
         for (d, s) in dst.iter_mut().zip(acc_row) {
             *d += s;
+        }
+    }
+}
+
+/// `C += A * B` for a sparse `A` (`m x k`, CSR), row-major `B`
+/// (`k x n`) and `C` (`m x n`), summed exactly as [`gemm`] sums the
+/// dense `A`: per output element, one accumulator per `KC` block of
+/// `k`, started at zero, `k` ascending, then one `c += acc`. The dense
+/// kernel's terms for unstored (zero) entries of `A` add `0 * b`, which
+/// leaves a finite accumulator unchanged, so the results are
+/// bit-identical whenever `B` is finite.
+///
+/// # Panics
+///
+/// Panics when a column index is out of range for `B`.
+pub fn csr_gemm(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(c.len(), a.rows() * n);
+    if n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2_fma() {
+        // SAFETY: the required target features were just detected.
+        unsafe { csr_gemm_avx2(a, n, b, c) };
+        return;
+    }
+    csr_gemm_body::<false>(a, n, b, c);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn csr_gemm_avx2(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    csr_gemm_body::<true>(a, n, b, c);
+}
+
+#[inline(always)]
+fn csr_gemm_body<const FMA: bool>(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+        let entries = a.row_ptr[i]..a.row_ptr[i + 1];
+        // NR-wide column strips keep the accumulator in registers.
+        for j0 in (0..n).step_by(NR) {
+            let w = NR.min(n - j0);
+            let dst = &mut crow[j0..j0 + w];
+            let mut acc = [0.0f32; NR];
+            let mut block = usize::MAX;
+            for e in entries.clone() {
+                let p = a.col_idx[e];
+                if p / KC != block {
+                    if block != usize::MAX {
+                        flush(dst, &mut acc);
+                    }
+                    block = p / KC;
+                }
+                let v = a.vals[e];
+                for (s, &bv) in acc.iter_mut().zip(&b[p * n + j0..p * n + j0 + w]) {
+                    *s = madd::<FMA>(*s, v, bv);
+                }
+            }
+            if block != usize::MAX {
+                flush(dst, &mut acc);
+            }
+        }
+    }
+}
+
+/// `dst += acc` (the blocked GEMM's tile store), then zeroes `acc` for
+/// the next `KC` block.
+#[inline(always)]
+fn flush(dst: &mut [f32], acc: &mut [f32; NR]) {
+    for (d, s) in dst.iter_mut().zip(acc.iter()) {
+        *d += s;
+    }
+    *acc = [0.0; NR];
+}
+
+/// `C += Aᵀ * B` for a sparse `A` (`k x m`, CSR), row-major `B`
+/// (`k x n`) and `C` (`m x n`): row `p` of `B`, scaled by each stored
+/// `A[p, i]`, is added into row `i` of `C`, rows `p` ascending — the
+/// term-by-term order of [`gemm_tn`], without its zero terms.
+///
+/// # Panics
+///
+/// Panics when a column index is out of range for `C`.
+pub fn csr_gemm_tn(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(b.len(), a.rows() * n);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2_fma() {
+        // SAFETY: the required target features were just detected.
+        unsafe { csr_gemm_tn_avx2(a, n, b, c) };
+        return;
+    }
+    csr_gemm_tn_body::<false>(a, n, b, c);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn csr_gemm_tn_avx2(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    csr_gemm_tn_body::<true>(a, n, b, c);
+}
+
+#[inline(always)]
+fn csr_gemm_tn_body<const FMA: bool>(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
+    for p in 0..a.rows() {
+        let brow = &b[p * n..(p + 1) * n];
+        for e in a.row_ptr[p]..a.row_ptr[p + 1] {
+            let i = a.col_idx[e];
+            let v = a.vals[e];
+            for (d, &bv) in c[i * n..(i + 1) * n].iter_mut().zip(brow) {
+                *d = madd::<FMA>(*d, v, bv);
+            }
         }
     }
 }
@@ -201,8 +372,7 @@ pub fn gemm_tn(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    {
+    if has_avx2_fma() {
         // SAFETY: the required target features were just detected.
         unsafe { gemm_tn_avx2(k, m, n, a, b, c) };
         return;
@@ -246,8 +416,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    {
+    if has_avx2_fma() {
         // SAFETY: the required target features were just detected.
         unsafe { gemm_nt_avx2(m, k, n, a, b, c) };
         return;
@@ -350,6 +519,32 @@ mod tests {
             let mut c = vec![0.0f32; m * n];
             gemm(m, k, n, &a, &b, &mut c);
             assert_close(&c, &gemm_ref(m, k, n, &a, &b), &format!("{m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn gemm_columns_are_width_independent() {
+        // Every tile is full width: column j of A·B is bit-identical to
+        // A times column j of B alone, for every j across the NR edges
+        // and with `k` crossing a KC block.
+        let (m, k) = (7, KC + 22);
+        for n in [1, 5, NR - 1, NR, NR + 1, 2 * NR + 3] {
+            let a = fill(m * k, 9.0);
+            let b = fill(k * n, 10.0);
+            let mut full = vec![0.0f32; m * n];
+            gemm(m, k, n, &a, &b, &mut full);
+            for j in 0..n {
+                let col: Vec<f32> = (0..k).map(|p| b[p * n + j]).collect();
+                let mut one = vec![0.0f32; m];
+                gemm(m, k, 1, &a, &col, &mut one);
+                for i in 0..m {
+                    assert_eq!(
+                        full[i * n + j].to_bits(),
+                        one[i].to_bits(),
+                        "n = {n}, element ({i}, {j})"
+                    );
+                }
+            }
         }
     }
 

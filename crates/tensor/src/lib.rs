@@ -18,6 +18,9 @@
 //! * [`infer`] — tape-free forward-only ops over a reusable buffer
 //!   [`infer::Arena`] for the serving hot path (bit-identical to the
 //!   tape forward);
+//! * [`sparse`] — an `f32` CSR matrix, the adjacency operand of the
+//!   packed aggregation kernels ([`infer::spmm_seg_into`],
+//!   [`grad::spmm_tn_seg_into`]), which sum exactly like the dense GEMM;
 //! * [`grad`] — tape-free backward kernels (matmul grads via fused
 //!   `gemm_tn`/`gemm_nt`, segment-masked softmax backward, layer-norm
 //!   backward, segment mean-rows backward) so packed training runs
@@ -56,6 +59,7 @@ pub mod kernels;
 pub mod mat;
 pub mod optim;
 pub mod serialize;
+pub mod sparse;
 pub mod tape;
 
 pub use mat::Mat;

@@ -27,6 +27,11 @@ PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q -p gnn --test packed_determinism
 # not only under the debug `cargo test` above.
 cargo test -q --release -p gnn --test infer_parity --test grad_parity
 
+# Release-mode moments gate: the sparse LDLᵀ moment solver must match a
+# dense LU solve to 1e-9 relative on random tree and non-tree nets of
+# 2–1000 nodes.
+cargo test -q --release -p elmore --test moments_oracle
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Compute-layer smoke: kernels + 1-vs-N pool runs at a reduced step
