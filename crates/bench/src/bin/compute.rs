@@ -1,10 +1,11 @@
 //! Compute-layer benchmark: blocked matmul kernels and `par` scaling.
 //!
-//! Measures the two things the parallel compute layer changed —
-//! single-thread matmul throughput (blocked/dispatched kernel vs the
-//! seed scalar kernel kept as [`Mat::matmul_reference`]) and
-//! dataset-build nets/sec at 1 thread vs `N` threads on the `par` pool
-//! — and writes `BENCH_compute.json`. Training throughput has its own
+//! Measures single-thread matmul throughput (blocked/dispatched kernel
+//! vs the seed scalar kernel kept as [`Mat::matmul_reference`]), the
+//! attention softmax (ns per score of the vectorized column kernel vs
+//! a row softmax over libm `f32::exp`), and dataset-build nets/sec at 1
+//! thread vs `N` threads on the `par` pool, and writes
+//! `BENCH_compute.json`. Training throughput has its own
 //! benchmark (`bench --bin train`, `BENCH_train.json`), which measures
 //! tape vs packed training rather than pool scaling.
 //!
@@ -23,7 +24,7 @@ use gnntrans::dataset::DatasetBuilder;
 use netgen::nets::{NetConfig, NetGenerator};
 use std::fmt::Write as _;
 use std::time::Instant;
-use tensor::Mat;
+use tensor::{kernels, Mat};
 
 struct Args {
     steps: usize,
@@ -117,6 +118,51 @@ fn gflops(m: usize, k: usize, n: usize, reps: usize, f: &dyn Fn() -> Mat) -> f64
     flops / best / 1e9
 }
 
+/// Scale, then a softmax over each row with libm `f32::exp`: the
+/// tape's `scale` + `softmax_rows`, the baseline of the column kernel.
+fn softmax_rows_libm(cols: usize, scale: f32, v: &mut [f32]) {
+    for row in v.chunks_exact_mut(cols) {
+        let mut max = f32::NEG_INFINITY;
+        for x in row.iter_mut() {
+            *x *= scale;
+            max = max.max(*x);
+        }
+        let mut sum = 0.0;
+        for x in row.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
+}
+
+/// Best-of-reps nanoseconds per element of `f`, each rep on a fresh
+/// copy of `src`.
+fn ns_per_elem(src: &[f32], reps: usize, f: &dyn Fn(&mut [f32])) -> f64 {
+    let mut buf = src.to_vec();
+    let best = (0..reps)
+        .map(|_| {
+            buf.copy_from_slice(src);
+            let t0 = Instant::now();
+            f(&mut buf);
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    best * 1e9 / src.len() as f64
+}
+
+/// One `n x n` attention score matrix through both softmax layouts.
+struct SoftmaxRow {
+    n: usize,
+    ns_cols: f64,
+    ns_rows_libm: f64,
+    ns_exp: f64,
+    ns_exp_libm: f64,
+    bit_identical: bool,
+}
+
 struct MatmulRow {
     shape: (usize, usize, usize),
     gflops_blocked: f64,
@@ -146,7 +192,9 @@ fn main() {
     // the products GNNTrans actually runs: hidden-dim projections (hidden
     // 24, node counts tens to a full 2048-row pack), the per-head
     // projections of hidden 24 over 4 heads (6 columns), and a 1000-node
-    // net's attention P·V (1000 x 1000 x 6).
+    // net's attention products: the row-layout P·V (1000 x 1000 x 6) and
+    // the transposed forms the engine runs, Vᵀ·Pᵀ (6 x 1000 x 1000) and
+    // K·Qᵀ (1000 x 6 x 1000).
     eprintln!("compute: matmul kernels ({} reps)...", args.steps);
     let shapes = [
         (64, 64, 64),
@@ -156,6 +204,8 @@ fn main() {
         (200, 13, 24),
         (2048, 24, 6),
         (1000, 1000, 6),
+        (6, 1000, 1000),
+        (1000, 6, 1000),
     ];
     let reps = args.steps.clamp(3, 60);
     let matmul: Vec<MatmulRow> = shapes
@@ -173,6 +223,48 @@ fn main() {
                 row.gflops_blocked,
                 row.gflops_seed,
                 row.gflops_blocked / row.gflops_seed.max(1e-12),
+            );
+            row
+        })
+        .collect();
+
+    // --- attention softmax at a 100- and a 1000-node net's scores (head
+    // width 6): the column kernel on Sᵀ against the libm row softmax on
+    // S, and the exp alone, vectorized against libm.
+    eprintln!("compute: attention softmax ({reps} reps)...");
+    let scale = 1.0 / 6f32.sqrt();
+    let softmax: Vec<SoftmaxRow> = [100usize, 1000]
+        .iter()
+        .map(|&n| {
+            let st = fill(n, n, 3.0);
+            let s = st.transpose();
+            let row = SoftmaxRow {
+                n,
+                ns_cols: ns_per_elem(st.as_slice(), reps, &|v| {
+                    kernels::softmax_cols(n, n, scale, v)
+                }),
+                ns_rows_libm: ns_per_elem(s.as_slice(), reps, &|v| softmax_rows_libm(n, scale, v)),
+                ns_exp: ns_per_elem(st.as_slice(), reps, &|v| kernels::exp_inplace(v)),
+                ns_exp_libm: ns_per_elem(st.as_slice(), reps, &|v| {
+                    v.iter_mut().for_each(|x| *x = x.exp())
+                }),
+                bit_identical: {
+                    let mut pt = st.as_slice().to_vec();
+                    kernels::softmax_cols(n, n, scale, &mut pt);
+                    let mut p = s.as_slice().to_vec();
+                    softmax_rows_libm(n, scale, &mut p);
+                    (0..n * n).all(|e| pt[e].to_bits() == p[(e % n) * n + e / n].to_bits())
+                },
+            };
+            eprintln!(
+                "compute: softmax {n}x{n}: columns {:.2} ns/score, libm rows {:.2} ns/score \
+                 ({:.2}x); exp {:.2} ns, libm {:.2} ns; bit-identical: {}",
+                row.ns_cols,
+                row.ns_rows_libm,
+                row.ns_rows_libm / row.ns_cols.max(1e-12),
+                row.ns_exp,
+                row.ns_exp_libm,
+                row.bit_identical,
             );
             row
         })
@@ -231,6 +323,24 @@ fn main() {
         out.push_str(",\"speedup\":");
         obs::json::push_f64(&mut out, row.gflops_blocked / row.gflops_seed.max(1e-12));
         out.push('}');
+    }
+    out.push(']');
+    out.push_str(",\"softmax\":[");
+    for (i, row) in softmax.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"n\":{},\"ns_per_score_cols\":", row.n);
+        obs::json::push_f64(&mut out, row.ns_cols);
+        out.push_str(",\"ns_per_score_rows_libm\":");
+        obs::json::push_f64(&mut out, row.ns_rows_libm);
+        out.push_str(",\"speedup\":");
+        obs::json::push_f64(&mut out, row.ns_rows_libm / row.ns_cols.max(1e-12));
+        out.push_str(",\"ns_per_exp\":");
+        obs::json::push_f64(&mut out, row.ns_exp);
+        out.push_str(",\"ns_per_exp_libm\":");
+        obs::json::push_f64(&mut out, row.ns_exp_libm);
+        let _ = write!(out, ",\"bit_identical\":{}}}", row.bit_identical);
     }
     out.push(']');
     let push_scaling = |out: &mut String, name: &str, s: &Scaling, unit_per_s: Option<f64>| {

@@ -294,7 +294,7 @@ impl Layout {
                     // transpose into the tall dK.
                     let mut d_kt = arena.take(hd, ns);
                     tg::matmul_tn_win_into(&head.q, n0, ns, &d_p, &mut d_kt);
-                    tg::transpose_seg_into(&d_kt, &mut d_key, n0);
+                    ops::transpose_seg_into(&d_kt, &mut d_key, n0);
                     arena.give(d_kt);
                     arena.give(kt);
                     arena.give(d_p);

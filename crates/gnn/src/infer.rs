@@ -36,8 +36,8 @@
 //! * neighbor aggregation `A_s · X_s` (eq. 1) multiplies each graph's
 //!   own sparse adjacency against its own row window, at a cost that
 //!   follows the graph's edge count;
-//! * attention scores `Q_s K_sᵀ` (eq. 2) are formed per segment, so the
-//!   softmax row only ever sees the graph's own nodes — exactly the
+//! * attention scores (eq. 2) are formed per segment, so a query's
+//!   softmax only ever sees the graph's own nodes — exactly the
 //!   per-graph mask, with the `-inf` entries never computed at all.
 //!
 //! Because the blocked GEMM produces every output row with a per-row
@@ -49,6 +49,23 @@
 //! skips only the dense product's zero terms and flushes its
 //! accumulators at the GEMM's `KC` block boundaries, so it sums every
 //! output element exactly as the tape's dense `A_s · X_s` does.
+//!
+//! # Transposed attention
+//!
+//! Each segment's attention runs in the transposed layout, where the
+//! wide dimension is the node count `ns` and the narrow one the head
+//! width: the scores are formed as `Sᵀ = K_s·Q_sᵀ`, the column softmax
+//! (`1/√d_k` folded in) turns them into `Pᵀ` with 8 queries per vector,
+//! and `Oᵀ = V_sᵀ·Pᵀ` has the head width as its `m`, which fills the
+//! GEMM's 6-row tiles, where `P·V` padded 6 columns to 16. Queries go
+//! in strips of `ATTN_STRIP` = 64, so the score buffer is `ns x 64`, not
+//! `ns x ns`. It is still the tape's arithmetic, bit for bit: `fma(a,
+//! b, c)` is symmetric in `a` and `b`, so each score and each output
+//! element sums the same terms in the same ascending order within the
+//! same `KC` blocks whatever the strip width, and each query's max,
+//! exp, sum and divide are the tape's row loop (the exp reproduces
+//! libm's `expf`; see `tensor::kernels`). A training forward stashes `P`
+//! transposed back, the layout the backward reads.
 
 use crate::batch::GraphBatch;
 use crate::layers::Linear;
@@ -65,6 +82,13 @@ pub use tensor::infer::Arena;
 /// run as GEMM-friendly tall matrices, small enough that a pack's
 /// attention score buffers stay cache-resident.
 pub const PACK_MAX_NODES: usize = 2048;
+
+/// Queries per attention strip. A segment's attention runs over blocks
+/// of this many queries, so its score buffer is `ns x ATTN_STRIP`
+/// (250 KiB at 1000 nodes) rather than `ns x ns`. Every score and
+/// output element sums the same terms either way, so the width changes
+/// no bit.
+const ATTN_STRIP: usize = 64;
 
 /// Cuts `items` into contiguous packs: a pack closes before the item
 /// that would take it past [`PACK_MAX_NODES`] nodes or past
@@ -515,15 +539,31 @@ impl Layout {
                 let mut probs = Vec::new();
                 for s in 0..packed.graph_count() {
                     let (n0, ns) = packed.node_window(s);
-                    let mut kt = arena.take(hd, ns);
-                    let mut scores = arena.take(ns, ns);
-                    ops::transpose_rows_into(&key, n0, ns, &mut kt);
-                    ops::matmul_rows_into(&q, n0, ns, &kt, &mut scores, 0);
-                    ops::scale_inplace(&mut scores, scale);
-                    ops::softmax_rows_inplace(&mut scores);
-                    ops::matmul_seg_into(&scores, &v, n0, &mut head_out, n0);
-                    arena.give(kt);
-                    stash(&mut probs, scores, arena);
+                    let mut vt = arena.take(hd, ns);
+                    ops::transpose_rows_into(&v, n0, ns, &mut vt);
+                    let mut p_s = keep.then(|| arena.take(ns, ns));
+                    for i0 in (0..ns).step_by(ATTN_STRIP) {
+                        let w = ATTN_STRIP.min(ns - i0);
+                        // Transposed scores of queries i0..i0+w,
+                        // Sᵀ = K_s·Q_sᵀ: one query per column, so the
+                        // softmax runs across queries at vector width.
+                        let mut seg_t = arena.take(hd, w);
+                        let mut probs_t = arena.take(ns, w);
+                        ops::transpose_rows_into(&q, n0 + i0, w, &mut seg_t);
+                        ops::matmul_rows_into(&key, n0, ns, &seg_t, &mut probs_t, 0);
+                        ops::softmax_cols_inplace(&mut probs_t, scale);
+                        // Oᵀ = V_sᵀ·Pᵀ (hd rows: full GEMM tiles), back
+                        // into the head's rows.
+                        ops::matmul_into(&vt, &probs_t, &mut seg_t);
+                        ops::transpose_seg_into(&seg_t, &mut head_out, n0 + i0);
+                        if let Some(p_s) = p_s.as_mut() {
+                            ops::transpose_seg_into(&probs_t, p_s, i0);
+                        }
+                        arena.give(seg_t);
+                        arena.give(probs_t);
+                    }
+                    arena.give(vt);
+                    probs.extend(p_s);
                 }
                 ops::copy_cols(&mut concat, k * hd, &head_out);
                 if keep {

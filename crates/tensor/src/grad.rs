@@ -193,27 +193,6 @@ pub fn spmm_tn_seg_into(a: CsrRef<'_>, b: &Mat, b_row0: usize, out: &mut Mat, ou
     kernels::csr_gemm_tn(a, n, b_view, c_view);
 }
 
-/// Transposes a small `src` (`c x rows`) into a row window of a tall
-/// `out` (`rows` rows of width `c` starting at `out_row0`) — the
-/// backward of the per-segment `K_sᵀ` transpose, scattering `dKᵀ` back
-/// into the tall `dK`. The window is fully overwritten.
-///
-/// # Panics
-///
-/// Panics on shape or bounds mismatch.
-pub fn transpose_seg_into(src: &Mat, out: &mut Mat, out_row0: usize) {
-    let rows = src.cols();
-    let c = src.rows();
-    assert_eq!(out.cols(), c, "transpose_seg_into out width");
-    assert!(out_row0 + rows <= out.rows(), "transpose_seg_into out bounds");
-    for j in 0..c {
-        let s = src.row(j);
-        for (i, &v) in s.iter().enumerate() {
-            out.as_mut_slice()[(out_row0 + i) * c + j] = v;
-        }
-    }
-}
-
 /// Column sums of `g` into the `1 x cols` bias gradient `db`,
 /// accumulating rows in ascending order exactly as the tape's
 /// `AddBiasRows` backward does. `db` is fully overwritten.
@@ -470,18 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_seg_scatters_back() {
-        let small = sample(4, 3, 0.5); // c x rows
-        let mut tall = sample(10, 4, 8.8);
-        transpose_seg_into(&small, &mut tall, 6);
-        for i in 0..3 {
-            for j in 0..4 {
-                assert_eq!(tall.get(6 + i, j), small.get(j, i));
-            }
-        }
-    }
-
-    #[test]
     fn bias_relu_softmax_backwards_match_tape() {
         let x = sample(5, 6, 0.4);
         let bias = sample(1, 6, 1.3);
@@ -567,17 +534,21 @@ mod tests {
 
     #[test]
     fn softmax_backward_matches_finite_differences() {
+        let softmax = |x: &Mat| -> Mat {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let y = tape.softmax_rows(xv);
+            tape.value(y).clone()
+        };
         let x = sample(2, 6, 0.8);
         let g = sample(2, 6, 2.9);
-        let mut y = x.clone();
-        crate::infer::softmax_rows_inplace(&mut y);
+        let y = softmax(&x);
         let mut d = g.clone();
         softmax_rows_backward_inplace(&mut d, &y);
 
         let objective = |x: &Mat| -> f64 {
-            let mut y = x.clone();
-            crate::infer::softmax_rows_inplace(&mut y);
-            y.as_slice()
+            softmax(x)
+                .as_slice()
                 .iter()
                 .zip(g.as_slice())
                 .map(|(&yv, &gv)| yv as f64 * gv as f64)

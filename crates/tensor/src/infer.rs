@@ -10,16 +10,24 @@
 //! the tape ops, so a tape-free forward pass reproduces the tape
 //! forward bit for bit.
 //!
-//! Row-range variants ([`matmul_rows_into`], [`matmul_seg_into`],
-//! [`transpose_rows_into`]) operate on contiguous row windows of a tall
-//! matrix without copying. They exist for cross-graph packing: K graphs'
-//! node matrices stacked into one tall operand share the big GEMMs,
-//! while per-graph ops (adjacency aggregation, attention) address only
-//! their own row segment. The blocked GEMM computes every output row
-//! with a per-row accumulator in ascending-`k` order regardless of the
-//! row's position or the total row count, so a segment's results are
-//! bit-identical whether it is packed alone or with neighbours (pinned
-//! by `gemm_rows_are_position_independent`).
+//! Row-range variants ([`matmul_rows_into`], [`spmm_seg_into`],
+//! [`transpose_rows_into`], [`transpose_seg_into`]) operate on
+//! contiguous row windows of a tall matrix without copying. They exist
+//! for cross-graph packing: K graphs' node matrices stacked into one
+//! tall operand share the big GEMMs, while per-graph ops (adjacency
+//! aggregation, attention) address only their own row segment. The
+//! blocked GEMM computes every output row with a per-row accumulator in
+//! ascending-`k` order regardless of the row's position or the total
+//! row count, so a segment's results are bit-identical whether it is
+//! packed alone or with neighbours (pinned by
+//! `gemm_rows_are_position_independent`).
+//!
+//! Attention runs transposed: [`softmax_cols_inplace`] takes the scores
+//! `Sᵀ` with one query per column, so the per-query softmax runs at
+//! vector width through [`kernels::softmax_cols`]. Its exp reproduces
+//! libm's `expf` bit for bit, and its per-column order is the tape's
+//! per-row order, so the result is the tape's `scale` + `softmax_rows`
+//! on `S`, transposed.
 
 use crate::kernels;
 use crate::sparse::CsrRef;
@@ -169,30 +177,11 @@ pub fn matmul_rows_into(
     kernels::gemm(rows, k, n, a_view, b.as_slice(), c_view);
 }
 
-/// `out[out_row0..] = a * b[b_row0..][..a.cols()]`: multiplies `a` by a
-/// contiguous row window of `b` (the per-segment attention product
-/// `P_s · V_s` of a packed batch), writing into a row window of `out`.
-///
-/// # Panics
-///
-/// Panics on shape or bounds mismatch.
-pub fn matmul_seg_into(a: &Mat, b: &Mat, b_row0: usize, out: &mut Mat, out_row0: usize) {
-    let k = a.cols();
-    assert!(b_row0 + k <= b.rows(), "matmul_seg_into b bounds");
-    assert_eq!(out.cols(), b.cols(), "matmul_seg_into out width");
-    assert!(out_row0 + a.rows() <= out.rows(), "matmul_seg_into out bounds");
-    let n = b.cols();
-    let b_view = &b.as_slice()[b_row0 * n..(b_row0 + k) * n];
-    let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + a.rows()) * n];
-    c_view.fill(0.0);
-    kernels::gemm(a.rows(), k, n, a.as_slice(), b_view, c_view);
-}
-
 /// `out[out_row0..][..rows] = a * b[b_row0..][..rows]` for a square
 /// sparse `a` (CSR, `rows x rows`) against a row window of a tall `b`:
 /// the per-segment neighbour aggregation `A_s · X_s` at `O(nnz · cols)`.
-/// Bit-identical to [`matmul_seg_into`] with the dense `a` whenever `b`
-/// is finite (see [`kernels::csr_gemm`]). The output window is fully
+/// Bit-identical to the blocked GEMM with the dense `a` whenever `b` is
+/// finite (see [`kernels::csr_gemm`]). The output window is fully
 /// overwritten.
 ///
 /// # Panics
@@ -255,23 +244,13 @@ pub fn scale_inplace(m: &mut Mat, s: f32) {
     }
 }
 
-/// In-place row-wise softmax with max-subtraction, matching
-/// [`crate::Tape::softmax_rows`] term for term.
-pub fn softmax_rows_inplace(m: &mut Mat) {
-    let cols = m.cols();
-    for r in 0..m.rows() {
-        let row = &mut m.as_mut_slice()[r * cols..(r + 1) * cols];
-        let row_max = row.iter().fold(f32::NEG_INFINITY, |acc, &x| acc.max(x));
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            let e = (*v - row_max).exp();
-            *v = e;
-            sum += e;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
+/// In-place column-wise softmax of `scale · m`: each column becomes one
+/// softmax over its rows. Column `i` is, bit for bit,
+/// [`crate::Tape::scale`] then [`crate::Tape::softmax_rows`] on row `i`
+/// of `mᵀ` (see [`kernels::softmax_cols`]).
+pub fn softmax_cols_inplace(m: &mut Mat, scale: f32) {
+    let (rows, cols) = m.shape();
+    kernels::softmax_cols(rows, cols, scale, m.as_mut_slice());
 }
 
 /// Per-row layer norm of `src` written to `out` (same accumulation
@@ -298,8 +277,8 @@ pub fn layer_norm_rows_into(src: &Mat, eps: f32, out: &mut Mat) {
 }
 
 /// Transposes a contiguous row window `src[row0..row0+rows]` into `out`
-/// (`src_cols x rows`) — the attention `K_sᵀ` without touching other
-/// segments.
+/// (`src_cols x rows`) — a segment's `Q_sᵀ` or `V_sᵀ` without touching
+/// other segments.
 ///
 /// # Panics
 ///
@@ -311,6 +290,30 @@ pub fn transpose_rows_into(src: &Mat, row0: usize, rows: usize, out: &mut Mat) {
         let s = src.row(row0 + i);
         for (j, &v) in s.iter().enumerate() {
             out.as_mut_slice()[j * rows + i] = v;
+        }
+    }
+}
+
+/// Transposes a small `src` (`c x rows`) into a row window of a tall
+/// `out` (`rows` rows of width `c` starting at `out_row0`): a segment's
+/// attention output `Oᵀ` back into the head's rows, and in the backward
+/// `dK_sᵀ` into the tall `dK`. The window is fully overwritten.
+///
+/// # Panics
+///
+/// Panics on shape or bounds mismatch.
+pub fn transpose_seg_into(src: &Mat, out: &mut Mat, out_row0: usize) {
+    let rows = src.cols();
+    let c = src.rows();
+    assert_eq!(out.cols(), c, "transpose_seg_into out width");
+    assert!(
+        out_row0 + rows <= out.rows(),
+        "transpose_seg_into out bounds"
+    );
+    for j in 0..c {
+        let s = src.row(j);
+        for (i, &v) in s.iter().enumerate() {
+            out.as_mut_slice()[(out_row0 + i) * c + j] = v;
         }
     }
 }
@@ -440,26 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn seg_matmul_matches_explicit_slice() {
-        // adj_s * X_s on a row window == the same product on a copied-out
-        // segment.
-        let adj = sample(4, 4, 2.0);
-        let tall = sample(10, 6, 0.3);
-        let mut seg = Mat::zeros(4, 6);
-        for r in 0..4 {
-            for c in 0..6 {
-                seg.set(r, c, tall.get(3 + r, c));
-            }
-        }
-        let want = adj.matmul(&seg);
-        let mut out = Mat::zeros(10, 6);
-        matmul_seg_into(&adj, &tall, 3, &mut out, 3);
-        for r in 0..4 {
-            assert_eq!(out.row(3 + r), want.row(r));
-        }
-    }
-
-    #[test]
     fn elementwise_ops_match_tape() {
         let x = sample(4, 6, 0.9);
         let bias = sample(1, 6, 4.0);
@@ -477,10 +460,11 @@ mod tests {
         assert_eq!(&m, tape.value(biased));
         relu_inplace(&mut m);
         assert_eq!(&m, tape.value(relued));
+        let mut mt = m.transpose();
         scale_inplace(&mut m, 0.37);
         assert_eq!(&m, tape.value(scaled));
-        softmax_rows_inplace(&mut m);
-        assert_eq!(&m, tape.value(soft));
+        softmax_cols_inplace(&mut mt, 0.37);
+        assert_eq!(mt.transpose(), *tape.value(soft));
 
         let mut ln = Mat::zeros(4, 6);
         layer_norm_rows_into(&x, 1e-5, &mut ln);
@@ -532,5 +516,17 @@ mod tests {
         let mut out = Mat::zeros(4, 3);
         transpose_rows_into(&x, 5, 3, &mut out);
         assert_eq!(&out, tape.value(t));
+    }
+
+    #[test]
+    fn transpose_seg_scatters_back() {
+        let small = sample(4, 3, 0.5); // c x rows
+        let mut tall = sample(10, 4, 8.8);
+        transpose_seg_into(&small, &mut tall, 6);
+        for i in 0..3 {
+            for j in 0..4 {
+                assert_eq!(tall.get(6 + i, j), small.get(j, i));
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! Cache-blocked, register-tiled `f32` GEMM kernels and the CSR
-//! aggregation kernels that sum exactly like them.
+//! Cache-blocked, register-tiled `f32` GEMM kernels, the CSR
+//! aggregation kernels that sum exactly like them, and the attention
+//! softmax with a bit-exact vector `expf`.
 //!
 //! Row-major entry points, all accumulating in ascending-`k` order per
 //! output element (so repeated calls are bit-identical and the
@@ -11,6 +12,9 @@
 //! * [`csr_gemm`] / [`csr_gemm_tn`] — the same `A * B` / `Aᵀ * B` with
 //!   a sparse `A` in CSR form, summing every output element in exactly
 //!   the order [`gemm`] / [`gemm_tn`] would on the dense `A`.
+//! * [`softmax_cols`] — one scaled softmax per column, each column term
+//!   for term the tape's `scale` + `softmax_rows` on a row.
+//! * [`exp_inplace`] — glibc's `expf`, bit for bit, at vector width.
 //!
 //! The `_tn` / `_nt` variants exist for the autograd backward pass:
 //! `d(A*B)` needs `G*Bᵀ` and `Aᵀ*G`, and materializing the transposes
@@ -20,7 +24,8 @@
 //!
 //! [`gemm`] follows the classic three-level GotoBLAS decomposition.
 //! Operands range from hidden-width weight panels (24 x 72 at most) to
-//! attention products of a 2048-row pack against a 1000-node segment:
+//! a 1000-node net's attention products (`K·Qᵀ`, 1000 x 6 x 1000, and
+//! `Vᵀ·Pᵀ`, 6 x 1000 x 1000):
 //!
 //! * the `j` dimension is split into panels of `NC` columns and the `k`
 //!   dimension into blocks of `KC` rows; each `KC x NC` block of `B` is
@@ -59,6 +64,33 @@
 //! the `#[target_feature]` clone: a closure created inside it is not
 //! compiled with the clone's features, and its `mul_add` would fall back
 //! to the libm routine.
+//!
+//! # Exact `expf`
+//!
+//! The attention softmax spends most of its time in `exp`, and libm's
+//! `expf` is an opaque scalar call. The tape's softmax calls it
+//! (`f32::exp`), and the packed forward must match the tape bit for bit:
+//! training runs through this softmax too, so a 1-ulp difference in
+//! `exp` trains a different model. The private `expf`
+//! replicates glibc's `expf` (the ARM optimized-routines algorithm,
+//! shipped since glibc 2.27) operation for operation: `x·32/ln 2 = k + r`
+//! in `f64`, `2^(k/32)` from glibc's 32-entry table, a cubic for
+//! `2^(r/32)`, one rounding to `f32`. glibc's x86-64 ifunc runs a
+//! variant compiled with FMA on AVX2+FMA CPUs (`__expf_fma`, which
+//! fuses five of the steps) and a generic one otherwise; the AVX2+FMA
+//! clone fuses the same five and the portable body none, on the same
+//! CPU test, so the dispatched kernel equals the `f32::exp` of the same
+//! machine. An in-module test sweeps all 2³² inputs against `f32::exp`
+//! (`scripts/check.sh` runs it in release) and the debug suite checks a
+//! strided sample and the edges. The special cases (`±∞`, NaN, the
+//! underflow and overflow thresholds) are selects, not early returns,
+//! which would keep the loop scalar. The `f64` steps are the price of
+//! exactness, yet the vector loop still runs about 2.5x faster than
+//! libm's scalar call (`BENCH_compute.json`).
+//!
+//! The replica is exact against glibc only. On another libm the tape's
+//! `f32::exp` can differ by an ulp, and the bit-exact parity gates
+//! would flag it.
 
 use crate::sparse::CsrRef;
 use std::cell::RefCell;
@@ -93,13 +125,17 @@ fn has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// Per-thread packing scratch of [`gemm`]: the `B` panel and the `A`
-/// micro-panel. Grows to the largest shape seen and is never shrunk;
-/// the blocking caps it at `KC x NC` + `MR x KC` floats (259 KiB).
+/// Per-thread scratch: [`gemm`]'s packed `B` panel and `A` micro-panel,
+/// and [`softmax_cols`]'s per-column max and sum. Grows to the largest
+/// shape seen and is never shrunk; the blocking caps the GEMM's part at
+/// `KC x NC` + `MR x KC` floats (259 KiB), the softmax's is two floats
+/// per column.
 #[derive(Default)]
 struct Scratch {
     panel: Vec<f32>,
     apack: Vec<f32>,
+    colmax: Vec<f32>,
+    colsum: Vec<f32>,
 }
 
 thread_local! {
@@ -120,7 +156,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     }
     SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        let Scratch { panel, apack } = &mut *scratch;
+        let Scratch { panel, apack, .. } = &mut *scratch;
         let panel_len = KC.min(k) * NC.min(n).next_multiple_of(NR);
         if panel.len() < panel_len {
             panel.resize(panel_len, 0.0);
@@ -464,6 +500,203 @@ fn gemm_nt_body<const FMA: bool>(
     }
 }
 
+/// `1/ln 2 · 32` (`0x1.71547652b82fep+5`): `x·32/ln 2 = k + r`.
+const EXPF_INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `0x1.8p52`: adding it rounds to an integer held in the low mantissa
+/// bits.
+const EXPF_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The cubic for `2^(r/32)`: `C0·r³ + C1·r² + C2·r + 1`.
+const EXPF_C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
+const EXPF_C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
+const EXPF_C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
+/// Below `−0x1.9fe368p6` (≈ log 2⁻¹⁵⁰) the result rounds to `+0`.
+const EXPF_LO: f32 = f32::from_bits(0xc2cf_f1b4);
+/// Above `0x1.62e42ep6` (≈ log 2¹²⁸) the result overflows to `+∞`.
+const EXPF_HI: f32 = f32::from_bits(0x42b1_7217);
+/// `EXPF_TAB[i] = bits(2^(i/32)) − (i << 47)`, glibc's `__exp2f_data.tab`:
+/// adding `k << 47` puts `⌊k/32⌋` into the exponent field.
+const EXPF_TAB: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+
+/// glibc's `expf`, bit for bit, as a branch-free body the loop
+/// vectorizer can widen. `FMA` picks glibc's AVX2+FMA variant
+/// (`__expf_fma`, which fuses `kd`, `r`, the two linear terms and the
+/// final Horner step) or its generic one (separate mul and add); glibc's
+/// ifunc chooses between them on the condition of [`has_avx2_fma`].
+/// The special cases are selects, not early returns: a branchy clamp
+/// keeps the loop scalar.
+#[inline(always)]
+fn expf<const FMA: bool>(x: f32) -> f32 {
+    let xd = f64::from(x);
+    // x·32/ln 2 = k + r with r in [−1/2, 1/2] and integer k.
+    let (kd, r) = if FMA {
+        let kd = EXPF_INV_LN2_N.mul_add(xd, EXPF_SHIFT);
+        (kd, EXPF_INV_LN2_N.mul_add(xd, -(kd - EXPF_SHIFT)))
+    } else {
+        let z = EXPF_INV_LN2_N * xd;
+        let kd = z + EXPF_SHIFT;
+        (kd, z - (kd - EXPF_SHIFT))
+    };
+    // exp(x) = 2^(k/32) · 2^(r/32), the first from the table.
+    let ki = kd.to_bits();
+    let s = f64::from_bits(EXPF_TAB[(ki & 31) as usize].wrapping_add(ki << 47));
+    let r2 = r * r;
+    let y = if FMA {
+        let z = EXPF_C0.mul_add(r, EXPF_C1);
+        z.mul_add(r2, EXPF_C2.mul_add(r, 1.0))
+    } else {
+        (EXPF_C0 * r + EXPF_C1) * r2 + (EXPF_C2 * r + 1.0)
+    };
+    let e = (y * s) as f32;
+    let e = if x > EXPF_HI { f32::INFINITY } else { e };
+    let e = if x < EXPF_LO { 0.0 } else { e };
+    if x.is_nan() {
+        x + x
+    } else {
+        e
+    }
+}
+
+/// `x = expf(x)` for every element: glibc's `expf` bit for bit (the
+/// libm behind `f32::exp` on x86-64 GNU/Linux), at vector width.
+pub fn exp_inplace(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2_fma() {
+        // SAFETY: the required target features were just detected.
+        unsafe { exp_inplace_avx2(xs) };
+        return;
+    }
+    exp_inplace_body::<false>(xs);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_inplace_avx2(xs: &mut [f32]) {
+    exp_inplace_body::<true>(xs);
+}
+
+#[inline(always)]
+fn exp_inplace_body<const FMA: bool>(xs: &mut [f32]) {
+    for x in xs {
+        *x = expf::<FMA>(*x);
+    }
+}
+
+/// Column-wise softmax of `scale · v` for row-major `v` (`rows x
+/// cols`), in place: each column becomes one softmax over its rows.
+///
+/// Per column, term for term, this is [`crate::Tape::scale`] followed
+/// by [`crate::Tape::softmax_rows`] on that column as a row: scale,
+/// the running `max` from `−∞` with rows ascending, `expf(v − max)`
+/// summed from zero with rows ascending, then `v / sum`. The vectors
+/// run across columns, so no reduction is reordered. A column holding
+/// a NaN or `+∞` comes out all NaN, as the tape's row does.
+///
+/// The per-column max and sum live in per-thread scratch, so a warm
+/// call allocates nothing.
+pub fn softmax_cols(rows: usize, cols: usize, scale: f32, v: &mut [f32]) {
+    debug_assert_eq!(v.len(), rows * cols);
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let Scratch { colmax, colsum, .. } = &mut *scratch;
+        if colmax.len() < cols {
+            colmax.resize(cols, 0.0);
+            colsum.resize(cols, 0.0);
+        }
+        let (max, sum) = (&mut colmax[..cols], &mut colsum[..cols]);
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2_fma() {
+            // SAFETY: the required target features were just detected.
+            unsafe { softmax_cols_avx2(cols, scale, v, max, sum) };
+            return;
+        }
+        softmax_cols_body::<false>(cols, scale, v, max, sum);
+    });
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn softmax_cols_avx2(
+    cols: usize,
+    scale: f32,
+    v: &mut [f32],
+    max: &mut [f32],
+    sum: &mut [f32],
+) {
+    softmax_cols_body::<true>(cols, scale, v, max, sum);
+}
+
+#[inline(always)]
+fn softmax_cols_body<const FMA: bool>(
+    cols: usize,
+    scale: f32,
+    v: &mut [f32],
+    max: &mut [f32],
+    sum: &mut [f32],
+) {
+    max.fill(f32::NEG_INFINITY);
+    for row in v.chunks_exact_mut(cols) {
+        for (x, m) in row.iter_mut().zip(max.iter_mut()) {
+            *x *= scale;
+            *m = m.max(*x);
+        }
+    }
+    sum.fill(0.0);
+    for row in v.chunks_exact_mut(cols) {
+        for ((x, &m), s) in row.iter_mut().zip(&*max).zip(sum.iter_mut()) {
+            let e = expf::<FMA>(*x - m);
+            *x = e;
+            *s += e;
+        }
+    }
+    for row in v.chunks_exact_mut(cols) {
+        for (x, &s) in row.iter_mut().zip(&*sum) {
+            *x /= s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,5 +848,198 @@ mod tests {
         let mut c2 = vec![5.0f32; 4];
         gemm(2, 0, 2, &[], &[], &mut c2);
         assert_eq!(c2, vec![5.0; 4]);
+    }
+
+    /// Oracles for [`expf`] and [`softmax_cols`]: `f32::exp` is glibc's
+    /// `expf` only on GNU/Linux.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    mod libm_oracle {
+        use super::*;
+        use crate::{Mat, Tape};
+
+        /// Bit equality, with every NaN equal to every NaN.
+        fn same(a: f32, b: f32) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        /// Asserts that both scalar bodies and the dispatched vector
+        /// loop reproduce `f32::exp` on `xs`.
+        fn check_expf(xs: &[f32]) {
+            let mut vector = xs.to_vec();
+            exp_inplace(&mut vector);
+            for (&x, &got) in xs.iter().zip(&vector) {
+                let want = x.exp();
+                assert!(
+                    same(got, want),
+                    "vector expf({x:e} = {:#010x}) = {got:e}, libm {want:e}",
+                    x.to_bits()
+                );
+                for (fma, got) in [(true, expf::<true>(x)), (false, expf::<false>(x))] {
+                    assert!(
+                        same(got, want),
+                        "scalar expf (fma {fma}) ({x:e} = {:#010x}) = {got:e}, libm {want:e}",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn expf_table_is_two_to_the_i_over_32() {
+            for (i, &t) in EXPF_TAB.iter().enumerate() {
+                let want = (i as f64 / 32.0).exp2().to_bits();
+                assert_eq!(t.wrapping_add((i as u64) << 47), want, "entry {i}");
+            }
+        }
+
+        #[test]
+        fn expf_matches_libm_at_the_edges() {
+            // The neighbours of x away from and toward zero.
+            let outward = |x: f32| f32::from_bits(x.to_bits() + 1);
+            let inward = |x: f32| f32::from_bits(x.to_bits() - 1);
+            let mut xs = vec![
+                f32::NEG_INFINITY,
+                f32::INFINITY,
+                f32::NAN,
+                -f32::NAN,
+                f32::from_bits(0x7f80_0001), // signalling NaN
+                f32::from_bits(0xffc1_2345),
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                f32::from_bits(0x8000_0001),
+                f32::MAX,
+                f32::MIN,
+                EXPF_LO,
+                outward(EXPF_LO),
+                inward(EXPF_LO),
+                EXPF_HI,
+                outward(EXPF_HI),
+                inward(EXPF_HI),
+                88.0,
+                -88.0,
+                // −0x1.9d1d9ep6 ≈ log 2⁻¹⁴⁹, where glibc may flag underflow.
+                f32::from_bits(0xc2ce_8ecf),
+                1.0,
+                -1.0,
+                0.5,
+            ];
+            // Every pattern whose result is subnormal or the first
+            // normals: x from log 2⁻¹²⁶ ≈ −87.34 down past EXPF_LO.
+            let first = (-87.0f32).to_bits();
+            let last = (-104.5f32).to_bits();
+            xs.extend((first..=last).step_by(7).map(f32::from_bits));
+            check_expf(&xs);
+        }
+
+        #[test]
+        fn expf_matches_libm_on_a_strided_sample() {
+            let xs: Vec<f32> = (0..=u32::MAX).step_by(4093).map(f32::from_bits).collect();
+            check_expf(&xs);
+        }
+
+        /// Every `f32` bit pattern through the vector loop (about 20 s
+        /// in release on two cores; `scripts/check.sh` runs it).
+        #[test]
+        #[ignore = "exhaustive: run in release"]
+        fn expf_matches_libm_on_every_f32() {
+            const CHUNK: u64 = 1 << 16;
+            let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+            let chunks = (1u64 << 32) / CHUNK;
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    scope.spawn(move || {
+                        let mut xs = vec![0.0f32; CHUNK as usize];
+                        let mut ys = vec![0.0f32; CHUNK as usize];
+                        for c in (t..chunks).step_by(threads as usize) {
+                            for (i, x) in xs.iter_mut().enumerate() {
+                                *x = f32::from_bits((c * CHUNK + i as u64) as u32);
+                            }
+                            ys.copy_from_slice(&xs);
+                            exp_inplace(&mut ys);
+                            for (&x, &got) in xs.iter().zip(&ys) {
+                                assert!(
+                                    same(got, x.exp()),
+                                    "expf({x:e} = {:#010x}) = {got:e}, libm {:e}",
+                                    x.to_bits(),
+                                    x.exp()
+                                );
+                            }
+                        }
+                    });
+                }
+            });
+        }
+
+        /// The tape's `scale` then `softmax_rows` on `vᵀ`, transposed
+        /// back: what [`softmax_cols`] must reproduce.
+        fn tape_softmax_cols(rows: usize, cols: usize, scale: f32, v: &[f32]) -> Vec<f32> {
+            let m = Mat::from_vec(rows, cols, v.to_vec()).unwrap().transpose();
+            let mut tape = Tape::new();
+            let x = tape.constant(m);
+            let scaled = tape.scale(x, scale);
+            let soft = tape.softmax_rows(scaled);
+            tape.value(soft).transpose().into_vec()
+        }
+
+        fn assert_same(got: &[f32], want: &[f32], what: &str) {
+            for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+                assert!(same(g, w), "{what} element {i}: {g:e} vs {w:e}");
+            }
+        }
+
+        fn scores(len: usize, seed: f32) -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i as f32 * 0.37 + seed).sin()) * 9.0)
+                .collect()
+        }
+
+        #[test]
+        fn softmax_cols_matches_tape_on_the_transpose() {
+            let scale = 1.0 / 6f32.sqrt();
+            let shapes = (1..=40)
+                .flat_map(|r| (1..=40).map(move |c| (r, c)))
+                .chain([(129, 300), (1000, 7)]);
+            for (rows, cols) in shapes {
+                let v = scores(rows * cols, rows as f32 + 0.1 * cols as f32);
+                let mut got = v.clone();
+                softmax_cols(rows, cols, scale, &mut got);
+                let want = tape_softmax_cols(rows, cols, scale, &v);
+                assert_same(&got, &want, &format!("{rows}x{cols}"));
+            }
+        }
+
+        #[test]
+        fn softmax_cols_poisons_only_the_columns_it_must() {
+            let (rows, cols, scale) = (5, 6, 0.75);
+            let clean = scores(rows * cols, 0.3);
+            let mut v = clean.clone();
+            v[2 * cols + 1] = f32::NAN; // query 1: NaN score
+            v[3] = f32::INFINITY; // query 3: +∞ score
+            v[4 * cols + 4] = f32::NEG_INFINITY; // query 4: −∞ score
+            for r in 0..rows {
+                v[r * cols + 5] = 1.5; // query 5: all equal
+            }
+            let mut got = v.clone();
+            softmax_cols(rows, cols, scale, &mut got);
+            assert_same(&got, &tape_softmax_cols(rows, cols, scale, &v), "poisoned");
+
+            let mut base = clean.clone();
+            softmax_cols(rows, cols, scale, &mut base);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let g = got[r * cols + c];
+                    match c {
+                        1 | 3 => assert!(g.is_nan(), "query {c} row {r}: {g}"),
+                        4 if r == 4 => assert_eq!(g.to_bits(), 0),
+                        4 => assert!(g > 0.0 && g < 1.0),
+                        5 => assert_eq!(g, 0.2),
+                        _ => assert_eq!(g.to_bits(), base[r * cols + c].to_bits()),
+                    }
+                }
+            }
+        }
     }
 }

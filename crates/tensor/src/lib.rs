@@ -18,6 +18,9 @@
 //! * [`infer`] — tape-free forward-only ops over a reusable buffer
 //!   [`infer::Arena`] for the serving hot path (bit-identical to the
 //!   tape forward);
+//! * [`kernels`] — the blocked GEMM, the CSR aggregation kernels and the
+//!   column-wise attention softmax, whose vector `expf` is glibc's bit
+//!   for bit;
 //! * [`sparse`] — an `f32` CSR matrix, the adjacency operand of the
 //!   packed aggregation kernels ([`infer::spmm_seg_into`],
 //!   [`grad::spmm_tn_seg_into`]), which sum exactly like the dense GEMM;

@@ -243,8 +243,14 @@ mod tests {
                     *v = if u < -0.6 { 0.0 } else { u };
                 }
 
+                // The dense product on the segment's window, through
+                // the blocked GEMM.
                 let mut want = Mat::full(tall, width, 3.0);
-                crate::infer::matmul_seg_into(&dense, &b, row0, &mut want, row0);
+                let window = row0 * width..(row0 + rows) * width;
+                let want_seg = &mut want.as_mut_slice()[window.clone()];
+                want_seg.fill(0.0);
+                let b_seg = &b.as_slice()[window];
+                crate::kernels::gemm(rows, rows, width, dense.as_slice(), b_seg, want_seg);
                 let mut got = Mat::full(tall, width, 3.0);
                 crate::infer::spmm_seg_into(a.view(), &b, row0, &mut got, row0);
                 assert_eq!(bits(&got), bits(&want), "forward {rows}x{width}");

@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator tallies the allocations made by the
 //! current thread. After one warm-up call per shape (which may grow the
-//! GEMM's per-thread packing scratch), further calls of `kernels::gemm`
-//! and of the CSR aggregation kernels must not allocate at all.
+//! per-thread GEMM packing or softmax column scratch), further calls of
+//! `kernels::gemm`, of the CSR aggregation kernels and of the column
+//! softmax must not allocate at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,4 +91,17 @@ fn csr_kernels_allocate_nothing() {
     });
     assert_eq!(count, 0, "CSR kernels allocated");
     assert!(c.iter().all(|v| v.is_finite()));
+}
+
+#[test]
+fn warm_softmax_cols_allocates_nothing() {
+    let shapes = [(1000, 1000), (129, 300), (7, 5)];
+    let mut scores: Vec<_> = shapes.iter().map(|&(r, c)| fill(r * c, 4.0)).collect();
+    for (&(rows, cols), v) in shapes.iter().zip(&mut scores) {
+        kernels::softmax_cols(rows, cols, 0.4, v);
+    }
+    for (&(rows, cols), v) in shapes.iter().zip(&mut scores) {
+        let count = allocations(|| kernels::softmax_cols(rows, cols, 0.4, v));
+        assert_eq!(count, 0, "warm softmax_cols {rows}x{cols} allocated");
+    }
 }

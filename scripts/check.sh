@@ -27,6 +27,13 @@ PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q -p gnn --test packed_determinism
 # not only under the debug `cargo test` above.
 cargo test -q --release -p gnn --test infer_parity --test grad_parity
 
+# Exact-expf gate: the vectorized glibc `expf` replica behind the packed
+# attention softmax must equal libm's `f32::exp`, which the tape runs,
+# on every one of the 2³² f32 bit patterns (NaN counted equal to NaN);
+# the parity gate above only sees the scores its nets produce. About
+# 20 s in release on two cores; the debug suite checks a strided sample.
+cargo test -q --release -p tensor --lib expf_matches_libm_on_every_f32 -- --ignored
+
 # Release-mode moments gate: the sparse LDLᵀ moment solver must match a
 # dense LU solve to 1e-9 relative on random tree and non-tree nets of
 # 2–1000 nodes.
