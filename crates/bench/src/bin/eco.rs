@@ -4,7 +4,9 @@
 //! [`eco::DesignSession`], measures the median *cold* full re-time
 //! (fresh session, fresh prediction cache), then streams single-edit
 //! ECO batches through a warm session and measures the median
-//! *incremental* apply. Writes `BENCH_eco.json` with edits/sec, cache
+//! *incremental* apply. Every second edit is rejected, as an optimizer
+//! rejects moves, and rolled back to its pre-edit epoch. Writes
+//! `BENCH_eco.json` with edits/sec, the median apply and rollback, cache
 //! hit rate and the incremental-vs-full speedup per size.
 //!
 //! ```text
@@ -12,16 +14,19 @@
 //!     --out PATH --smoke]
 //! ```
 //!
-//! Correctness gate (both modes): after the whole edit stream, a cold
-//! full re-time of the same final design state through a fresh cache
-//! must agree with the incrementally-maintained solution to ≤1e-9 s.
-//! Performance gate (full mode): the medium design's speedup must be
-//! ≥5x — the acceptance bar for an optimizer-in-the-loop workload.
+//! Correctness gates (both modes): after each rollback the session's
+//! timing must equal its pre-edit timing bit for bit; after the whole
+//! stream, a cold full re-time of a fresh session that replayed only
+//! the kept edits must agree with the incrementally-maintained solution
+//! to ≤1e-9 s. Performance gate (full mode): the medium design's
+//! speedup must be ≥5x — the acceptance bar for an optimizer-in-the-loop
+//! workload.
 
 use eco::design::from_netgen;
 use eco::{DesignSession, EcoEdit, PredictionCache};
 use rcnet::Seconds;
-use sta::netlist::Netlist;
+use sta::netlist::{NetTiming, Netlist};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -184,6 +189,57 @@ fn max_abs_diff(a: &DesignSession, b: &DesignSession) -> f64 {
     worst
 }
 
+/// Whether two timings are equal bit for bit, driver and every sink.
+fn same_bits(a: &[NetTiming], b: &[NetTiming]) -> bool {
+    let bits = |(at, slew): (Seconds, Seconds)| (at.value().to_bits(), slew.value().to_bits());
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            bits(x.at_driver) == bits(y.at_driver)
+                && x.at_sinks.len() == y.at_sinks.len()
+                && x.at_sinks.iter().zip(&y.at_sinks).all(|(&p, &q)| bits(p) == bits(q))
+        })
+}
+
+/// `edit` with every buffer stub net (and pin) named in `stubs` renamed:
+/// a session that never saw the rejected buffer insertions numbers its
+/// stubs differently.
+fn renamed(edit: &EcoEdit, stubs: &HashMap<String, String>) -> EcoEdit {
+    let fix = |name: &mut String| {
+        let (net, pin) = match name.split_once(':') {
+            Some((net, pin)) => (net, Some(pin)),
+            None => (name.as_str(), None),
+        };
+        if let Some(to) = stubs.get(net) {
+            *name = pin.map_or_else(|| to.clone(), |pin| format!("{to}:{pin}"));
+        }
+    };
+    let mut edit = edit.clone();
+    match &mut edit {
+        EcoEdit::ResizeDriver { net, .. } => fix(net),
+        EcoEdit::SetSinkLoad { net, sink, .. } | EcoEdit::InsertBuffer { net, sink, .. } => {
+            fix(net);
+            fix(sink);
+        }
+        EcoEdit::SetResistance { net, a, b, .. } | EcoEdit::AddResistor { net, a, b, .. } => {
+            fix(net);
+            fix(a);
+            fix(b);
+        }
+        EcoEdit::SetCap { net, node, .. } => {
+            fix(net);
+            fix(node);
+        }
+    }
+    edit
+}
+
+/// The name of the session's newest net: the stub a buffer insertion
+/// just added.
+fn newest_net(s: &DesignSession) -> String {
+    let nets = s.netlist().nets();
+    nets[nets.len() - 1].rc.name().to_string()
+}
+
 struct Row {
     label: &'static str,
     design: &'static str,
@@ -193,6 +249,7 @@ struct Row {
     cold_full_s: f64,
     incr_median_s: f64,
     incr_p95_s: f64,
+    rollback_median_s: f64,
     edits_per_s: f64,
     speedup: f64,
     cache_hit_rate: f64,
@@ -231,35 +288,65 @@ fn bench_size(
     warm.full_retime(est, 1, &cache).expect("warm full retime");
 
     let mut rng = args.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut edits: Vec<EcoEdit> = Vec::with_capacity(args.edits);
+    // Kept edits, each with the stub net it added if it inserted a buffer.
+    let mut kept: Vec<(EcoEdit, Option<String>)> = Vec::with_capacity(args.edits);
     let mut incr_times: Vec<f64> = Vec::with_capacity(args.edits);
+    let mut rollback_times: Vec<f64> = Vec::with_capacity(args.edits / 2);
     let mut dirty_total = 0usize;
-    let stream_t0 = Instant::now();
-    for _ in 0..args.edits {
+    // Apply and rollback time only: edit generation and the rollback
+    // gate's timing copies are left out.
+    let mut stream_s = 0.0;
+    for i in 0..args.edits {
         let edit = random_edit(warm.netlist(), &mut rng);
+        let rejected = i % 2 == 1;
+        let before = rejected.then(|| warm.all_timing().to_vec());
+        let epoch = warm.epoch();
         let t0 = Instant::now();
         let report = warm
             .apply(std::slice::from_ref(&edit), est, 1, &cache)
             .expect("apply edit");
-        incr_times.push(t0.elapsed().as_secs_f64());
+        let apply_s = t0.elapsed().as_secs_f64();
+        incr_times.push(apply_s);
+        stream_s += apply_s;
         assert!(!report.full_retime, "single edit must stay incremental");
         dirty_total += report.dirty_nets.len();
-        edits.push(edit);
+        match before {
+            Some(before) => {
+                let t0 = Instant::now();
+                warm.rollback(epoch).expect("rollback edit");
+                let rollback_s = t0.elapsed().as_secs_f64();
+                rollback_times.push(rollback_s);
+                stream_s += rollback_s;
+                assert!(
+                    same_bits(&before, warm.all_timing()),
+                    "rolling back edit {i} at {label} did not restore the pre-edit timing bit for bit"
+                );
+            }
+            None => {
+                let stub = matches!(edit, EcoEdit::InsertBuffer { .. }).then(|| newest_net(&warm));
+                kept.push((edit, stub));
+            }
+        }
     }
-    let stream_s = stream_t0.elapsed().as_secs_f64();
     incr_times.sort_by(f64::total_cmp);
+    rollback_times.sort_by(f64::total_cmp);
     let stats = cache.stats();
 
-    // Oracle: replay the exact edit stream on a fresh session (design
+    // Oracle: replay only the kept edits on a fresh session (design
     // mutations only matter), then cold full re-time through a fresh
-    // cache — the incrementally-maintained solution must agree.
+    // cache — the incrementally-maintained solution must agree, so the
+    // rejected edits left no trace.
     let fresh = PredictionCache::new(8, 32 << 20);
     let mut oracle = DesignSession::new("oracle", nl, slew);
     oracle.full_retime(est, 1, &fresh).expect("oracle warm");
-    for edit in &edits {
+    let mut stubs = HashMap::new();
+    for (edit, stub) in &kept {
         oracle
-            .apply(std::slice::from_ref(edit), est, 1, &fresh)
+            .apply(&[renamed(edit, &stubs)], est, 1, &fresh)
             .expect("oracle replay");
+        if let Some(stub) = stub {
+            stubs.insert(stub.clone(), newest_net(&oracle));
+        }
     }
     let fresh2 = PredictionCache::new(8, 32 << 20);
     oracle.full_retime(est, 1, &fresh2).expect("oracle cold");
@@ -276,6 +363,7 @@ fn bench_size(
         cold_full_s,
         incr_median_s,
         incr_p95_s: percentile(&incr_times, 0.95),
+        rollback_median_s: median(&rollback_times),
         edits_per_s: args.edits as f64 / stream_s.max(1e-12),
         speedup: cold_full_s / incr_median_s.max(1e-12),
         cache_hit_rate: stats.hit_rate(),
@@ -284,10 +372,12 @@ fn bench_size(
     };
     eprintln!(
         "eco: {label} ({design} x{scale}, {} nets): cold {:.1} ms, incr median {:.2} ms, \
-         {:.0} edits/s, {:.1}x speedup, hit rate {:.1}%, agree {:.2e} s",
+         rollback median {:.3} ms, {:.0} edits/s, {:.1}x speedup, hit rate {:.1}%, \
+         agree {:.2e} s",
         row.nets,
         row.cold_full_s * 1e3,
         row.incr_median_s * 1e3,
+        row.rollback_median_s * 1e3,
         row.edits_per_s,
         row.speedup,
         row.cache_hit_rate * 100.0,
@@ -339,6 +429,8 @@ fn main() {
         obs::json::push_f64(&mut out, row.incr_median_s);
         out.push_str(",\"incr_p95_s\":");
         obs::json::push_f64(&mut out, row.incr_p95_s);
+        out.push_str(",\"rollback_median_s\":");
+        obs::json::push_f64(&mut out, row.rollback_median_s);
         out.push_str(",\"edits_per_s\":");
         obs::json::push_f64(&mut out, row.edits_per_s);
         out.push_str(",\"speedup\":");

@@ -17,8 +17,9 @@
 //!   nets cost a hash probe instead of a model inference, and a model
 //!   hot-reload can never serve stale predictions.
 //! * [`manager::SessionManager`] — named concurrent sessions under a
-//!   byte budget, with epoch-tagged snapshots so a rejected ECO rolls
-//!   back exactly.
+//!   byte budget. Each session keeps an epoch-tagged undo log per
+//!   applied batch, so a rejected ECO rolls back exactly, at the cost of
+//!   what the batch changed.
 //!
 //! The `serve` crate exposes this as `POST /v1/session`,
 //! `POST /v1/session/{id}/eco`, `GET /v1/session/{id}/timing` and
@@ -57,7 +58,7 @@ pub enum EcoError {
     UnknownCell(String),
     /// The session id does not exist (or was evicted).
     UnknownSession(String),
-    /// A rollback targeted an epoch with no retained snapshot.
+    /// A rollback targeted an epoch with no retained rollback point.
     UnknownEpoch(u64),
     /// The edit is structurally invalid for this design.
     BadEdit(String),

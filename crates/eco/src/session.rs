@@ -3,19 +3,28 @@
 //! A session owns a [`sta::netlist::Netlist`] plus its current
 //! arrival-time solution. Applying a batch of [`EcoEdit`]s:
 //!
-//! 1. snapshots the pre-edit state (epoch-tagged, for rollback);
-//! 2. mutates the netlist (driver resize / buffer insertion / RC
-//!    rebuild), collecting the *seed* nets each edit touches — including
-//!    upstream nets whose driver/load context changed (a resized gate
-//!    presents a different pin capacitance to the nets feeding it);
-//! 3. expands seeds to the dirty cone (seeds plus everything downstream
+//! 1. mutates the netlist (driver resize / buffer insertion / RC
+//!    rebuild), logging the exact inverse of each change — the value it
+//!    displaced — as soon as the change succeeds, and collecting the
+//!    *seed* nets each edit touches, including upstream nets whose
+//!    driver/load context changed (a resized gate presents a different
+//!    pin capacitance to the nets feeding it);
+//! 2. expands seeds to the dirty cone (seeds plus everything downstream
 //!    through fanout gates);
-//! 4. re-times only dirty nets, in net topological order, reusing the
-//!    stored timing of clean nets. Per-net wire predictions go through
-//!    the content-addressed [`PredictionCache`]; arrival arithmetic is
+//! 3. re-times only dirty nets, in net topological order, reusing the
+//!    stored timing of clean nets and logging the timing each dirty net
+//!    replaces. Per-net wire predictions go through the
+//!    content-addressed [`PredictionCache`]; arrival arithmetic is
 //!    [`sta::netlist::Netlist::gate_output_arrival`] — the same code
 //!    `propagate` uses, so an incremental solution is arithmetically
 //!    identical to a cold full re-time of the same design.
+//!
+//! The batch's undo log, tagged with the pre-batch epoch, is its
+//! rollback point. Every field a batch changes is restored by an entry
+//! in its log, so reverting logs newest-first returns the session to
+//! the tagged epoch exactly, at the cost of what the batches changed
+//! rather than what the design holds. A failed batch reverts its own
+//! log the same way.
 //!
 //! A re-time under a *different* model generation escalates to a full
 //! re-time: every stored number was produced by the old weights.
@@ -25,9 +34,9 @@ use crate::edit::{rebuild_net, EcoEdit};
 use crate::EcoError;
 use gnntrans::features::LoadInfo;
 use gnntrans::{NetContext, WireTimingEstimator};
-use rcnet::{content_hash, Farads, Fnv1a, Ohms, RcNetBuilder, Seconds};
-use sta::cells::CellLibrary;
-use sta::netlist::{NetId, NetTiming, Netlist};
+use rcnet::{content_hash, Farads, Fnv1a, Ohms, RcNet, RcNetBuilder, Seconds};
+use sta::cells::{Cell, CellLibrary};
+use sta::netlist::{GateId, NetId, NetTiming, Netlist};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,7 +65,7 @@ pub struct RetimeStats {
 /// Outcome of one applied ECO batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EcoReport {
-    /// The session epoch after the batch (monotonic; snapshot tag).
+    /// The session epoch after the batch (monotonic; rollback tag).
     pub epoch: u64,
     /// Names of the nets the batch dirtied, in netlist index order.
     pub dirty_nets: Vec<String>,
@@ -96,16 +105,27 @@ pub struct TimingSummary {
     pub critical: Option<CriticalEndpoint>,
 }
 
-/// Epoch-tagged pre-edit state for rollback.
-struct Snapshot {
+/// The inverse of one change a batch made: the value it displaced.
+enum Undo {
+    /// A gate's previous cell.
+    Cell(GateId, Cell),
+    /// A sink's previous load override, or none.
+    Load((usize, usize), Option<f64>),
+    /// A net's previous parasitics, content hash and sink names.
+    Rc(usize, RcNet, u64, Vec<String>),
+    /// A buffer inserted on that net and sink position, with its stub
+    /// net's name.
+    Buffer(NetId, usize, String),
+    /// A net's previous timing.
+    Timing(usize, NetTiming),
+}
+
+/// One applied batch's rollback point: the state at `epoch` is the
+/// state after the batch with `undo` reverted newest-first.
+struct UndoLog {
     epoch: u64,
-    netlist: Netlist,
-    load_overrides: HashMap<(usize, usize), f64>,
-    net_hash: Vec<u64>,
-    sink_names: Vec<Vec<String>>,
-    net_index: HashMap<String, usize>,
-    timing: Vec<NetTiming>,
     model_generation: u64,
+    undo: Vec<Undo>,
 }
 
 /// How many rejected-ECO rollback points a session retains.
@@ -127,7 +147,14 @@ pub struct DesignSession {
     timing: Vec<NetTiming>,
     epoch: u64,
     model_generation: u64,
-    snapshots: VecDeque<Snapshot>,
+    /// Rollback points of the latest batches, oldest first.
+    logs: VecDeque<UndoLog>,
+    /// Inverses of the changes made so far by the batch being applied;
+    /// empty between batches.
+    in_flight: Vec<Undo>,
+    /// Net topological order, kept until an edit changes the gate graph
+    /// (only buffer insertion does).
+    topo: Option<Vec<NetId>>,
     /// Monotonic counter naming inserted buffer stubs.
     buf_counter: u64,
 }
@@ -187,7 +214,9 @@ impl DesignSession {
             timing,
             epoch: 0,
             model_generation: 0,
-            snapshots: VecDeque::new(),
+            logs: VecDeque::new(),
+            in_flight: Vec::new(),
+            topo: None,
             buf_counter: 0,
         }
     }
@@ -212,17 +241,28 @@ impl DesignSession {
         &self.netlist
     }
 
-    /// Rough resident size: netlist + timing, times retained snapshots.
+    /// Rough resident size: netlist + timing, plus the nets and timings
+    /// the retained undo logs hold.
     pub fn approx_bytes(&self) -> usize {
-        let nets: usize = self
-            .netlist
-            .nets()
-            .iter()
-            .map(|n| n.rc.node_count() * 96 + n.rc.edge_count() * 32)
-            .sum();
-        let timing: usize = self.timing.iter().map(|t| 48 + t.at_sinks.len() * 32).sum();
+        let net_bytes = |rc: &RcNet| rc.node_count() * 96 + rc.edge_count() * 32;
+        let timing_bytes = |t: &NetTiming| 48 + t.at_sinks.len() * 32;
+        let nets: usize = self.netlist.nets().iter().map(|n| net_bytes(&n.rc)).sum();
+        let timing: usize = self.timing.iter().map(timing_bytes).sum();
         let gates = self.netlist.gates().len() * 160;
-        (nets + timing + gates) * (1 + self.snapshots.len())
+        let logs: usize = self
+            .logs
+            .iter()
+            .flat_map(|log| &log.undo)
+            .map(|undo| {
+                std::mem::size_of::<Undo>()
+                    + match undo {
+                        Undo::Rc(_, rc, _, _) => net_bytes(rc),
+                        Undo::Timing(_, t) => timing_bytes(t),
+                        Undo::Cell(..) | Undo::Load(..) | Undo::Buffer(..) => 0,
+                    }
+            })
+            .sum();
+        nets + timing + gates + logs
     }
 
     /// The driver/load context net `i` is currently timed under.
@@ -252,7 +292,8 @@ impl DesignSession {
         ctx
     }
 
-    /// Re-times the nets marked in `dirty`, in net topological order.
+    /// Re-times the nets marked in `dirty`, in net topological order,
+    /// logging the timing each replaces.
     fn retime(
         &mut self,
         dirty: &[bool],
@@ -262,8 +303,11 @@ impl DesignSession {
     ) -> Result<RetimeStats, EcoError> {
         let loop_start = Instant::now();
         let mut stats = RetimeStats::default();
-        let order = self.netlist.net_topo_order()?;
-        for n in order {
+        let order = match self.topo.take() {
+            Some(order) => order,
+            None => self.netlist.net_topo_order()?,
+        };
+        for &n in &order {
             if !dirty[n.0] {
                 continue;
             }
@@ -296,15 +340,18 @@ impl DesignSession {
                     ests.iter().map(|e| (e.slew, e.delay)).collect()
                 }
             };
-            self.timing[n.0] = NetTiming {
+            let timing = NetTiming {
                 at_driver,
                 at_sinks: paths
                     .iter()
                     .map(|&(slew, delay)| (at_driver.0 + delay, slew))
                     .collect(),
             };
+            let old = std::mem::replace(&mut self.timing[n.0], timing);
+            self.in_flight.push(Undo::Timing(n.0, old));
             stats.nets_retimed += 1;
         }
+        self.topo = Some(order);
         stats.propagate_s = (loop_start.elapsed().as_secs_f64()
             - stats.cache_lookup_s
             - stats.predict_s)
@@ -321,34 +368,50 @@ impl DesignSession {
         cache: &PredictionCache,
     ) -> Result<RetimeStats, EcoError> {
         let dirty = vec![true; self.netlist.nets().len()];
-        self.retime(&dirty, est, generation, cache)
-    }
-
-    fn snapshot(&mut self) {
-        self.snapshots.push_back(Snapshot {
-            epoch: self.epoch,
-            netlist: self.netlist.clone(),
-            load_overrides: self.load_overrides.clone(),
-            net_hash: self.net_hash.clone(),
-            sink_names: self.sink_names.clone(),
-            net_index: self.net_index.clone(),
-            timing: self.timing.clone(),
-            model_generation: self.model_generation,
-        });
-        while self.snapshots.len() > MAX_SNAPSHOTS {
-            self.snapshots.pop_front();
+        let stats = self.retime(&dirty, est, generation, cache);
+        // A full re-time opens no epoch of its own. It may run under
+        // another generation, so the timings it displaced join the
+        // newest rollback point: rolling back past it stays exact.
+        let displaced = std::mem::take(&mut self.in_flight);
+        if let Some(newest) = self.logs.back_mut() {
+            newest.undo.extend(displaced);
         }
+        stats
     }
 
-    fn restore(&mut self, s: Snapshot) {
-        self.epoch = s.epoch;
-        self.netlist = s.netlist;
-        self.load_overrides = s.load_overrides;
-        self.net_hash = s.net_hash;
-        self.sink_names = s.sink_names;
-        self.net_index = s.net_index;
-        self.timing = s.timing;
-        self.model_generation = s.model_generation;
+    /// Reverts `log`'s changes newest-first, returning the session to
+    /// the state it had at `log.epoch`.
+    fn revert(&mut self, log: UndoLog) {
+        const EXACT: &str = "an undo entry restores a state the netlist held";
+        for undo in log.undo.into_iter().rev() {
+            match undo {
+                Undo::Cell(gate, cell) => {
+                    self.netlist.set_gate_cell(gate, cell).expect(EXACT);
+                }
+                Undo::Load(key, Some(ceff)) => {
+                    self.load_overrides.insert(key, ceff);
+                }
+                Undo::Load(key, None) => {
+                    self.load_overrides.remove(&key);
+                }
+                Undo::Rc(i, rc, hash, sinks) => {
+                    self.netlist.replace_net_rc(NetId(i), rc).expect(EXACT);
+                    self.net_hash[i] = hash;
+                    self.sink_names[i] = sinks;
+                }
+                Undo::Buffer(net, pos, stub) => {
+                    self.netlist.remove_last_buffer(net, pos).expect(EXACT);
+                    self.net_hash.pop();
+                    self.sink_names.pop();
+                    self.timing.pop();
+                    self.net_index.remove(&stub);
+                    self.topo = None;
+                }
+                Undo::Timing(i, timing) => self.timing[i] = timing,
+            }
+        }
+        self.epoch = log.epoch;
+        self.model_generation = log.model_generation;
     }
 
     fn net_idx(&self, name: &str) -> Result<usize, EcoError> {
@@ -389,11 +452,11 @@ impl DesignSession {
                 })?;
                 let new_cell = self.cell(cell)?;
                 let old = self.netlist.set_gate_cell(gid, new_cell)?;
+                self.in_flight.push(Undo::Cell(gid, old));
                 // The resized gate changes its output net's drive *and*
                 // the pin capacitance its input nets see.
                 let mut seeds = vec![NetId(idx)];
                 seeds.extend(self.netlist.gates()[gid.0].inputs.iter().copied());
-                let _ = old;
                 Ok(seeds)
             }
             EcoEdit::SetSinkLoad { sink, ceff_ff, .. } => {
@@ -401,20 +464,30 @@ impl DesignSession {
                     return Err(EcoError::BadEdit(format!("bad ceff_ff {ceff_ff}")));
                 }
                 let pos = self.sink_pos(idx, sink)?;
-                self.load_overrides.insert((idx, pos), ceff_ff * 1e-15);
+                let old = self.load_overrides.insert((idx, pos), ceff_ff * 1e-15);
+                self.in_flight.push(Undo::Load((idx, pos), old));
                 Ok(vec![NetId(idx)])
             }
             EcoEdit::InsertBuffer { sink, cell, .. } => {
                 let pos = self.sink_pos(idx, sink)?;
                 let buf_cell = self.cell(cell)?;
-                self.buf_counter += 1;
-                let stub_name = format!("eco_buf{}", self.buf_counter);
+                // A name no net has, so reverting the insertion only has
+                // to remove it from the index.
+                let stub_name = loop {
+                    self.buf_counter += 1;
+                    let name = format!("eco_buf{}", self.buf_counter);
+                    if !self.net_index.contains_key(&name) {
+                        break name;
+                    }
+                };
                 let mut b = RcNetBuilder::new(stub_name.clone());
                 let s = b.source(format!("{stub_name}:Z"), Farads(0.1e-15));
                 let k = b.sink(format!("{stub_name}:A"), Farads(0.5e-15));
                 b.resistor(s, k, Ohms(15.0));
                 let stub = b.build()?;
                 let (_, stub_net) = self.netlist.insert_buffer(NetId(idx), pos, buf_cell, stub)?;
+                self.in_flight.push(Undo::Buffer(NetId(idx), pos, stub_name.clone()));
+                self.topo = None;
                 let rc = &self.netlist.nets()[stub_net.0].rc;
                 self.net_hash.push(content_hash(rc));
                 self.sink_names.push(sink_names_of(rc));
@@ -495,17 +568,19 @@ impl DesignSession {
         }
     }
 
-    fn replace_rc(&mut self, idx: usize, rc: rcnet::RcNet) -> Result<(), EcoError> {
-        self.netlist.replace_net_rc(NetId(idx), rc)?;
+    fn replace_rc(&mut self, idx: usize, rc: RcNet) -> Result<(), EcoError> {
+        let old = self.netlist.replace_net_rc(NetId(idx), rc)?;
         let rc = &self.netlist.nets()[idx].rc;
-        self.net_hash[idx] = content_hash(rc);
-        self.sink_names[idx] = sink_names_of(rc);
+        let old_hash = std::mem::replace(&mut self.net_hash[idx], content_hash(rc));
+        let old_sinks = std::mem::replace(&mut self.sink_names[idx], sink_names_of(rc));
+        self.in_flight.push(Undo::Rc(idx, old, old_hash, old_sinks));
         Ok(())
     }
 
     /// Applies a batch of edits atomically: on any failure the session
     /// is exactly as before. On success the epoch advances and the
-    /// pre-edit state is retained as a rollback snapshot.
+    /// batch's undo log is retained as the pre-edit epoch's rollback
+    /// point.
     pub fn apply(
         &mut self,
         edits: &[EcoEdit],
@@ -516,15 +591,22 @@ impl DesignSession {
         if edits.is_empty() {
             return Err(EcoError::BadEdit("empty edit batch".into()));
         }
-        self.snapshot();
-        match self.apply_inner(edits, est, generation, cache) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                let snap = self.snapshots.pop_back().expect("snapshot just pushed");
-                self.restore(snap);
-                Err(e)
+        let (epoch, model_generation) = (self.epoch, self.model_generation);
+        let result = self.apply_inner(edits, est, generation, cache);
+        let log = UndoLog {
+            epoch,
+            model_generation,
+            undo: std::mem::take(&mut self.in_flight),
+        };
+        if result.is_ok() {
+            self.logs.push_back(log);
+            if self.logs.len() > MAX_SNAPSHOTS {
+                self.logs.pop_front();
             }
+        } else {
+            self.revert(log);
         }
+        result
     }
 
     fn apply_inner(
@@ -569,27 +651,28 @@ impl DesignSession {
     }
 
     /// Rolls the session back to the state it had at `epoch` (a rejected
-    /// ECO). Later snapshots are discarded.
+    /// ECO), reverting the undo logs of that epoch's batch and every
+    /// later one, newest first.
     ///
     /// # Errors
     ///
-    /// [`EcoError::UnknownEpoch`] when no snapshot for `epoch` is
+    /// [`EcoError::UnknownEpoch`] when no rollback point for `epoch` is
     /// retained (too old, or never existed).
     pub fn rollback(&mut self, epoch: u64) -> Result<(), EcoError> {
         let pos = self
-            .snapshots
+            .logs
             .iter()
-            .position(|s| s.epoch == epoch)
+            .position(|log| log.epoch == epoch)
             .ok_or(EcoError::UnknownEpoch(epoch))?;
-        let snap = self.snapshots.remove(pos).expect("position just found");
-        self.snapshots.truncate(pos);
-        self.restore(snap);
+        for log in self.logs.split_off(pos).into_iter().rev() {
+            self.revert(log);
+        }
         Ok(())
     }
 
-    /// Epochs with retained rollback snapshots, oldest first.
+    /// Epochs with retained rollback points, oldest first.
     pub fn snapshot_epochs(&self) -> Vec<u64> {
-        self.snapshots.iter().map(|s| s.epoch).collect()
+        self.logs.iter().map(|log| log.epoch).collect()
     }
 
     /// The worst endpoint and design-level counts.
@@ -649,5 +732,294 @@ impl std::fmt::Debug for DesignSession {
             .field("epoch", &self.epoch)
             .field("model_generation", &self.model_generation)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design::{from_netgen, mix};
+    use std::sync::OnceLock;
+
+    fn train(seed: u64) -> WireTimingEstimator {
+        use gnntrans::{DatasetBuilder, EstimatorConfig};
+        use netgen::nets::{NetConfig, NetGenerator};
+        let cfg = NetConfig {
+            nodes_min: 4,
+            nodes_max: 12,
+            ..Default::default()
+        };
+        let mut g = NetGenerator::new(seed, cfg);
+        let nets: Vec<_> = (0..24).map(|i| g.net(format!("d{i}"), i % 3 == 0)).collect();
+        let data = DatasetBuilder::new(seed.wrapping_add(1))
+            .build(&nets)
+            .expect("featurize");
+        let mut est = WireTimingEstimator::new(
+            &EstimatorConfig {
+                gnn_layers: 2,
+                attn_layers: 1,
+                hidden: 8,
+                heads: 2,
+                mlp_hidden: 8,
+                epochs: 2,
+                lr: 5e-3,
+            },
+            seed,
+        );
+        est.train(&data).expect("train");
+        est
+    }
+
+    /// Two models with different weights (generations 1 and 2).
+    fn models() -> &'static (WireTimingEstimator, WireTimingEstimator) {
+        static MODELS: OnceLock<(WireTimingEstimator, WireTimingEstimator)> = OnceLock::new();
+        MODELS.get_or_init(|| (train(17), train(99)))
+    }
+
+    fn pick(len: usize, rng: &mut u64) -> usize {
+        (mix(rng) % len as u64) as usize
+    }
+
+    /// One random valid edit of any of the six kinds.
+    fn random_edit(nl: &Netlist, rng: &mut u64) -> EcoEdit {
+        loop {
+            let ni = &nl.nets()[pick(nl.nets().len(), rng)];
+            let rc = &ni.rc;
+            let net = rc.name().to_string();
+            let node = |rng: &mut u64| rc.nodes()[pick(rc.node_count(), rng)].name.clone();
+            let sink = |rng: &mut u64| rc.node(rc.sinks()[pick(rc.sinks().len(), rng)]).name.clone();
+            let value = |rng: &mut u64| 0.5 + pick(50, rng) as f64 / 10.0;
+            return match pick(6, rng) {
+                0 if ni.driver.is_none() => continue,
+                0 => EcoEdit::ResizeDriver {
+                    net,
+                    cell: ["BUF_X1", "BUF_X4", "INV_X2"][pick(3, rng)].into(),
+                },
+                1 => EcoEdit::SetSinkLoad {
+                    sink: sink(rng),
+                    net,
+                    ceff_ff: value(rng),
+                },
+                2 => EcoEdit::InsertBuffer {
+                    sink: sink(rng),
+                    net,
+                    cell: "BUF_X2".into(),
+                },
+                3 => {
+                    let e = &rc.edges()[pick(rc.edge_count(), rng)];
+                    EcoEdit::SetResistance {
+                        a: rc.node(e.a).name.clone(),
+                        b: rc.node(e.b).name.clone(),
+                        net,
+                        ohms: 10.0 * value(rng),
+                    }
+                }
+                4 => EcoEdit::SetCap {
+                    node: node(rng),
+                    net,
+                    ff: value(rng),
+                },
+                _ => {
+                    let (a, b) = (node(rng), node(rng));
+                    if a == b {
+                        continue;
+                    }
+                    EcoEdit::AddResistor {
+                        net,
+                        a,
+                        b,
+                        ohms: 10.0 * value(rng),
+                    }
+                }
+            };
+        }
+    }
+
+    /// Every field a batch can change, comparable bit for bit.
+    #[derive(Debug, PartialEq)]
+    struct State {
+        netlist: String,
+        load_overrides: Vec<((usize, usize), u64)>,
+        net_hash: Vec<u64>,
+        sink_names: Vec<Vec<String>>,
+        net_index: Vec<(String, usize)>,
+        timing: Vec<Vec<u64>>,
+        epoch: u64,
+        model_generation: u64,
+    }
+
+    fn state(s: &DesignSession) -> State {
+        assert!(s.in_flight.is_empty(), "undo entries left between batches");
+        if let Some(order) = &s.topo {
+            assert_eq!(order, &s.netlist.net_topo_order().unwrap(), "stale net order");
+        }
+        let mut load_overrides: Vec<_> =
+            s.load_overrides.iter().map(|(&k, v)| (k, v.to_bits())).collect();
+        load_overrides.sort_unstable();
+        let mut net_index: Vec<_> = s.net_index.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        net_index.sort_unstable();
+        let timing = s
+            .timing
+            .iter()
+            .map(|t| {
+                std::iter::once(&t.at_driver)
+                    .chain(&t.at_sinks)
+                    .flat_map(|&(at, slew)| [at.value().to_bits(), slew.value().to_bits()])
+                    .collect()
+            })
+            .collect();
+        State {
+            netlist: format!("{:?}", s.netlist),
+            load_overrides,
+            net_hash: s.net_hash.clone(),
+            sink_names: s.sink_names.clone(),
+            net_index,
+            timing,
+            epoch: s.epoch,
+            model_generation: s.model_generation,
+        }
+    }
+
+    fn timed_session(design: &str, seed: u64, cache: &PredictionCache) -> DesignSession {
+        let nl = from_netgen(design, 0.02, seed).unwrap();
+        let mut s = DesignSession::new("s", nl, Seconds::from_ps(20.0));
+        s.full_retime(&models().0, 1, cache).unwrap();
+        s
+    }
+
+    /// Random batches of all six edit kinds with random rollbacks: each
+    /// rollback returns every field to the state recorded at its epoch,
+    /// a batch failing on its last edit leaves no trace, and a
+    /// generation change rolls back bit for bit.
+    #[test]
+    fn rollback_restores_every_field_exactly() {
+        let (old, new) = models();
+        let cache = PredictionCache::new(4, 1 << 20);
+        let mut s = timed_session("PCI_BRIDGE", 5, &cache);
+        // history[e] is the state at epoch e along the current history.
+        let mut history = vec![state(&s)];
+        let mut rng = 0x5eed_u64;
+        for _ in 0..40 {
+            let edits: Vec<_> = (0..1 + pick(3, &mut rng))
+                .map(|_| random_edit(s.netlist(), &mut rng))
+                .collect();
+            let report = s.apply(&edits, old, 1, &cache).unwrap();
+            assert_eq!(report.epoch, history.len() as u64);
+            history.push(state(&s));
+            let epochs = s.snapshot_epochs();
+            assert!(epochs.len() <= MAX_SNAPSHOTS);
+            assert_eq!(epochs.last(), Some(&(s.epoch() - 1)));
+            assert!(epochs.windows(2).all(|w| w[1] == w[0] + 1));
+            if pick(3, &mut rng) == 0 {
+                let to = epochs[pick(epochs.len(), &mut rng)];
+                s.rollback(to).unwrap();
+                history.truncate(to as usize + 1);
+                assert_eq!(state(&s), history[to as usize], "rollback to epoch {to}");
+            }
+        }
+        let current = state(&s);
+        let oldest = s.snapshot_epochs()[0];
+        for epoch in [s.epoch(), oldest.wrapping_sub(1)] {
+            assert!(matches!(s.rollback(epoch), Err(EcoError::UnknownEpoch(e)) if e == epoch));
+            assert_eq!(state(&s), current);
+        }
+
+        // Valid edits first, then one that fails: nothing changes.
+        let epochs = s.snapshot_epochs();
+        let rc = &s.netlist().nets()[3].rc;
+        let edge = &rc.edges()[0];
+        let bad = [
+            EcoEdit::InsertBuffer {
+                net: rc.name().into(),
+                sink: rc.node(rc.sinks()[0]).name.clone(),
+                cell: "BUF_X2".into(),
+            },
+            EcoEdit::SetResistance {
+                net: rc.name().into(),
+                a: rc.node(edge.a).name.clone(),
+                b: rc.node(edge.b).name.clone(),
+                ohms: 42.0,
+            },
+            EcoEdit::SetCap {
+                net: rc.name().into(),
+                node: "no_such_node".into(),
+                ff: 1.0,
+            },
+        ];
+        assert!(matches!(
+            s.apply(&bad, old, 1, &cache),
+            Err(EcoError::UnknownNode { .. })
+        ));
+        assert_eq!(state(&s), current);
+        assert_eq!(s.snapshot_epochs(), epochs);
+
+        // A generation change re-times every net; rolling it back
+        // restores the generation and every timing.
+        let edit = random_edit(s.netlist(), &mut rng);
+        let report = s.apply(&[edit], new, 2, &cache).unwrap();
+        assert!(report.full_retime);
+        assert_eq!(s.model_generation(), 2);
+        assert_ne!(state(&s).timing, current.timing);
+        s.rollback(current.epoch).unwrap();
+        assert_eq!(state(&s), current);
+
+        // A full re-time opens no epoch, yet rolling back past one under
+        // another generation is exact too.
+        let edit = random_edit(s.netlist(), &mut rng);
+        s.apply(&[edit], old, 1, &cache).unwrap();
+        s.full_retime(new, 2, &cache).unwrap();
+        assert_eq!(s.epoch(), current.epoch + 1);
+        s.rollback(current.epoch).unwrap();
+        assert_eq!(state(&s), current);
+    }
+
+    /// A buffer stub never takes a name the design already uses, so the
+    /// net keeps its name and rolling the insertion back restores the
+    /// index exactly.
+    #[test]
+    fn buffer_stub_skips_names_in_use() {
+        let wire = |name: &str| {
+            let mut b = RcNetBuilder::new(name);
+            let src = b.source(format!("{name}:Z"), Farads(0.2e-15));
+            let sink = b.sink(format!("{name}_load:A"), Farads(0.5e-15));
+            b.resistor(src, sink, Ohms(20.0));
+            b.build().unwrap()
+        };
+        let mut nl = Netlist::new();
+        let pi = nl.add_primary_input(wire("eco_buf1"));
+        let buf = CellLibrary::builtin().cell("BUF_X1").unwrap().clone();
+        nl.add_gate(buf, &[(pi, 0)], wire("out")).unwrap();
+        let cache = PredictionCache::new(4, 1 << 20);
+        let mut s = DesignSession::new("s", nl, Seconds::from_ps(20.0));
+        s.full_retime(&models().0, 1, &cache).unwrap();
+        let before = state(&s);
+        let edit = EcoEdit::InsertBuffer {
+            net: "eco_buf1".into(),
+            sink: "eco_buf1_load:A".into(),
+            cell: "BUF_X2".into(),
+        };
+        let report = s.apply(&[edit], &models().0, 1, &cache).unwrap();
+        assert_eq!(report.dirty_nets, ["eco_buf1", "out", "eco_buf2"]);
+        assert_eq!(s.net_index["eco_buf1"], 0);
+        s.rollback(0).unwrap();
+        assert_eq!(state(&s), before);
+    }
+
+    /// Retained rollback points cost what their batches changed: eight
+    /// single-net edits hold well under a tenth of the design again.
+    #[test]
+    fn approx_bytes_counts_what_the_logs_hold() {
+        let cache = PredictionCache::new(4, 1 << 20);
+        let mut s = timed_session("DMA", 3, &cache);
+        let fresh = s.approx_bytes();
+        let mut rng = 7_u64;
+        for _ in 0..MAX_SNAPSHOTS {
+            let edit = random_edit(s.netlist(), &mut rng);
+            s.apply(&[edit], &models().0, 1, &cache).unwrap();
+        }
+        assert_eq!(s.snapshot_epochs().len(), MAX_SNAPSHOTS);
+        let held = s.approx_bytes();
+        assert!(held > fresh, "logs not counted: {held} vs {fresh}");
+        assert!((held as f64) < 1.1 * fresh as f64, "{held} vs fresh {fresh}");
     }
 }

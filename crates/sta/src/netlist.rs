@@ -351,6 +351,21 @@ impl Netlist {
         Ok(order)
     }
 
+    /// Which input of `gate` (if it is a gate) listens to `net`.
+    fn input_pin(
+        &self,
+        gate: Option<GateId>,
+        net: NetId,
+    ) -> Result<Option<(GateId, usize)>, StaError> {
+        let Some(g) = gate else { return Ok(None) };
+        let pin = self.gates[g.0]
+            .inputs
+            .iter()
+            .position(|&n| n == net)
+            .ok_or_else(|| StaError::BadNetlist(format!("gate {g:?} lost input {net:?}")))?;
+        Ok(Some((g, pin)))
+    }
+
     /// Inserts a buffer on one fanout pin of `net` (the buffer-insertion
     /// ECO): the pin at `sink_pos` is rewired to go through a new `cell`
     /// gate driving `stub_rc`, whose single sink takes over whatever the
@@ -360,7 +375,8 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns [`StaError::BadNetlist`] on an unknown net/pin or when
-    /// `stub_rc` does not have exactly one sink.
+    /// `stub_rc` does not have exactly one sink. Every check runs before
+    /// the first write, so a failed insertion leaves the netlist as it was.
     pub fn insert_buffer(
         &mut self,
         net: NetId,
@@ -374,16 +390,25 @@ impl Netlist {
                 stub_rc.sinks().len()
             )));
         }
-        let ni = self
+        let downstream = *self
             .nets
-            .get_mut(net.0)
-            .ok_or_else(|| StaError::BadNetlist(format!("no net {net:?}")))?;
-        let slot = ni.fanout.get_mut(sink_pos).ok_or_else(|| {
-            StaError::BadNetlist(format!("net {net:?} has no sink position {sink_pos}"))
-        })?;
+            .get(net.0)
+            .ok_or_else(|| StaError::BadNetlist(format!("no net {net:?}")))?
+            .fanout
+            .get(sink_pos)
+            .ok_or_else(|| {
+                StaError::BadNetlist(format!("net {net:?} has no sink position {sink_pos}"))
+            })?;
+        // The downstream gate will listen to the stub net instead. With
+        // multiple pins on `net` any one occurrence works: pin matching
+        // during propagation goes through fanout positions.
+        let pin = self.input_pin(downstream, net)?;
         let gid = GateId(self.gates.len());
-        let downstream = slot.replace(gid);
         let out_id = NetId(self.nets.len());
+        self.nets[net.0].fanout[sink_pos] = Some(gid);
+        if let Some((g, pin)) = pin {
+            self.gates[g.0].inputs[pin] = out_id;
+        }
         self.nets.push(NetInst {
             rc: stub_rc,
             driver: Some(gid),
@@ -394,18 +419,48 @@ impl Netlist {
             inputs: vec![net],
             output: out_id,
         });
-        if let Some(g) = downstream {
-            // The downstream gate now listens to the stub net instead.
-            // With multiple pins on `net` any one occurrence works: pin
-            // matching during propagation goes through fanout positions.
-            let inputs = &mut self.gates[g.0].inputs;
-            let pin = inputs
-                .iter()
-                .position(|&n| n == net)
-                .ok_or_else(|| StaError::BadNetlist(format!("gate {g:?} lost input {net:?}")))?;
-            inputs[pin] = out_id;
-        }
         Ok((gid, out_id))
+    }
+
+    /// The exact inverse of the latest [`Netlist::insert_buffer`] on
+    /// `net`'s pin `sink_pos`: pops the buffer gate and its stub net,
+    /// hands the pin back to whatever the stub fed, and points that
+    /// gate's input back at `net`. Insertions undone newest-first
+    /// restore the netlist exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::BadNetlist`], changing nothing, when the last
+    /// gate is not a buffer on that pin driving the last net.
+    pub fn remove_last_buffer(&mut self, net: NetId, sink_pos: usize) -> Result<(), StaError> {
+        let not_a_buffer =
+            || StaError::BadNetlist(format!("last gate is not a buffer on {net:?} pin {sink_pos}"));
+        let (Some(buffer), Some(stub)) = (self.gates.last(), self.nets.last()) else {
+            return Err(not_a_buffer());
+        };
+        let (gid, out_id) = (GateId(self.gates.len() - 1), NetId(self.nets.len() - 1));
+        let on_pin = self
+            .nets
+            .get(net.0)
+            .and_then(|ni| ni.fanout.get(sink_pos))
+            .is_some_and(|&fo| fo == Some(gid));
+        if !on_pin
+            || buffer.inputs != [net]
+            || buffer.output != out_id
+            || stub.driver != Some(gid)
+            || stub.fanout.len() != 1
+        {
+            return Err(not_a_buffer());
+        }
+        let downstream = stub.fanout[0];
+        let pin = self.input_pin(downstream, out_id)?;
+        self.gates.pop();
+        self.nets.pop();
+        self.nets[net.0].fanout[sink_pos] = downstream;
+        if let Some((g, pin)) = pin {
+            self.gates[g.0].inputs[pin] = net;
+        }
+        Ok(())
     }
 
     /// Exact number of primary-input→primary-output paths (pin-to-pin,
@@ -627,6 +682,95 @@ mod tests {
         assert!(nl
             .insert_buffer(NetId(2), 0, lib.cell("BUF_X2").unwrap().clone(), bad)
             .is_err());
+    }
+
+    /// `pi`'s pin 0 feeds an inverter driving `a`, whose one sink is a
+    /// primary output; pins 1 and 2 feed both inputs of one NAND.
+    fn shared_pin_netlist() -> (Netlist, NetId, NetId) {
+        let lib = CellLibrary::builtin();
+        let mut nl = Netlist::new();
+        let pi = nl.add_primary_input(net("pi", 3));
+        let (_, a) = nl
+            .add_gate(lib.cell("INV_X1").unwrap().clone(), &[(pi, 0)], net("a", 1))
+            .unwrap();
+        nl.add_gate(
+            lib.cell("NAND2_X1").unwrap().clone(),
+            &[(pi, 1), (pi, 2)],
+            net("o", 1),
+        )
+        .unwrap();
+        (nl, pi, a)
+    }
+
+    fn buf() -> Cell {
+        CellLibrary::builtin().cell("BUF_X2").unwrap().clone()
+    }
+
+    #[test]
+    fn remove_last_buffer_inverts_insert_buffer() {
+        let (mut nl, pi, a) = shared_pin_netlist();
+        let plain = format!("{nl:?}");
+        // A pin feeding a gate, a primary output, and each pin of a gate
+        // with two pins on the same net.
+        for (n, pos) in [(pi, 0), (a, 0), (pi, 1), (pi, 2)] {
+            nl.insert_buffer(n, pos, buf(), net("stub", 1)).unwrap();
+            assert_ne!(format!("{nl:?}"), plain);
+            nl.remove_last_buffer(n, pos).unwrap();
+            assert_eq!(format!("{nl:?}"), plain, "pin {pos} of {n:?}");
+        }
+        // Stacked insertions — both NAND pins, then the first buffer's
+        // own stub — undone newest-first pass back through every state.
+        let stub0 = NetId(nl.nets().len());
+        let pins = [(pi, 1), (pi, 2), (stub0, 0)];
+        let mut states = vec![plain];
+        for (i, &(n, pos)) in pins.iter().enumerate() {
+            nl.insert_buffer(n, pos, buf(), net(&format!("b{i}"), 1)).unwrap();
+            states.push(format!("{nl:?}"));
+        }
+        nl.propagate(&IdealWire, Seconds::from_ps(10.0)).unwrap();
+        for &(n, pos) in pins.iter().rev() {
+            states.pop();
+            nl.remove_last_buffer(n, pos).unwrap();
+            assert_eq!(&format!("{nl:?}"), states.last().unwrap());
+        }
+    }
+
+    #[test]
+    fn remove_last_buffer_rejects_other_pins_and_changes_nothing() {
+        let (mut nl, pi, a) = shared_pin_netlist();
+        let plain = format!("{nl:?}");
+        // No buffer at all: the last gate is the NAND on pins 1 and 2.
+        for (n, pos) in [(pi, 1), (pi, 2)] {
+            assert!(matches!(nl.remove_last_buffer(n, pos), Err(StaError::BadNetlist(_))));
+            assert_eq!(format!("{nl:?}"), plain);
+        }
+        nl.insert_buffer(pi, 0, buf(), net("b0", 1)).unwrap();
+        nl.insert_buffer(a, 0, buf(), net("b1", 1)).unwrap();
+        let buffered = format!("{nl:?}");
+        // (pi, 0) holds a buffer, but not the last one.
+        for (n, pos) in [(pi, 0), (pi, 1), (a, 1), (NetId(99), 0)] {
+            assert!(matches!(nl.remove_last_buffer(n, pos), Err(StaError::BadNetlist(_))));
+            assert_eq!(format!("{nl:?}"), buffered);
+        }
+        nl.remove_last_buffer(a, 0).unwrap();
+        nl.remove_last_buffer(pi, 0).unwrap();
+        assert_eq!(format!("{nl:?}"), plain);
+    }
+
+    #[test]
+    fn failed_insert_buffer_changes_nothing() {
+        let (mut nl, pi, a) = shared_pin_netlist();
+        // A fanout slot whose gate no longer lists the net: only the
+        // last of insert_buffer's checks can see it.
+        nl.gates[1].inputs = vec![a, a];
+        let state = format!("{nl:?}");
+        for (n, pos, sinks) in [(pi, 1, 1), (pi, 3, 1), (NetId(99), 0, 1), (pi, 0, 2)] {
+            assert!(matches!(
+                nl.insert_buffer(n, pos, buf(), net("stub", sinks)),
+                Err(StaError::BadNetlist(_))
+            ));
+            assert_eq!(format!("{nl:?}"), state, "pin {pos} of {n:?}");
+        }
     }
 
     #[test]
