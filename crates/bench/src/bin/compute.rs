@@ -1,7 +1,9 @@
 //! Compute-layer benchmark: blocked matmul kernels and `par` scaling.
 //!
-//! Measures single-thread matmul throughput (blocked/dispatched kernel
-//! vs the seed scalar kernel kept as [`Mat::matmul_reference`]), the
+//! Measures single-thread matmul throughput (blocked/dispatched kernel,
+//! through `Mat::matmul` and through the forward's overwrite-store
+//! `matmul_into`, vs the seed scalar kernel kept as
+//! [`Mat::matmul_reference`]), the
 //! attention softmax (ns per score of the vectorized column kernel vs
 //! a row softmax over libm `f32::exp`), and dataset-build nets/sec at 1
 //! thread vs `N` threads on the `par` pool, and writes
@@ -104,14 +106,16 @@ fn fill(rows: usize, cols: usize, seed: f32) -> Mat {
 /// the robust throughput estimator on a shared host: every slowdown is
 /// external (scheduler preemption, cold pages), so the fastest rep is
 /// the closest observation of the kernel itself.
-fn gflops(m: usize, k: usize, n: usize, reps: usize, f: &dyn Fn() -> Mat) -> f64 {
+/// Best-of-`reps` GFLOP/s of `f`, which runs one `m x k x n` product
+/// and returns its first element.
+fn gflops(m: usize, k: usize, n: usize, reps: usize, f: &mut dyn FnMut() -> f32) -> f64 {
     let flops = 2.0 * (m * k * n) as f64;
     let best = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let out = f();
+            let first = f();
             let dt = t0.elapsed().as_secs_f64();
-            assert!(out.get(0, 0).is_finite());
+            assert!(first.is_finite());
             dt
         })
         .fold(f64::INFINITY, f64::min);
@@ -166,6 +170,7 @@ struct SoftmaxRow {
 struct MatmulRow {
     shape: (usize, usize, usize),
     gflops_blocked: f64,
+    gflops_set: f64,
     gflops_seed: f64,
 }
 
@@ -190,11 +195,15 @@ fn main() {
     // --- matmul throughput (single thread; the kernel itself is serial).
     // Square shapes exercise the cache blocking; the skinny shapes are
     // the products GNNTrans actually runs: hidden-dim projections (hidden
-    // 24, node counts tens to a full 2048-row pack), the per-head
-    // projections of hidden 24 over 4 heads (6 columns), and a 1000-node
-    // net's attention products: the row-layout P·V (1000 x 1000 x 6) and
-    // the transposed forms the engine runs, Vᵀ·Pᵀ (6 x 1000 x 1000) and
-    // K·Qᵀ (1000 x 6 x 1000).
+    // 24, node counts tens to a full 2048-row pack), one head's
+    // projection of hidden 24 over 4 heads (6 columns) beside the fused
+    // Q/K/V projection of all 4 heads the engine runs (72 columns), and
+    // a 1000-node net's attention products: the row-layout P·V (1000 x
+    // 1000 x 6) and the transposed forms the engine runs, Vᵀ·Pᵀ (6 x
+    // 1000 x 1000) and K·Qᵀ (1000 x 6 x 1000). `blocked` is
+    // `Mat::matmul` (a zeroed allocation, then the accumulating GEMM);
+    // `set` is the forward's `matmul_into`, the overwrite store into a
+    // reused output.
     eprintln!("compute: matmul kernels ({} reps)...", args.steps);
     let shapes = [
         (64, 64, 64),
@@ -203,6 +212,7 @@ fn main() {
         (64, 24, 24),
         (200, 13, 24),
         (2048, 24, 6),
+        (2048, 24, 72),
         (1000, 1000, 6),
         (6, 1000, 1000),
         (1000, 6, 1000),
@@ -213,14 +223,20 @@ fn main() {
         .map(|&(m, k, n)| {
             let a = fill(m, k, 1.0);
             let b = fill(k, n, 2.0);
+            let mut c = Mat::zeros(m, n);
             let row = MatmulRow {
                 shape: (m, k, n),
-                gflops_blocked: gflops(m, k, n, reps, &|| a.matmul(&b)),
-                gflops_seed: gflops(m, k, n, reps, &|| a.matmul_reference(&b)),
+                gflops_blocked: gflops(m, k, n, reps, &mut || a.matmul(&b).get(0, 0)),
+                gflops_set: gflops(m, k, n, reps, &mut || {
+                    tensor::infer::matmul_into(&a, &b, &mut c);
+                    c.get(0, 0)
+                }),
+                gflops_seed: gflops(m, k, n, reps, &mut || a.matmul_reference(&b).get(0, 0)),
             };
             eprintln!(
-                "compute: {m}x{k}x{n}: blocked {:.2} GF/s, seed {:.2} GF/s ({:.2}x)",
+                "compute: {m}x{k}x{n}: blocked {:.2} GF/s, set {:.2} GF/s, seed {:.2} GF/s ({:.2}x)",
                 row.gflops_blocked,
+                row.gflops_set,
                 row.gflops_seed,
                 row.gflops_blocked / row.gflops_seed.max(1e-12),
             );
@@ -318,6 +334,8 @@ fn main() {
         let (m, k, n) = row.shape;
         let _ = write!(out, "{{\"shape\":\"{m}x{k}x{n}\",\"gflops_blocked\":");
         obs::json::push_f64(&mut out, row.gflops_blocked);
+        out.push_str(",\"gflops_set\":");
+        obs::json::push_f64(&mut out, row.gflops_set);
         out.push_str(",\"gflops_seed\":");
         obs::json::push_f64(&mut out, row.gflops_seed);
         out.push_str(",\"speedup\":");

@@ -9,6 +9,7 @@ use gnn::train::{train, TrainConfig, TrainReport};
 use gnn::GraphBatch;
 use rcnet::{NodeId, RcNet, Seconds};
 use std::cell::RefCell;
+use std::time::Instant;
 use tensor::{Mat, ParamSet};
 
 /// Graph-count cap per packed chunk; the node budget is
@@ -468,6 +469,11 @@ impl WireTimingEstimator {
 
     /// Extracts features for one pack of nets, forwards them as one
     /// packed batch, and un-scales each net's rows.
+    ///
+    /// Each stage records one observation per pack, beside the
+    /// forward's `infer.forward_seconds`: `infer.features_seconds`
+    /// (wire analysis, features, scaling and [`GraphBatch::build`]),
+    /// `infer.pack_seconds` and `infer.unscale_seconds`.
     fn predict_pack(
         &self,
         pack: &[(&RcNet, &NetContext)],
@@ -477,14 +483,20 @@ impl WireTimingEstimator {
         // its own core just wrote (on a 2-vCPU host, reading adjacency
         // another core built made 100–1000-node nets ~10% slower); a
         // lone pack spreads its nets' features over the pool instead.
+        let started = Instant::now();
         let batches = par::try_par_map("predict.features", pack, |&(net, ctx)| {
             self.prepare_batch(net, ctx)
         })?;
+        obs::histogram("infer.features_seconds").observe(started.elapsed().as_secs_f64());
+        let started = Instant::now();
         let refs: Vec<&GraphBatch> = batches.iter().collect();
         let packed = PackedBatch::pack(&refs)?;
+        obs::histogram("infer.pack_seconds").observe(started.elapsed().as_secs_f64());
         let params = self.model.param_set();
         let out = ARENA.with(|a| self.layout.forward(params, &packed, &mut a.borrow_mut()))?;
-        pack.iter()
+        let started = Instant::now();
+        let estimates = pack
+            .iter()
             .enumerate()
             .map(|(s, &(net, _))| {
                 let (p0, p1) = packed.path_range(s);
@@ -493,7 +505,9 @@ impl WireTimingEstimator {
                     .copy_from_slice(&out.as_slice()[p0 * 2..p1 * 2]);
                 self.estimates_from(net, pred)
             })
-            .collect()
+            .collect();
+        obs::histogram("infer.unscale_seconds").observe(started.elapsed().as_secs_f64());
+        estimates
     }
 
     /// Parses a SPEF document and predicts every wire path of every net

@@ -11,8 +11,9 @@
 //!   [`InferenceModel`] owns.
 //! * [`PackedBatch`] — K nets' node-feature matrices stacked into one
 //!   tall matrix with node and path offset tables, so the dense
-//!   projections (input, W1/W2, Q/K/V, W3, both MLP heads) run as a
-//!   handful of large GEMMs across all K graphs at once.
+//!   projections (input, W1/W2, the fused Q/K/V of all heads, W3, both
+//!   MLP heads) run as a handful of large GEMMs across all K graphs at
+//!   once.
 //! * [`split_packs`] — the greedy rule that cuts a run of graphs into
 //!   packs under a node and a graph budget.
 //!
@@ -50,6 +51,21 @@
 //! accumulators at the GEMM's `KC` block boundaries, so it sums every
 //! output element exactly as the tape's dense `A_s · X_s` does.
 //!
+//! # Fused Q/K/V
+//!
+//! Each attention layer projects all heads at once: the forward
+//! assembles `W_qkv = [Wq_0 … Wq_{H−1} | Wk_0 … | Wv_0 …]` (`hidden x
+//! 3·hidden`) from the [`ParamSet`] it is handed, every call (training
+//! moves the weights between steps, so nothing is cached), and runs
+//! one tall GEMM `inner · W_qkv` where the tape runs 3·H. A column of
+//! the blocked GEMM depends only on its column of `B`, so each head's
+//! window of the fused product is the tape's per-head product bit for
+//! bit. The product replaces the per-head buffers rather than joining
+//! them: an inference forward gives the layer-norm output back as soon
+//! as the product exists and writes each head's output straight into
+//! its columns of the concatenation; a training forward copies each
+//! head's Q/K/V windows out for the backward.
+//!
 //! # Transposed attention
 //!
 //! Each segment's attention runs in the transposed layout, where the
@@ -57,7 +73,11 @@
 //! width: the scores are formed as `Sᵀ = K_s·Q_sᵀ`, the column softmax
 //! (`1/√d_k` folded in) turns them into `Pᵀ` with 8 queries per vector,
 //! and `Oᵀ = V_sᵀ·Pᵀ` has the head width as its `m`, which fills the
-//! GEMM's 6-row tiles, where `P·V` padded 6 columns to 16. Queries go
+//! GEMM's 6-row tiles, where `P·V` padded 6 columns to 16. `Q_sᵀ` and
+//! `V_sᵀ` are transposed straight out of the fused product's windows;
+//! `K_s` is copied out once per segment and head, so every strip's
+//! GEMM reads it contiguous, and `Oᵀ` is transposed straight into the
+//! head's columns of the concatenation. Queries go
 //! in strips of `ATTN_STRIP` = 64, so the score buffer is `ns x 64`, not
 //! `ns x ns`. It is still the tape's arithmetic, bit for bit: `fma(a,
 //! b, c)` is symmetric in `a` and `b`, so each score and each output
@@ -285,9 +305,10 @@ pub(crate) struct SageIds {
     pub(crate) w2: usize,
 }
 
-/// Parameter ids of one eqs.-(2)–(3) layer. Q/K/V biases are registered
-/// by the model but never used (`forward_no_bias`), so they carry no
-/// gradient and are absent here.
+/// Parameter ids of one eqs.-(2)–(3) layer, one Q/K/V id per head (the
+/// forward fuses them per call). Q/K/V biases are registered by the
+/// model but never used (`forward_no_bias`), so they carry no gradient
+/// and are absent here.
 #[derive(Debug, Clone)]
 pub(crate) struct AttnIds {
     pub(crate) wq: Vec<usize>,
@@ -315,7 +336,8 @@ pub struct Layout {
     pub(crate) delay: Vec<AffineIds>,
 }
 
-/// Per-head activations of one attention layer.
+/// Per-head activations of one attention layer: `q`, `key` and `v`
+/// are the head's `n x d_k` windows of the fused Q/K/V product.
 #[derive(Debug)]
 pub(crate) struct HeadActs {
     pub(crate) q: Mat,
@@ -514,33 +536,66 @@ impl Layout {
             stash(&mut acts.hs, std::mem::replace(&mut h, self_term), arena);
         }
 
-        // L2 self-attention layers (eqs. 2-3): Q/K/V/W3 are tall GEMMs;
-        // scores + softmax + weighted sum run per segment, which *is*
-        // the per-graph attention mask.
+        // L2 self-attention layers (eqs. 2-3): Q/K/V of every head come
+        // out of one tall GEMM, W3 is another; scores + softmax +
+        // weighted sum run per segment, which *is* the per-graph
+        // attention mask.
         for layer in &self.attn {
             let hd = layer.head_dim;
+            let heads = layer.wq.len();
+            // Q, K and V each span `hidden` = heads · hd columns of the
+            // fused product: [Q_0 … Q_{H−1} | K_0 … | V_0 …].
+            let (q0, k0, v0) = (0, hidden, 2 * hidden);
+            let mut w_qkv = arena.take(hidden, 3 * hidden);
+            for (col0, ids) in [(q0, &layer.wq), (k0, &layer.wk), (v0, &layer.wv)] {
+                for (k, &id) in ids.iter().enumerate() {
+                    ops::copy_cols(&mut w_qkv, col0 + k * hd, params.get(id));
+                }
+            }
             let inner_mat = layer.norm.then(|| {
                 let mut buf = arena.take(n, hidden);
                 ops::layer_norm_rows_into(&h, 1e-5, &mut buf);
                 buf
             });
-            let inner: &Mat = inner_mat.as_ref().unwrap_or(&h);
+            let mut qkv = arena.take(n, 3 * hidden);
+            ops::matmul_into(inner_mat.as_ref().unwrap_or(&h), &w_qkv, &mut qkv);
+            arena.give(w_qkv);
+            // Only the backward reads the layer-norm output again.
+            let inner_mat = match inner_mat {
+                Some(m) if !keep => {
+                    arena.give(m);
+                    None
+                }
+                other => other,
+            };
+            let mut heads_acts: Vec<HeadActs> = Vec::new();
+            if keep {
+                for k in 0..heads {
+                    let mut window = |col0: usize| {
+                        let mut m = arena.take(n, hd);
+                        ops::copy_window_into(&qkv, 0, col0 + k * hd, &mut m);
+                        m
+                    };
+                    let (q, key, v) = (window(q0), window(k0), window(v0));
+                    heads_acts.push(HeadActs {
+                        q,
+                        key,
+                        v,
+                        probs: Vec::with_capacity(packed.graph_count()),
+                    });
+                }
+            }
             let scale = 1.0 / (hd as f32).sqrt();
             let mut concat = arena.take(n, hidden);
-            let mut head_out = arena.take(n, hd);
-            let mut heads = Vec::new();
-            for k in 0..layer.wq.len() {
-                let mut q = arena.take(n, hd);
-                let mut key = arena.take(n, hd);
-                let mut v = arena.take(n, hd);
-                ops::matmul_into(inner, params.get(layer.wq[k]), &mut q);
-                ops::matmul_into(inner, params.get(layer.wk[k]), &mut key);
-                ops::matmul_into(inner, params.get(layer.wv[k]), &mut v);
-                let mut probs = Vec::new();
-                for s in 0..packed.graph_count() {
-                    let (n0, ns) = packed.node_window(s);
+            for s in 0..packed.graph_count() {
+                let (n0, ns) = packed.node_window(s);
+                for k in 0..heads {
+                    // K_s contiguous, so every strip's A-pack reads it
+                    // from L1; V_sᵀ as the A operand of Oᵀ = V_sᵀ·Pᵀ.
+                    let mut key = arena.take(ns, hd);
+                    ops::copy_window_into(&qkv, n0, k0 + k * hd, &mut key);
                     let mut vt = arena.take(hd, ns);
-                    ops::transpose_rows_into(&v, n0, ns, &mut vt);
+                    ops::transpose_window_into(&qkv, n0, v0 + k * hd, &mut vt);
                     let mut p_s = keep.then(|| arena.take(ns, ns));
                     for i0 in (0..ns).step_by(ATTN_STRIP) {
                         let w = ATTN_STRIP.min(ns - i0);
@@ -549,32 +604,27 @@ impl Layout {
                         // softmax runs across queries at vector width.
                         let mut seg_t = arena.take(hd, w);
                         let mut probs_t = arena.take(ns, w);
-                        ops::transpose_rows_into(&q, n0 + i0, w, &mut seg_t);
-                        ops::matmul_rows_into(&key, n0, ns, &seg_t, &mut probs_t, 0);
+                        ops::transpose_window_into(&qkv, n0 + i0, q0 + k * hd, &mut seg_t);
+                        ops::matmul_into(&key, &seg_t, &mut probs_t);
                         ops::softmax_cols_inplace(&mut probs_t, scale);
-                        // Oᵀ = V_sᵀ·Pᵀ (hd rows: full GEMM tiles), back
-                        // into the head's rows.
+                        // Oᵀ = V_sᵀ·Pᵀ (hd rows: full GEMM tiles),
+                        // straight into the head's columns of concat.
                         ops::matmul_into(&vt, &probs_t, &mut seg_t);
-                        ops::transpose_seg_into(&seg_t, &mut head_out, n0 + i0);
+                        ops::transpose_into_window(&seg_t, &mut concat, n0 + i0, k * hd);
                         if let Some(p_s) = p_s.as_mut() {
                             ops::transpose_seg_into(&probs_t, p_s, i0);
                         }
                         arena.give(seg_t);
                         arena.give(probs_t);
                     }
+                    arena.give(key);
                     arena.give(vt);
-                    probs.extend(p_s);
-                }
-                ops::copy_cols(&mut concat, k * hd, &head_out);
-                if keep {
-                    heads.push(HeadActs { q, key, v, probs });
-                } else {
-                    for m in [q, key, v] {
-                        arena.give(m);
+                    if let Some(head) = heads_acts.get_mut(k) {
+                        head.probs.extend(p_s);
                     }
                 }
             }
-            arena.give(head_out);
+            arena.give(qkv);
             let mut projected = arena.take(n, hidden);
             ops::matmul_into(&concat, params.get(layer.w3.w), &mut projected);
             ops::add_bias_rows(&mut projected, params.get(layer.w3.b));
@@ -584,12 +634,10 @@ impl Layout {
                 acts.attn.push(AttnActs {
                     inner: inner_mat,
                     concat,
-                    heads,
+                    heads: heads_acts,
                 });
             } else {
-                for m in inner_mat.into_iter().chain([concat]) {
-                    arena.give(m);
-                }
+                arena.give(concat);
             }
             stash(&mut acts.hs, std::mem::replace(&mut h, projected), arena);
         }

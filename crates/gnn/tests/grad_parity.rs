@@ -4,7 +4,8 @@
 //! single-graph pack must reproduce the tape gradients exactly, and a
 //! multi-graph pack must match the summed per-graph tape gradients
 //! within 1e-6 relative error (the tall weight-grad GEMM regroups the
-//! same terms). Plus behavioral pins: a short packed training run
+//! same terms). The single-graph tests also run the estimator's shipped
+//! shape. Plus behavioral pins: a short packed training run
 //! reaches the same loss as tape training, and a poisoned pack stops
 //! training before its backward and before any optimizer step.
 
@@ -78,6 +79,25 @@ fn model_for(
     GnnTrans::new(&cfg, seed)
 }
 
+/// The estimator's shipped `plan_b_small` shape: hidden 24, 4 heads,
+/// 4 WSAGE + 2 attention layers, MLP 32, whose 72-column fused Q/K/V
+/// product spans five GEMM tiles (the models above fuse 24 columns).
+fn shipped_model(seed: u64, weighted: bool, norm: bool, pathfeat: bool) -> GnnTrans {
+    let cfg = GnnTransConfig {
+        node_dim: NODE_DIM,
+        path_dim: PATH_DIM,
+        hidden: 24,
+        gnn_layers: 4,
+        attn_layers: 2,
+        heads: 4,
+        mlp_hidden: 32,
+        weighted_aggregation: weighted,
+        attn_norm: norm,
+        path_features: pathfeat,
+    };
+    GnnTrans::new(&cfg, seed)
+}
+
 /// GNNTrans without its packed layout, so `train` runs the tape.
 struct TapeOnly(GnnTrans);
 
@@ -117,7 +137,9 @@ fn rel_err(a: &Mat, b: &Mat) -> f32 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Half the cases (on average) run the shipped shape, so this test
+    // runs twice the multi-graph test's case count.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A pack of one graph is the tape, value for value: same losses,
     /// same gradient matrices (plain `f32` equality), same id order.
@@ -130,8 +152,13 @@ proptest! {
         weighted in any::<bool>(),
         norm in any::<bool>(),
         pathfeat in any::<bool>(),
+        shipped in any::<bool>(),
     ) {
-        let model = model_for(seed, gnn_layers, attn_layers, weighted, norm, pathfeat);
+        let model = if shipped {
+            shipped_model(seed, weighted, norm, pathfeat)
+        } else {
+            model_for(seed, gnn_layers, attn_layers, weighted, norm, pathfeat)
+        };
         let layout = model.packed_layout().expect("GnnTrans packs");
         let batch = batch_for(seed, nontree);
         let (tape_loss, oracle) = tape_grads(&model, &batch);
@@ -144,6 +171,10 @@ proptest! {
             prop_assert_eq!(g_p, g_t, "param {} diverged", model.param_set().name(*id_p));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// A multi-graph pack matches the tape sum within 1e-6 relative
     /// (weight grads regroup into one tall GEMM); per-graph losses stay
@@ -192,15 +223,25 @@ proptest! {
 /// Single-graph packs of 150–400-node nets — neighbours on both sides
 /// of the GEMM's 128-column `KC` block — reproduce the tape's loss and
 /// every gradient bit for bit: tree and non-tree, weighted and mean
-/// aggregation. The sparse `A_sᵀ` scatter must add rows in the order
-/// the tape's dense `gemm_tn` does.
+/// aggregation, and the shipped shape. The sparse `A_sᵀ` scatter must
+/// add rows in the order the tape's dense `gemm_tn` does.
 #[test]
 fn large_net_gradients_match_tape_bit_for_bit() {
     let mut arena = Arena::new();
-    let cases = [(false, true), (true, true), (false, false), (true, false)];
-    for (i, &(nontree, weighted)) in cases.iter().enumerate() {
+    let cases = [
+        (false, true, false),
+        (true, true, false),
+        (false, false, false),
+        (true, false, false),
+        (true, true, true),
+    ];
+    for (i, &(nontree, weighted, shipped)) in cases.iter().enumerate() {
         let seed = 6_000 + i as u64;
-        let model = model_for(seed, 2, 1, weighted, i % 2 == 0, true);
+        let model = if shipped {
+            shipped_model(seed, weighted, i % 2 == 0, true)
+        } else {
+            model_for(seed, 2, 1, weighted, i % 2 == 0, true)
+        };
         let layout = model.packed_layout().expect("GnnTrans packs");
         let batch = sized_batch(seed, nontree, 150, 400);
         assert!(batch.node_count() > 128, "{} nodes", batch.node_count());
@@ -216,7 +257,8 @@ fn large_net_gradients_match_tape_bit_for_bit() {
             assert_eq!(
                 bits(g_p),
                 bits(g_t),
-                "{}-node net (nontree {nontree}, weighted {weighted}): param {} diverged",
+                "{}-node net (nontree {nontree}, weighted {weighted}, shipped {shipped}): \
+                 param {} diverged",
                 batch.node_count(),
                 model.param_set().name(*id_p)
             );

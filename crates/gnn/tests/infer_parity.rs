@@ -2,7 +2,8 @@
 //! forward: on arbitrary generated nets (tree and non-tree) the
 //! compiled [`InferenceModel`] must reproduce `GnnTrans::predict`
 //! within 1e-6 relative error (in practice bit-exactly), and packing a
-//! graph together with neighbors must not change its rows at all.
+//! graph together with neighbors must not change its rows at all. Each
+//! test runs the small parity model and the estimator's shipped shape.
 
 use gnn::batch::GraphBatch;
 use gnn::infer::{Arena, InferenceModel, PackedBatch};
@@ -43,15 +44,24 @@ fn sized_batch(seed: u64, nontree: bool, nodes_min: usize, nodes_max: usize) -> 
     GraphBatch::build(&net, x, pf, None).expect("valid batch")
 }
 
-fn model_for(seed: u64, weighted: bool, norm: bool) -> GnnTrans {
+/// The small parity model (hidden 8, 2 heads: a 24-column fused Q/K/V
+/// product), or with `shipped` the estimator's `plan_b_small` shape
+/// (hidden 24, 4 heads, 4 WSAGE + 2 attention layers, MLP 32), whose
+/// 72-column product spans five 16-wide GEMM tiles, the last ragged.
+fn model_for(seed: u64, shipped: bool, weighted: bool, norm: bool) -> GnnTrans {
+    let (hidden, gnn_layers, attn_layers, heads, mlp_hidden) = if shipped {
+        (24, 4, 2, 4, 32)
+    } else {
+        (8, 2, 1, 2, 8)
+    };
     let cfg = GnnTransConfig {
         node_dim: NODE_DIM,
         path_dim: PATH_DIM,
-        hidden: 8,
-        gnn_layers: 2,
-        attn_layers: 1,
-        heads: 2,
-        mlp_hidden: 8,
+        hidden,
+        gnn_layers,
+        attn_layers,
+        heads,
+        mlp_hidden,
         weighted_aggregation: weighted,
         attn_norm: norm,
         ..Default::default()
@@ -70,7 +80,7 @@ fn max_rel_err(a: &Mat, b: &Mat) -> f32 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn tape_free_forward_matches_tape(
@@ -78,8 +88,9 @@ proptest! {
         nontree in any::<bool>(),
         weighted in any::<bool>(),
         norm in any::<bool>(),
+        shipped in any::<bool>(),
     ) {
-        let model = model_for(seed ^ 0x77, weighted, norm);
+        let model = model_for(seed ^ 0x77, shipped, weighted, norm);
         let compiled = InferenceModel::compile(&model);
         let mut arena = Arena::new();
         let batch = batch_for(seed, nontree);
@@ -101,8 +112,9 @@ proptest! {
     fn packed_rows_are_bit_identical_to_solo(
         seed in 0u64..5_000,
         nontree in any::<bool>(),
+        shipped in any::<bool>(),
     ) {
-        let model = model_for(seed ^ 0x2b, true, true);
+        let model = model_for(seed ^ 0x2b, shipped, true, true);
         let compiled = InferenceModel::compile(&model);
         let mut arena = Arena::new();
         // The graph under test plus two arbitrary neighbors on each side.
@@ -134,18 +146,26 @@ proptest! {
 
 /// Nets of 150–400 nodes put neighbours on both sides of the GEMM's
 /// 128-column `KC` block, where the sparse aggregation must flush its
-/// accumulators exactly as the tape's dense `A · X` does. Tree and
-/// non-tree nets, weighted and mean aggregation, compared bit for bit;
-/// then the same nets packed with small neighbours, which must not
+/// accumulators exactly as the tape's dense `A · X` does, and run their
+/// queries in several attention strips. Tree and non-tree nets,
+/// weighted and mean aggregation, both model shapes, compared bit for
+/// bit; then the same nets packed with small neighbours, which must not
 /// move a bit either.
 #[test]
 fn large_nets_match_tape_bit_for_bit() {
     let mut arena = Arena::new();
-    let cases = [(false, true), (true, true), (false, false), (true, false)];
+    let cases = [
+        (false, true, false),
+        (true, true, false),
+        (false, false, false),
+        (true, false, false),
+        (false, true, true),
+        (true, false, true),
+    ];
     let mut larges = Vec::new();
-    for (i, &(nontree, weighted)) in cases.iter().enumerate() {
+    for (i, &(nontree, weighted, shipped)) in cases.iter().enumerate() {
         let seed = 4_000 + i as u64;
-        let model = model_for(seed, weighted, i % 2 == 0);
+        let model = model_for(seed, shipped, weighted, i % 2 == 0);
         let compiled = InferenceModel::compile(&model);
         let batch = sized_batch(seed, nontree, 150, 400);
         assert!(batch.node_count() > 128, "{} nodes", batch.node_count());
@@ -158,31 +178,34 @@ fn large_nets_match_tape_bit_for_bit() {
         assert_eq!(
             bits(&fast),
             bits(&tape),
-            "{}-node net (nontree {nontree}, weighted {weighted}) drifted from the tape",
+            "{}-node net (nontree {nontree}, weighted {weighted}, shipped {shipped}) \
+             drifted from the tape",
             batch.node_count()
         );
         larges.push(batch);
     }
 
-    let model = model_for(77, true, true);
-    let compiled = InferenceModel::compile(&model);
     let small = batch_for(78, true);
     let refs = [&larges[0], &small, &larges[1]];
-    let packed = PackedBatch::pack(&refs).expect("pack");
-    let joint = compiled
-        .forward_packed(&packed, &mut arena)
-        .expect("forward");
-    for (g, batch) in refs.iter().enumerate() {
-        let solo = model.predict(batch);
-        let (p0, p1) = packed.path_range(g);
-        assert_eq!(p1 - p0, solo.rows());
-        for p in 0..solo.rows() {
-            for c in 0..2 {
-                assert_eq!(
-                    joint.get(p0 + p, c).to_bits(),
-                    solo.get(p, c).to_bits(),
-                    "graph {g} path {p} col {c} differs packed vs tape"
-                );
+    for shipped in [false, true] {
+        let model = model_for(77, shipped, true, true);
+        let compiled = InferenceModel::compile(&model);
+        let packed = PackedBatch::pack(&refs).expect("pack");
+        let joint = compiled
+            .forward_packed(&packed, &mut arena)
+            .expect("forward");
+        for (g, batch) in refs.iter().enumerate() {
+            let solo = model.predict(batch);
+            let (p0, p1) = packed.path_range(g);
+            assert_eq!(p1 - p0, solo.rows());
+            for p in 0..solo.rows() {
+                for c in 0..2 {
+                    assert_eq!(
+                        joint.get(p0 + p, c).to_bits(),
+                        solo.get(p, c).to_bits(),
+                        "shipped {shipped}: graph {g} path {p} col {c} differs packed vs tape"
+                    );
+                }
             }
         }
     }

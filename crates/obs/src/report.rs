@@ -116,7 +116,11 @@ impl RunReport {
 
         self.push_par_section(&mut out);
         self.push_solver_section(&mut out);
-        self.push_engine_section(&mut out, "infer", &["forward"]);
+        self.push_engine_section(
+            &mut out,
+            "infer",
+            &["features", "pack", "forward", "unscale"],
+        );
         self.push_engine_section(&mut out, "train", &["forward", "backward"]);
         out.push('}');
         out
@@ -397,12 +401,20 @@ mod tests {
         h.observe(16.0);
         let t = crate::metrics::histogram("infer.forward_seconds");
         t.observe(0.003);
+        let u = crate::metrics::histogram("infer.unscale_seconds");
+        u.observe(0.001);
+        u.observe(0.002);
         let json = RunReport::capture().to_json();
         assert_balanced_json(&json);
         let infer = &json[json.find("\"infer\":").unwrap()..json.find("\"train\":").unwrap()];
         assert!(infer.starts_with("\"infer\":{\"arena_bytes\":4096"));
         assert!(infer.contains("\"batch_graphs\":{\"count\":2"));
+        // Every predict stage in pipeline order, observed or not.
+        let stages = ["\"features\":", "\"pack\":", "\"forward\":", "\"unscale\":"];
+        let at: Vec<usize> = stages.iter().map(|k| infer.find(k).unwrap()).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{infer}");
         assert!(infer.contains("\"forward\":{\"count\":1"));
+        assert!(infer.contains("\"unscale\":{\"count\":2"));
         assert!(!infer.contains("\"backward\""));
     }
 

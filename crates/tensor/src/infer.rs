@@ -10,17 +10,31 @@
 //! the tape ops, so a tape-free forward pass reproduces the tape
 //! forward bit for bit.
 //!
-//! Row-range variants ([`matmul_rows_into`], [`spmm_seg_into`],
-//! [`transpose_rows_into`], [`transpose_seg_into`]) operate on
-//! contiguous row windows of a tall matrix without copying. They exist
-//! for cross-graph packing: K graphs' node matrices stacked into one
-//! tall operand share the big GEMMs, while per-graph ops (adjacency
-//! aggregation, attention) address only their own row segment. The
-//! blocked GEMM computes every output row with a per-row accumulator in
-//! ascending-`k` order regardless of the row's position or the total
-//! row count, so a segment's results are bit-identical whether it is
-//! packed alone or with neighbours (pinned by
-//! `gemm_rows_are_position_independent`).
+//! Every GEMM here runs through [`kernels::gemm_set`], the overwrite
+//! store: the output is written, never read, so no op zero-fills its
+//! output first, and each element's bits are those of zero-fill then
+//! accumulate, as [`Mat::matmul`] and the tape compute them. The row
+//! ops ([`add_bias_rows`], [`relu_inplace`], [`copy_cols`]) walk rows
+//! as slices with no per-element index arithmetic, branch or `memcpy`
+//! call, so they vectorize; each makes the tape op's additions and
+//! comparisons element for element.
+//!
+//! Window variants ([`spmm_seg_into`], [`transpose_window_into`],
+//! [`copy_window_into`], [`transpose_into_window`], and the backward's
+//! [`transpose_rows_into`] and [`transpose_seg_into`]) address a block
+//! of rows (and columns) of a tall matrix in place. They exist for
+//! cross-graph packing: K graphs' node matrices stacked into one tall
+//! operand share the big GEMMs, while per-graph ops (adjacency
+//! aggregation, attention) address only their own row segment, and
+//! each attention head only its own columns of the fused Q/K/V
+//! product. The blocked GEMM computes every output row with a per-row
+//! accumulator in ascending-`k` order regardless of the row's position
+//! or the total row count, and every output column independently of
+//! the others, so a segment's results are bit-identical whether it is
+//! packed alone or with neighbours, and a head's columns whether its
+//! projection runs alone or fused with the other heads' (pinned by
+//! `gemm_rows_are_position_independent` and
+//! `gemm_columns_are_width_independent`).
 //!
 //! Attention runs transposed: [`softmax_cols_inplace`] takes the scores
 //! `Sᵀ` with one query per column, so the per-query softmax runs at
@@ -40,9 +54,9 @@ use crate::Mat;
 /// forward pass fully overwrites its buffer, so zeroing here would be a
 /// second memset per buffer per pass). It reuses the capacity of a
 /// previously [`Arena::give`]n buffer when one fits (the smallest
-/// sufficient one, else the largest is grown in place). After a warm-up
-/// pass over the largest batch shape, steady-state forwards allocate
-/// nothing.
+/// sufficient one, else the largest is replaced by one of exactly the
+/// size asked for). After a warm-up pass over the largest batch shape,
+/// steady-state forwards allocate nothing.
 ///
 /// # Examples
 ///
@@ -100,6 +114,14 @@ impl Arena {
             Some(i) => self.free.swap_remove(i),
             None => Vec::new(),
         };
+        if data.capacity() < need {
+            // Grow to exactly `need`, into a fresh allocation: the
+            // contents are unspecified, so nothing is worth copying,
+            // and `Vec`'s doubling would leave up to `need` floats of
+            // slack in every grown buffer, which the arena keeps.
+            data = Vec::new();
+            data.reserve_exact(need);
+        }
         // Only the length delta is written (zeros); existing elements
         // keep their stale values — no full memset on the hot path.
         data.resize(need, 0.0);
@@ -131,7 +153,10 @@ impl Arena {
     }
 }
 
-/// `out = a * b` via the blocked GEMM. `out` is fully overwritten.
+/// `out = a * b` via the blocked GEMM's overwrite store
+/// ([`kernels::gemm_set`]): `out` is fully overwritten and never read,
+/// so it needs no zero-fill, and the bits are those of zero-fill then
+/// accumulate, which is what [`Mat::matmul`] and the tape compute.
 ///
 /// # Panics
 ///
@@ -139,8 +164,7 @@ impl Arena {
 pub fn matmul_into(a: &Mat, b: &Mat, out: &mut Mat) {
     assert_eq!(a.cols(), b.rows(), "matmul_into inner dim");
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into out shape");
-    out.as_mut_slice().fill(0.0);
-    kernels::gemm(
+    kernels::gemm_set(
         a.rows(),
         a.cols(),
         b.cols(),
@@ -148,33 +172,6 @@ pub fn matmul_into(a: &Mat, b: &Mat, out: &mut Mat) {
         b.as_slice(),
         out.as_mut_slice(),
     );
-}
-
-/// `out[out_row0..][..rows] = a[a_row0..][..rows] * b`: multiplies a
-/// contiguous row window of `a` by `b`, writing into a row window of
-/// `out`. No copies — the windows are used in place.
-///
-/// # Panics
-///
-/// Panics on shape or bounds mismatch.
-pub fn matmul_rows_into(
-    a: &Mat,
-    a_row0: usize,
-    rows: usize,
-    b: &Mat,
-    out: &mut Mat,
-    out_row0: usize,
-) {
-    assert_eq!(a.cols(), b.rows(), "matmul_rows_into inner dim");
-    assert_eq!(out.cols(), b.cols(), "matmul_rows_into out width");
-    assert!(a_row0 + rows <= a.rows(), "matmul_rows_into a bounds");
-    assert!(out_row0 + rows <= out.rows(), "matmul_rows_into out bounds");
-    let k = a.cols();
-    let n = b.cols();
-    let a_view = &a.as_slice()[a_row0 * k..(a_row0 + rows) * k];
-    let c_view = &mut out.as_mut_slice()[out_row0 * n..(out_row0 + rows) * n];
-    c_view.fill(0.0);
-    kernels::gemm(rows, k, n, a_view, b.as_slice(), c_view);
 }
 
 /// `out[out_row0..][..rows] = a * b[b_row0..][..rows]` for a square
@@ -214,7 +211,8 @@ pub fn add_assign(dst: &mut Mat, src: &Mat) {
     }
 }
 
-/// Adds a `1 x cols` bias row to every row of `dst`.
+/// Adds a `1 x cols` bias row to every row of `dst`, row by row, so the
+/// inner loop is one vector add per row with no index arithmetic.
 ///
 /// # Panics
 ///
@@ -223,17 +221,22 @@ pub fn add_bias_rows(dst: &mut Mat, bias: &Mat) {
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
     assert_eq!(bias.cols(), dst.cols(), "bias width mismatch");
     let cols = dst.cols();
-    for (i, d) in dst.as_mut_slice().iter_mut().enumerate() {
-        *d += bias.as_slice()[i % cols];
+    if cols == 0 {
+        return;
+    }
+    for row in dst.as_mut_slice().chunks_exact_mut(cols) {
+        for (d, &b) in row.iter_mut().zip(bias.as_slice()) {
+            *d += b;
+        }
     }
 }
 
-/// In-place ReLU.
+/// In-place ReLU as a select, which vectorizes: `x < 0` becomes `0`,
+/// everything else (NaN and `−0` included) is kept, exactly as the
+/// tape's branch does.
 pub fn relu_inplace(m: &mut Mat) {
     for x in m.as_mut_slice() {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
+        *x = if *x < 0.0 { 0.0 } else { *x };
     }
 }
 
@@ -277,43 +280,105 @@ pub fn layer_norm_rows_into(src: &Mat, eps: f32, out: &mut Mat) {
 }
 
 /// Transposes a contiguous row window `src[row0..row0+rows]` into `out`
-/// (`src_cols x rows`) — a segment's `Q_sᵀ` or `V_sᵀ` without touching
-/// other segments.
+/// (`src_cols x rows`) — a segment's `Kᵀ` in the backward without
+/// touching other segments.
 ///
 /// # Panics
 ///
 /// Panics on shape or bounds mismatch.
 pub fn transpose_rows_into(src: &Mat, row0: usize, rows: usize, out: &mut Mat) {
-    assert!(row0 + rows <= src.rows(), "transpose_rows_into bounds");
     assert_eq!(out.shape(), (src.cols(), rows), "transpose_rows_into out");
-    for i in 0..rows {
-        let s = src.row(row0 + i);
-        for (j, &v) in s.iter().enumerate() {
-            out.as_mut_slice()[j * rows + i] = v;
+    transpose_window_into(src, row0, 0, out);
+}
+
+/// Transposes the window of `src` at rows `row0..row0 + out.cols()` and
+/// columns `col0..col0 + out.rows()` into `out`: one head's `Q` strip or
+/// `V_sᵀ` straight out of the fused Q/K/V product.
+///
+/// # Panics
+///
+/// Panics when the window leaves `src`.
+pub fn transpose_window_into(src: &Mat, row0: usize, col0: usize, out: &mut Mat) {
+    let (c, rows) = out.shape();
+    assert!(
+        row0 + rows <= src.rows(),
+        "transpose_window_into row bounds"
+    );
+    assert!(col0 + c <= src.cols(), "transpose_window_into col bounds");
+    if c == 0 {
+        return;
+    }
+    let sc = src.cols();
+    let s = &src.as_slice()[row0 * sc..(row0 + rows) * sc];
+    let o = out.as_mut_slice();
+    for (i, srow) in s.chunks_exact(sc).enumerate() {
+        for (j, &v) in srow[col0..col0 + c].iter().enumerate() {
+            o[j * rows + i] = v;
         }
     }
 }
 
+/// Copies the window of `src` at rows `row0..row0 + out.rows()` and
+/// columns `col0..col0 + out.cols()` into `out`: one head's `K_s` (or,
+/// for the backward, its whole `Q`/`K`/`V`) out of the fused product.
+///
+/// # Panics
+///
+/// Panics when the window leaves `src`.
+pub fn copy_window_into(src: &Mat, row0: usize, col0: usize, out: &mut Mat) {
+    let (rows, c) = out.shape();
+    assert!(row0 + rows <= src.rows(), "copy_window_into row bounds");
+    assert!(col0 + c <= src.cols(), "copy_window_into col bounds");
+    let sc = src.cols();
+    copy_block(
+        out.as_mut_slice(),
+        c,
+        0,
+        &src.as_slice()[row0 * sc..],
+        sc,
+        col0,
+        rows,
+        c,
+    );
+}
+
 /// Transposes a small `src` (`c x rows`) into a row window of a tall
-/// `out` (`rows` rows of width `c` starting at `out_row0`): a segment's
-/// attention output `Oᵀ` back into the head's rows, and in the backward
-/// `dK_sᵀ` into the tall `dK`. The window is fully overwritten.
+/// `out` (`rows` rows of width `c` starting at `out_row0`): a strip's
+/// `Pᵀ` back into the segment's `P` in a training forward, and in the
+/// backward a segment's `dK_sᵀ` into the tall `dK`. The window is fully
+/// overwritten.
 ///
 /// # Panics
 ///
 /// Panics on shape or bounds mismatch.
 pub fn transpose_seg_into(src: &Mat, out: &mut Mat, out_row0: usize) {
-    let rows = src.cols();
-    let c = src.rows();
-    assert_eq!(out.cols(), c, "transpose_seg_into out width");
+    assert_eq!(out.cols(), src.rows(), "transpose_seg_into out width");
+    transpose_into_window(src, out, out_row0, 0);
+}
+
+/// Transposes a small `src` (`c x rows`) into the window of `out` at
+/// rows `row0..row0 + rows` and columns `col0..col0 + c`: a segment's
+/// attention output `Oᵀ` straight into its head's columns of the
+/// concatenated heads.
+///
+/// # Panics
+///
+/// Panics when the window leaves `out`.
+pub fn transpose_into_window(src: &Mat, out: &mut Mat, row0: usize, col0: usize) {
+    let (c, rows) = src.shape();
     assert!(
-        out_row0 + rows <= out.rows(),
-        "transpose_seg_into out bounds"
+        row0 + rows <= out.rows(),
+        "transpose_into_window row bounds"
     );
-    for j in 0..c {
-        let s = src.row(j);
-        for (i, &v) in s.iter().enumerate() {
-            out.as_mut_slice()[(out_row0 + i) * c + j] = v;
+    assert!(col0 + c <= out.cols(), "transpose_into_window col bounds");
+    if c == 0 || rows == 0 {
+        return;
+    }
+    let oc = out.cols();
+    let o = &mut out.as_mut_slice()[row0 * oc..(row0 + rows) * oc];
+    for (j, srow) in src.as_slice().chunks_exact(rows).enumerate() {
+        for (orow, &v) in o.chunks_exact_mut(oc).zip(srow) {
+            orow[col0 + j] = v;
         }
     }
 }
@@ -327,11 +392,46 @@ pub fn transpose_seg_into(src: &Mat, out: &mut Mat, out_row0: usize) {
 pub fn copy_cols(dst: &mut Mat, col0: usize, src: &Mat) {
     assert_eq!(dst.rows(), src.rows(), "copy_cols row mismatch");
     assert!(col0 + src.cols() <= dst.cols(), "copy_cols bounds");
-    let dc = dst.cols();
-    let sc = src.cols();
-    for r in 0..src.rows() {
-        let d = &mut dst.as_mut_slice()[r * dc + col0..r * dc + col0 + sc];
-        d.copy_from_slice(src.row(r));
+    let (rows, dc, sc) = (src.rows(), dst.cols(), src.cols());
+    copy_block(
+        dst.as_mut_slice(),
+        dc,
+        col0,
+        src.as_slice(),
+        sc,
+        0,
+        rows,
+        sc,
+    );
+}
+
+/// Copies a `rows x c` block from `src` (row stride `src_stride`,
+/// starting at column `src_col0`) into `dst` (row stride `dst_stride`,
+/// starting at column `dst_col0`). It walks column by column: the rows
+/// here are a few floats wide, and a loop along each row compiles to a
+/// `memcpy` call per row, which costs more than the copy.
+#[allow(clippy::too_many_arguments)]
+fn copy_block(
+    dst: &mut [f32],
+    dst_stride: usize,
+    dst_col0: usize,
+    src: &[f32],
+    src_stride: usize,
+    src_col0: usize,
+    rows: usize,
+    c: usize,
+) {
+    if rows == 0 {
+        return;
+    }
+    let (dst, src) = (
+        &mut dst[..(rows - 1) * dst_stride + dst_col0 + c],
+        &src[..(rows - 1) * src_stride + src_col0 + c],
+    );
+    for j in 0..c {
+        for i in 0..rows {
+            dst[i * dst_stride + dst_col0 + j] = src[i * src_stride + src_col0 + j];
+        }
     }
 }
 
@@ -434,11 +534,63 @@ mod tests {
         for r in 0..3 {
             assert_eq!(got_tall.row(17 + r), want.row(r), "row {r} drifted");
         }
-        // And the row-window entry point agrees bit for bit too.
-        let mut out = Mat::zeros(40, 13);
-        matmul_rows_into(&tall, 17, 3, &b, &mut out, 17);
-        for r in 0..3 {
-            assert_eq!(out.row(17 + r), want.row(r));
+        // And a copied-out row window agrees bit for bit too.
+        let mut window = Mat::full(3, 9, f32::NAN);
+        copy_window_into(&tall, 17, 0, &mut window);
+        let mut out = Mat::full(3, 13, f32::NAN);
+        matmul_into(&window, &b, &mut out);
+        assert_eq!(out, want);
+    }
+
+    /// Bit patterns of `m`, so NaN payloads and the sign of zero count.
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// NaN, ±∞, ±0, the extremes and ordinary values.
+    const SPECIALS: [f32; 9] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f32::MIN_POSITIVE,
+        f32::MIN,
+    ];
+
+    #[test]
+    fn windows_move_bits_exactly() {
+        let mut src = sample(11, 9, 2.5);
+        src.set(4, 3, f32::NAN);
+        src.set(5, 4, -0.0);
+        src.set(6, 5, f32::NEG_INFINITY);
+        // Rows 3..8, columns 2..6 of `src`, copied and transposed.
+        let mut win = Mat::full(5, 4, 1.0);
+        copy_window_into(&src, 3, 2, &mut win);
+        let mut win_t = Mat::full(4, 5, 1.0);
+        transpose_window_into(&src, 3, 2, &mut win_t);
+        for i in 0..5 {
+            for j in 0..4 {
+                let want = src.get(3 + i, 2 + j).to_bits();
+                assert_eq!(win.get(i, j).to_bits(), want);
+                assert_eq!(win_t.get(j, i).to_bits(), want);
+            }
+        }
+        // And transposed back into a window of a wider matrix, leaving
+        // every other element alone.
+        let mut dst = Mat::full(12, 10, 3.0);
+        transpose_into_window(&win_t, &mut dst, 6, 5);
+        for r in 0..12 {
+            for c in 0..10 {
+                let want = if (6..11).contains(&r) && (5..9).contains(&c) {
+                    win.get(r - 6, c - 5).to_bits()
+                } else {
+                    3.0f32.to_bits()
+                };
+                assert_eq!(dst.get(r, c).to_bits(), want, "({r}, {c})");
+            }
         }
     }
 
@@ -476,6 +628,49 @@ mod tests {
         let mut s = x.clone();
         add_assign(&mut s, &y);
         assert_eq!(&s, tape.value(sum));
+
+        // Every (element, bias) pair of SPECIALS meets in some column,
+        // at widths below, at and past one 8-lane vector.
+        let k = SPECIALS.len();
+        for cols in [1, 2, 8, 9, 19] {
+            let x = Mat::from_vec(
+                k,
+                cols,
+                (0..k * cols)
+                    .map(|i| SPECIALS[(i / cols + i % cols) % k])
+                    .collect(),
+            )
+            .unwrap();
+            let bias = Mat::row_vector((0..cols).map(|c| SPECIALS[(4 * c) % k]).collect());
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let bv = tape.constant(bias.clone());
+            let biased = tape.add_bias_rows(xv, bv);
+            let relued = tape.relu(biased);
+            let raw_relu = tape.relu(xv);
+            let cat = tape.concat_cols(biased, xv);
+
+            let mut m = x.clone();
+            add_bias_rows(&mut m, &bias);
+            assert_eq!(bits(&m), bits(tape.value(biased)), "bias, {cols} cols");
+            let mut dst = Mat::full(k, 2 * cols, 7.0);
+            copy_cols(&mut dst, 0, &m);
+            copy_cols(&mut dst, cols, &x);
+            assert_eq!(bits(&dst), bits(tape.value(cat)), "concat, {cols} cols");
+            relu_inplace(&mut m);
+            assert_eq!(bits(&m), bits(tape.value(relued)), "relu, {cols} cols");
+            let mut r = x.clone();
+            relu_inplace(&mut r);
+            assert_eq!(
+                bits(&r),
+                bits(tape.value(raw_relu)),
+                "relu of x, {cols} cols"
+            );
+            // ReLU keeps NaN and −0 and clamps −∞.
+            assert!(r.get(0, 0).is_nan());
+            assert_eq!(r.get(4, 0).to_bits(), (-0.0f32).to_bits());
+            assert_eq!(r.get(2, 0).to_bits(), 0);
+        }
     }
 
     #[test]

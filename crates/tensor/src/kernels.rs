@@ -7,6 +7,8 @@
 //! parallel/serial determinism contract upstream holds):
 //!
 //! * [`gemm`] — `C += A * B`, the workhorse behind [`crate::Mat::matmul`].
+//! * [`gemm_set`] — `C = A * B`, the same kernel storing its first `KC`
+//!   block instead of adding it, so the output needs no zero-fill.
 //! * [`gemm_tn`] — `C += Aᵀ * B` with `A` stored untransposed.
 //! * [`gemm_nt`] — `C += A * Bᵀ` with `B` stored untransposed.
 //! * [`csr_gemm`] / [`csr_gemm_tn`] — the same `A * B` / `Aᵀ * B` with
@@ -49,6 +51,17 @@
 //! `KC` block in ascending order, a private accumulator started at zero
 //! and summed over the block's `k` ascending, then one `c += acc`.
 //! [`csr_gemm`] reproduces that order on the stored entries alone.
+//!
+//! [`gemm_set`] is the overwrite store of the same body: its first `KC`
+//! block stores `c = 0.0 + acc`, later blocks add as above, and `k = 0`
+//! stores zeros. That is exactly what zero-filling `C` and running
+//! [`gemm`] computes (the `0.0 +` turns a `−0` sum into `+0`, as the
+//! zero-filled `+=` does), without the fill pass or the first block's
+//! loads of `C`; on a `k ≤ KC` product such as the attention's `K·Qᵀ`
+//! (`k` = 6) those cost as much as the multiply-adds. The store is a
+//! const parameter of the micro-kernel, so each instance compiles to
+//! its own straight-line tile store, and the choice is made once per
+//! tile, outside the `k` loop.
 //!
 //! # Dispatch
 //!
@@ -148,10 +161,36 @@ thread_local! {
 /// it); slice lengths are debug-asserted. Allocation-free once the
 /// calling thread has run a shape at least this large.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_dispatch::<false>(m, k, n, a, b, c);
+}
+
+/// `C = A * B`: [`gemm`] with the overwrite store, so `C`'s prior
+/// contents are never read. Bit for bit what zero-filling `C` and then
+/// calling [`gemm`] computes, including `+0` for a `−0` sum and zeros
+/// when `k = 0`.
+pub fn gemm_set(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_dispatch::<true>(m, k, n, a, b, c);
+}
+
+/// The shared entry of [`gemm`] (`SET = false`) and [`gemm_set`].
+fn gemm_dispatch<const SET: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if m == 0 || k == 0 || n == 0 {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        if SET {
+            c.fill(0.0);
+        }
         return;
     }
     SCRATCH.with(|cell| {
@@ -167,10 +206,10 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if has_avx2_fma() {
             // SAFETY: the required target features were just detected.
-            unsafe { gemm_avx2(m, k, n, a, b, c, panel, apack) };
+            unsafe { gemm_avx2::<SET>(m, k, n, a, b, c, panel, apack) };
             return;
         }
-        gemm_body::<false>(m, k, n, a, b, c, panel, apack);
+        gemm_body::<false, SET>(m, k, n, a, b, c, panel, apack);
     });
 }
 
@@ -180,7 +219,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_avx2(
+unsafe fn gemm_avx2<const SET: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -190,12 +229,12 @@ unsafe fn gemm_avx2(
     panel: &mut [f32],
     apack: &mut [f32],
 ) {
-    gemm_body::<true>(m, k, n, a, b, c, panel, apack);
+    gemm_body::<true, SET>(m, k, n, a, b, c, panel, apack);
 }
 
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn gemm_body<const FMA: bool>(
+fn gemm_body<const FMA: bool, const SET: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -232,7 +271,38 @@ fn gemm_body<const FMA: bool>(
                 }
                 for jt in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jt);
-                    micro_kernel::<FMA>(apack, panel, c, n, ncp, ii, jj + jt, jt, kc, mr, nr);
+                    // The first block of the overwrite store stores,
+                    // every other block adds: two instances, picked
+                    // per tile.
+                    if SET && kk == 0 {
+                        micro_kernel::<FMA, true>(
+                            apack,
+                            panel,
+                            c,
+                            n,
+                            ncp,
+                            ii,
+                            jj + jt,
+                            jt,
+                            kc,
+                            mr,
+                            nr,
+                        );
+                    } else {
+                        micro_kernel::<FMA, false>(
+                            apack,
+                            panel,
+                            c,
+                            n,
+                            ncp,
+                            ii,
+                            jj + jt,
+                            jt,
+                            kc,
+                            mr,
+                            nr,
+                        );
+                    }
                 }
             }
         }
@@ -242,12 +312,13 @@ fn gemm_body<const FMA: bool>(
 /// Computes one `MR x NR` tile of `C` from the packed A micro-panel
 /// (`apack[p * MR + r]`, zero-padded rows) and the packed, zero-padded B
 /// panel (`kc x ncp`, tile starting at column `jt`), and adds its
-/// leading `mr x nr` corner into `C`. The loops have fixed bounds, so
-/// the compiler unrolls and vectorizes them; `k` ascends, so
-/// per-element summation order is deterministic.
+/// leading `mr x nr` corner into `C` (with `SET`, stores `0.0 + acc`
+/// there instead). The loops have fixed bounds, so the compiler unrolls
+/// and vectorizes them; `k` ascends, so per-element summation order is
+/// deterministic.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel<const FMA: bool>(
+fn micro_kernel<const FMA: bool, const SET: bool>(
     apack: &[f32],
     panel: &[f32],
     c: &mut [f32],
@@ -277,7 +348,11 @@ fn micro_kernel<const FMA: bool>(
     for (r, acc_row) in acc.iter().take(mr).enumerate() {
         let dst = &mut c[(ii + r) * n + j0..(ii + r) * n + j0 + nr];
         for (d, s) in dst.iter_mut().zip(acc_row) {
-            *d += s;
+            if SET {
+                *d = 0.0 + s;
+            } else {
+                *d += s;
+            }
         }
     }
 }
@@ -732,27 +807,68 @@ mod tests {
         }
     }
 
+    /// Shapes straddling every blocking boundary: MR/NR edges, the KC
+    /// block edge, and the NC panel edge.
+    const EDGE_SHAPES: [(usize, usize, usize); 9] = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (6, 16, 16),
+        (5, 9, 17),
+        (13, 130, 9),
+        (7, 127, 129),
+        (2, 256, 3),
+        (33, 24, 33),
+        (64, 64, 64),
+    ];
+
     #[test]
     fn gemm_matches_reference_across_edge_shapes() {
-        // Shapes straddling every blocking boundary: MR/NR edges, the
-        // KC block edge, and the NC panel edge.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (6, 16, 16),
-            (5, 9, 17),
-            (13, 130, 9),
-            (7, 127, 129),
-            (2, 256, 3),
-            (33, 24, 33),
-            (64, 64, 64),
-        ] {
+        for &(m, k, n) in &EDGE_SHAPES {
             let a = fill(m * k, 1.0);
             let b = fill(k * n, 2.0);
             let mut c = vec![0.0f32; m * n];
             gemm(m, k, n, &a, &b, &mut c);
             assert_close(&c, &gemm_ref(m, k, n, &a, &b), &format!("{m}x{k}x{n}"));
         }
+    }
+
+    #[test]
+    fn gemm_set_equals_zero_fill_then_accumulate() {
+        // The overwrite store on the edge shapes, plus `k` past two KC
+        // blocks with `n` past an NC panel and `k = 0`, bit for bit
+        // against zero-fill + `gemm`, over a `C` of stale NaNs it must
+        // never read.
+        for &(m, k, n) in EDGE_SHAPES
+            .iter()
+            .chain(&[(9, 2 * KC + 5, NC + 3), (4, 0, 5)])
+        {
+            let a = fill(m * k, 1.5);
+            let b = fill(k * n, 2.5);
+            let mut want = vec![0.0f32; m * n];
+            gemm(m, k, n, &a, &b, &mut want);
+            let mut got = vec![f32::NAN; m * n];
+            gemm_set(m, k, n, &a, &b, &mut got);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{m}x{k}x{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn gemm_set_stores_positive_zero_for_a_negative_zero_sum() {
+        // A negative product that underflows: the fused multiply-add
+        // rounds it to −0, the separate multiply's −0 plus the +0
+        // accumulator to +0. Either way zero-fill then `+=` gives +0,
+        // and so must the overwrite store.
+        let (a, b) = ([-1e-30f32], [1e-30f32]);
+        let mut set = [f32::NAN];
+        gemm_set(1, 1, 1, &a, &b, &mut set);
+        let mut acc = [0.0f32];
+        gemm(1, 1, 1, &a, &b, &mut acc);
+        assert_eq!(set[0].to_bits(), 0);
+        assert_eq!(acc[0].to_bits(), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A counting global allocator tallies the allocations made by the
 //! current thread. After one warm-up call per shape (which may grow the
 //! per-thread GEMM packing or softmax column scratch), further calls of
-//! `kernels::gemm`, of the CSR aggregation kernels and of the column
-//! softmax must not allocate at all.
+//! `kernels::gemm` and its overwrite store `kernels::gemm_set`, of the
+//! CSR aggregation kernels and of the column softmax must not allocate
+//! at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,6 +69,24 @@ fn warm_gemm_calls_allocate_nothing() {
     for (&(m, k, n), (a, b, c)) in shapes.iter().zip(&mut operands) {
         let count = allocations(|| kernels::gemm(m, k, n, a, b, c));
         assert_eq!(count, 0, "warm gemm {m}x{k}x{n} allocated");
+    }
+}
+
+#[test]
+fn warm_overwrite_gemm_calls_allocate_nothing() {
+    // The attention's K·Qᵀ and Vᵀ·Pᵀ, the fused Q/K/V projection and
+    // a WSAGE projection.
+    let shapes = [(1000, 6, 64), (6, 1000, 64), (2048, 24, 72), (2048, 24, 24)];
+    let mut operands: Vec<_> = shapes
+        .iter()
+        .map(|&(m, k, n)| (fill(m * k, 5.0), fill(k * n, 6.0), vec![0.0f32; m * n]))
+        .collect();
+    for (&(m, k, n), (a, b, c)) in shapes.iter().zip(&mut operands) {
+        kernels::gemm_set(m, k, n, a, b, c);
+    }
+    for (&(m, k, n), (a, b, c)) in shapes.iter().zip(&mut operands) {
+        let count = allocations(|| kernels::gemm_set(m, k, n, a, b, c));
+        assert_eq!(count, 0, "warm gemm_set {m}x{k}x{n} allocated");
     }
 }
 

@@ -24,8 +24,15 @@ PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q -p gnn --test packed_determinism
 # Release-mode parity gate: the packed engine must match the tape
 # oracle bit for bit (single graphs) and within 1e-6 (multi-graph
 # weight gradients) in the optimized build that serves and trains too,
-# not only under the debug `cargo test` above.
+# not only under the debug `cargo test` above — at the small parity
+# shape and at the estimator's shipped plan_b_small shape.
 cargo test -q --release -p gnn --test infer_parity --test grad_parity
+
+# The kernel and op oracles under that parity (the overwrite-store
+# GEMM against zero-fill + accumulate, the row ops against the tape on
+# NaN, ±∞ and ±0) in the same optimized build, where the vectorized
+# paths they pin actually run.
+cargo test -q --release -p tensor --lib
 
 # Exact-expf gate: the vectorized glibc `expf` replica behind the packed
 # attention softmax must equal libm's `f32::exp`, which the tape runs,
