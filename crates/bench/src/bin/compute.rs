@@ -11,17 +11,22 @@
 //! benchmark (`bench --bin train`, `BENCH_train.json`), which measures
 //! tape vs packed training rather than pool scaling.
 //!
+//! The variants of each kernel row are timed in interleaved rounds,
+//! each measurement spanning at least 100 ms ([`bench::timing`]), and
+//! the report names the kernel tier (`tensor::kernels::tier`) that ran.
+//!
 //! ```text
 //! cargo run -p bench --release --bin compute [-- --steps N --threads T \
 //!     --seed S --out PATH]
 //! ```
 //!
-//! `--steps` scales every workload (reps, net counts); the
+//! `--steps` scales every workload (rounds, up to 7; net counts); the
 //! check-script smoke uses `--steps 2`. Like the serve loadgen, the
 //! report records `host_cores`: on a single-core host the 1-vs-N runs
 //! validate determinism under concurrency, not parallel speedup, and a
 //! caveat is printed.
 
+use bench::timing;
 use gnntrans::dataset::DatasetBuilder;
 use netgen::nets::{NetConfig, NetGenerator};
 use std::fmt::Write as _;
@@ -102,26 +107,6 @@ fn fill(rows: usize, cols: usize, seed: f32) -> Mat {
     Mat::from_vec(rows, cols, data).expect("bench matrix")
 }
 
-/// Best-of-reps GFLOP/s of `f` for an `m x k x n` product. Best-of is
-/// the robust throughput estimator on a shared host: every slowdown is
-/// external (scheduler preemption, cold pages), so the fastest rep is
-/// the closest observation of the kernel itself.
-/// Best-of-`reps` GFLOP/s of `f`, which runs one `m x k x n` product
-/// and returns its first element.
-fn gflops(m: usize, k: usize, n: usize, reps: usize, f: &mut dyn FnMut() -> f32) -> f64 {
-    let flops = 2.0 * (m * k * n) as f64;
-    let best = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            let first = f();
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(first.is_finite());
-            dt
-        })
-        .fold(f64::INFINITY, f64::min);
-    flops / best / 1e9
-}
-
 /// Scale, then a softmax over each row with libm `f32::exp`: the
 /// tape's `scale` + `softmax_rows`, the baseline of the column kernel.
 fn softmax_rows_libm(cols: usize, scale: f32, v: &mut [f32]) {
@@ -142,19 +127,14 @@ fn softmax_rows_libm(cols: usize, scale: f32, v: &mut [f32]) {
     }
 }
 
-/// Best-of-reps nanoseconds per element of `f`, each rep on a fresh
-/// copy of `src`.
-fn ns_per_elem(src: &[f32], reps: usize, f: &dyn Fn(&mut [f32])) -> f64 {
+/// A [`timing::interleaved`] variant: refills its own copy of `src`
+/// (untimed), then times `f` on it.
+fn on_copy<'a>(src: &'a [f32], f: impl Fn(&mut [f32]) + 'a) -> impl FnMut() -> f64 + 'a {
     let mut buf = src.to_vec();
-    let best = (0..reps)
-        .map(|_| {
-            buf.copy_from_slice(src);
-            let t0 = Instant::now();
-            f(&mut buf);
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-    best * 1e9 / src.len() as f64
+    move || {
+        buf.copy_from_slice(src);
+        timing::time(|| f(&mut buf))
+    }
 }
 
 /// One `n x n` attention score matrix through both softmax layouts.
@@ -164,6 +144,8 @@ struct SoftmaxRow {
     ns_rows_libm: f64,
     ns_exp: f64,
     ns_exp_libm: f64,
+    /// Libm row time over column time, the median of per-round ratios.
+    speedup: f64,
     bit_identical: bool,
 }
 
@@ -172,6 +154,8 @@ struct MatmulRow {
     gflops_blocked: f64,
     gflops_set: f64,
     gflops_seed: f64,
+    /// Seed time over blocked time, the median of per-round ratios.
+    speedup: f64,
 }
 
 /// 1-vs-N timing of one closure, with the pool reset in between.
@@ -204,7 +188,10 @@ fn main() {
     // `Mat::matmul` (a zeroed allocation, then the accumulating GEMM);
     // `set` is the forward's `matmul_into`, the overwrite store into a
     // reused output.
-    eprintln!("compute: matmul kernels ({} reps)...", args.steps);
+    let tier = kernels::tier();
+    let rounds = args.steps.clamp(1, 7);
+    eprintln!("compute: kernel tier {}", tier.name());
+    eprintln!("compute: matmul kernels ({rounds} interleaved rounds)...");
     let shapes = [
         (64, 64, 64),
         (128, 128, 128),
@@ -217,28 +204,35 @@ fn main() {
         (6, 1000, 1000),
         (1000, 6, 1000),
     ];
-    let reps = args.steps.clamp(3, 60);
     let matmul: Vec<MatmulRow> = shapes
         .iter()
         .map(|&(m, k, n)| {
             let a = fill(m, k, 1.0);
             let b = fill(k, n, 2.0);
             let mut c = Mat::zeros(m, n);
+            let t = timing::interleaved(
+                rounds,
+                &mut [
+                    &mut || timing::time(|| assert!(a.matmul(&b).get(0, 0).is_finite())),
+                    &mut || timing::time(|| tensor::infer::matmul_into(&a, &b, &mut c)),
+                    &mut || timing::time(|| assert!(a.matmul_reference(&b).get(0, 0).is_finite())),
+                ],
+            );
+            assert!(c.get(0, 0).is_finite());
+            let gflops = |s: f64| 2.0 * (m * k * n) as f64 / s / 1e9;
             let row = MatmulRow {
                 shape: (m, k, n),
-                gflops_blocked: gflops(m, k, n, reps, &mut || a.matmul(&b).get(0, 0)),
-                gflops_set: gflops(m, k, n, reps, &mut || {
-                    tensor::infer::matmul_into(&a, &b, &mut c);
-                    c.get(0, 0)
-                }),
-                gflops_seed: gflops(m, k, n, reps, &mut || a.matmul_reference(&b).get(0, 0)),
+                gflops_blocked: gflops(t.secs(0)),
+                gflops_set: gflops(t.secs(1)),
+                gflops_seed: gflops(t.secs(2)),
+                speedup: t.ratio(2, 0),
             };
             eprintln!(
                 "compute: {m}x{k}x{n}: blocked {:.2} GF/s, set {:.2} GF/s, seed {:.2} GF/s ({:.2}x)",
                 row.gflops_blocked,
                 row.gflops_set,
                 row.gflops_seed,
-                row.gflops_blocked / row.gflops_seed.max(1e-12),
+                row.speedup,
             );
             row
         })
@@ -247,23 +241,30 @@ fn main() {
     // --- attention softmax at a 100- and a 1000-node net's scores (head
     // width 6): the column kernel on Sᵀ against the libm row softmax on
     // S, and the exp alone, vectorized against libm.
-    eprintln!("compute: attention softmax ({reps} reps)...");
+    eprintln!("compute: attention softmax ({rounds} interleaved rounds)...");
     let scale = 1.0 / 6f32.sqrt();
     let softmax: Vec<SoftmaxRow> = [100usize, 1000]
         .iter()
         .map(|&n| {
             let st = fill(n, n, 3.0);
             let s = st.transpose();
+            let t = timing::interleaved(
+                rounds,
+                &mut [
+                    &mut on_copy(st.as_slice(), |v| kernels::softmax_cols(n, n, scale, v)),
+                    &mut on_copy(s.as_slice(), |v| softmax_rows_libm(n, scale, v)),
+                    &mut on_copy(st.as_slice(), kernels::exp_inplace),
+                    &mut on_copy(st.as_slice(), |v| v.iter_mut().for_each(|x| *x = x.exp())),
+                ],
+            );
+            let ns = |i: usize| t.secs(i) * 1e9 / (n * n) as f64;
             let row = SoftmaxRow {
                 n,
-                ns_cols: ns_per_elem(st.as_slice(), reps, &|v| {
-                    kernels::softmax_cols(n, n, scale, v)
-                }),
-                ns_rows_libm: ns_per_elem(s.as_slice(), reps, &|v| softmax_rows_libm(n, scale, v)),
-                ns_exp: ns_per_elem(st.as_slice(), reps, &|v| kernels::exp_inplace(v)),
-                ns_exp_libm: ns_per_elem(st.as_slice(), reps, &|v| {
-                    v.iter_mut().for_each(|x| *x = x.exp())
-                }),
+                ns_cols: ns(0),
+                ns_rows_libm: ns(1),
+                ns_exp: ns(2),
+                ns_exp_libm: ns(3),
+                speedup: t.ratio(1, 0),
                 bit_identical: {
                     let mut pt = st.as_slice().to_vec();
                     kernels::softmax_cols(n, n, scale, &mut pt);
@@ -277,7 +278,7 @@ fn main() {
                  ({:.2}x); exp {:.2} ns, libm {:.2} ns; bit-identical: {}",
                 row.ns_cols,
                 row.ns_rows_libm,
-                row.ns_rows_libm / row.ns_cols.max(1e-12),
+                row.speedup,
                 row.ns_exp,
                 row.ns_exp_libm,
                 row.bit_identical,
@@ -323,7 +324,10 @@ fn main() {
     let mut out = String::with_capacity(2048);
     out.push_str("{\"schema\":\"bench.compute.v1\"");
     let _ = write!(out, ",\"host_cores\":{cores}");
+    let _ = write!(out, ",\"kernel_tier\":\"{}\"", tier.name());
     let _ = write!(out, ",\"steps\":{}", args.steps);
+    let _ = write!(out, ",\"rounds\":{rounds}");
+    let _ = write!(out, ",\"min_span_ms\":{}", timing::MIN_SPAN.as_millis());
     let _ = write!(out, ",\"threads_n\":{}", args.threads);
     let _ = write!(out, ",\"pool_workers\":{}", par::workers());
     out.push_str(",\"matmul\":[");
@@ -339,7 +343,7 @@ fn main() {
         out.push_str(",\"gflops_seed\":");
         obs::json::push_f64(&mut out, row.gflops_seed);
         out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, row.gflops_blocked / row.gflops_seed.max(1e-12));
+        obs::json::push_f64(&mut out, row.speedup);
         out.push('}');
     }
     out.push(']');
@@ -353,7 +357,7 @@ fn main() {
         out.push_str(",\"ns_per_score_rows_libm\":");
         obs::json::push_f64(&mut out, row.ns_rows_libm);
         out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, row.ns_rows_libm / row.ns_cols.max(1e-12));
+        obs::json::push_f64(&mut out, row.speedup);
         out.push_str(",\"ns_per_exp\":");
         obs::json::push_f64(&mut out, row.ns_exp);
         out.push_str(",\"ns_per_exp_libm\":");

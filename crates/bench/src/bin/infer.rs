@@ -7,6 +7,10 @@
 //! vs one forward per graph) at batch sizes 1/8/32/128 — and writes
 //! `BENCH_infer.json`. All timing is single-thread (`PAR` pool unused):
 //! the engine's win must come from the forward itself, not lane count.
+//! The variants each row compares are timed in `--reps` interleaved
+//! rounds, each measurement spanning at least 100 ms of passes over the
+//! nets ([`bench::timing`]), and the report names the kernel tier
+//! (`tensor::kernels::tier`) that ran.
 //!
 //! ```text
 //! cargo run -p bench --release --bin infer [-- --nets N --reps R \
@@ -17,14 +21,14 @@
 //! packed tape-free output must match the tape forward within 1e-6
 //! relative error on every path (the check script runs this gate).
 
+use bench::timing;
 use gnn::batch::GraphBatch;
 use gnn::infer::{Arena, InferenceModel, PackedBatch};
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
 use gnntrans::features::{NODE_DIM, PATH_DIM};
 use netgen::nets::{NetConfig, NetGenerator};
 use std::fmt::Write as _;
-use std::time::Instant;
-use tensor::Mat;
+use tensor::{kernels, Mat};
 
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
 
@@ -78,7 +82,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "infer: unknown flag `{other}`\
                      \n  --nets N    net pool size (default 256)\
-                     \n  --reps R    best-of repetitions (default 5)\
+                     \n  --reps R    interleaved timing rounds (default 5)\
                      \n  --seed S    net-generation seed\
                      \n  --out PATH  result file (default BENCH_infer.json)\
                      \n  --smoke     small workload + parity assertion"
@@ -139,17 +143,6 @@ fn make_batches(seed: u64, count: usize) -> Vec<GraphBatch> {
         .collect()
 }
 
-/// Best-of-reps seconds for one full pass over the workload.
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn max_rel_err(a: &Mat, b: &Mat) -> f32 {
     a.as_slice()
         .iter()
@@ -195,36 +188,56 @@ fn main() {
         "tape-free forward diverged from tape: {worst:.3e} > 1e-6"
     );
 
+    // One pass over every net: a forward per graph on the tape, or
+    // tape-free with its own arena (each timed variant keeps its own).
+    let mut tape_pass = || {
+        timing::time(|| {
+            for b in &batches {
+                let out = model.predict(b);
+                assert!(out.get(0, 0).is_finite());
+            }
+        })
+    };
+    let solo_pass = |arena: &mut Arena| {
+        timing::time(|| {
+            for b in &batches {
+                let one = PackedBatch::pack(&[b]).expect("pack");
+                let out = compiled.forward_packed(&one, arena).expect("forward");
+                assert!(out.get(0, 0).is_finite());
+            }
+        })
+    };
+    let mut solo_arena = Arena::new();
+
     // --- single-net latency: tape vs tape-free, one forward per graph.
-    eprintln!("infer: single-net forward ({} reps)...", args.reps);
-    let tape_s = best_of(args.reps, || {
-        for b in &batches {
-            let out = model.predict(b);
-            assert!(out.get(0, 0).is_finite());
-        }
-    });
-    let free_s = best_of(args.reps, || {
-        for b in &batches {
-            let one = PackedBatch::pack(&[b]).expect("pack");
-            let out = compiled.forward_packed(&one, &mut arena).expect("forward");
-            assert!(out.get(0, 0).is_finite());
-        }
-    });
+    let tier = kernels::tier();
+    eprintln!(
+        "infer: single-net forward ({} interleaved rounds, kernel tier {})...",
+        args.reps,
+        tier.name()
+    );
+    let t = timing::interleaved(
+        args.reps,
+        &mut [&mut tape_pass, &mut || solo_pass(&mut solo_arena)],
+    );
+    let (tape_s, free_s, single_speedup) = (t.secs(0), t.secs(1), t.ratio(0, 1));
     let n = batches.len() as f64;
     eprintln!(
-        "infer: tape {:.1} nets/s, tape-free {:.1} nets/s ({:.2}x)",
+        "infer: tape {:.1} nets/s, tape-free {:.1} nets/s ({single_speedup:.2}x)",
         n / tape_s,
         n / free_s,
-        tape_s / free_s.max(1e-12),
     );
 
     // --- batched throughput: packed tape-free vs per-graph tape-free
     // vs per-graph tape, at each batch size.
+    /// Median seconds per pass, and per-round time ratios.
     struct BatchRow {
         batch: usize,
         packed_s: f64,
         unpacked_s: f64,
         tape_s: f64,
+        packed_vs_tape: f64,
+        packed_vs_unpacked: f64,
     }
     let rows: Vec<BatchRow> = BATCH_SIZES
         .iter()
@@ -238,41 +251,48 @@ fn main() {
                 .iter()
                 .map(|g| PackedBatch::pack(g).expect("pack"))
                 .collect();
-            let packed_s = best_of(args.reps, || {
-                for p in &packed {
-                    let out = compiled.forward_packed(p, &mut arena).expect("forward");
-                    assert!(out.get(0, 0).is_finite());
-                }
-            });
-            let unpacked_s = best_of(args.reps, || {
-                for b in &batches {
-                    let one = PackedBatch::pack(&[b]).expect("pack");
-            let out = compiled.forward_packed(&one, &mut arena).expect("forward");
-                    assert!(out.get(0, 0).is_finite());
-                }
-            });
-            let tape_s = best_of(args.reps, || {
-                for b in &batches {
-                    let out = model.predict(b);
-                    assert!(out.get(0, 0).is_finite());
-                }
-            });
+            let mut packed_pass = || {
+                timing::time(|| {
+                    for p in &packed {
+                        let out = compiled.forward_packed(p, &mut arena).expect("forward");
+                        assert!(out.get(0, 0).is_finite());
+                    }
+                })
+            };
+            let t = timing::interleaved(
+                args.reps,
+                &mut [
+                    &mut packed_pass,
+                    &mut || solo_pass(&mut solo_arena),
+                    &mut tape_pass,
+                ],
+            );
+            let row = BatchRow {
+                batch: bs,
+                packed_s: t.secs(0),
+                unpacked_s: t.secs(1),
+                tape_s: t.secs(2),
+                packed_vs_tape: t.ratio(2, 0),
+                packed_vs_unpacked: t.ratio(1, 0),
+            };
             eprintln!(
                 "infer: batch {bs}: packed {:.1} nets/s ({:.1} us/net), \
                  unpacked {:.1} nets/s, tape {:.1} nets/s ({:.2}x packed vs tape)",
-                n / packed_s,
-                packed_s / n * 1e6,
-                n / unpacked_s,
-                n / tape_s,
-                tape_s / packed_s.max(1e-12),
+                n / row.packed_s,
+                row.packed_s / n * 1e6,
+                n / row.unpacked_s,
+                n / row.tape_s,
+                row.packed_vs_tape,
             );
-            BatchRow { batch: bs, packed_s, unpacked_s, tape_s }
+            row
         })
         .collect();
 
     // --- report.
     let mut out = String::with_capacity(2048);
     out.push_str("{\"schema\":\"bench.infer.v1\"");
+    let _ = write!(out, ",\"kernel_tier\":\"{}\"", tier.name());
+    let _ = write!(out, ",\"min_span_ms\":{}", timing::MIN_SPAN.as_millis());
     let _ = write!(out, ",\"nets\":{}", args.nets);
     let _ = write!(out, ",\"total_paths\":{total_paths}");
     let _ = write!(out, ",\"reps\":{}", args.reps);
@@ -287,7 +307,7 @@ fn main() {
     out.push_str(",\"tape_free_us_per_net\":");
     obs::json::push_f64(&mut out, free_s / n * 1e6);
     out.push_str(",\"speedup\":");
-    obs::json::push_f64(&mut out, tape_s / free_s.max(1e-12));
+    obs::json::push_f64(&mut out, single_speedup);
     out.push_str("},\"batched\":[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -302,9 +322,9 @@ fn main() {
         out.push_str(",\"tape_nets_per_s\":");
         obs::json::push_f64(&mut out, n / r.tape_s.max(1e-12));
         out.push_str(",\"packed_vs_tape\":");
-        obs::json::push_f64(&mut out, r.tape_s / r.packed_s.max(1e-12));
+        obs::json::push_f64(&mut out, r.packed_vs_tape);
         out.push_str(",\"packed_vs_unpacked\":");
-        obs::json::push_f64(&mut out, r.unpacked_s / r.packed_s.max(1e-12));
+        obs::json::push_f64(&mut out, r.packed_vs_unpacked);
         out.push('}');
     }
     out.push_str("]}");

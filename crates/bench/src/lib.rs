@@ -5,6 +5,7 @@
 pub mod accuracy;
 pub mod harness;
 pub mod tables;
+pub mod timing;
 
 pub use harness::{
     build_test_samples, build_train_dataset, eval_baseline, run_experiment, train_baselines,

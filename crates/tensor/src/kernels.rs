@@ -35,8 +35,9 @@
 //!   multiple of `NR` columns, so the micro-kernel streams it linearly
 //!   regardless of `B`'s row stride and every tile is full width;
 //! * the micro-kernel computes an `MR x NR` (6 x 16) tile of `C` held
-//!   entirely in registers — 12 8-lane accumulators plus the two `B`
-//!   vectors and the `A` broadcast fill the 16 AVX registers. Only the
+//!   entirely in registers — on AVX2, 12 8-lane accumulators plus the
+//!   two `B` vectors and the `A` broadcast fill the 16 AVX registers; on
+//!   AVX-512, 6 16-lane accumulators and one `B` vector. Only the
 //!   store is bounded to the tile's real width; the padded columns are
 //!   computed and dropped, so a 6-wide attention product runs the same
 //!   vector loop as a 16-wide one;
@@ -66,17 +67,43 @@
 //! # Dispatch
 //!
 //! The portable build targets baseline x86-64 (SSE2), which leaves
-//! half the lanes and all fused multiply-adds on the table. Each entry
-//! point therefore runtime-dispatches once per call to an
-//! AVX2+FMA-compiled clone of the same body (`#[target_feature]` +
-//! `#[inline(always)]` body, the std-only equivalent of function
-//! multi-versioning) when the CPU supports it. The FMA path contracts
-//! `mul`+`add` into one rounding; both paths keep the ascending-`k`
-//! order, so each path is individually deterministic. Everything the
-//! body needs (the scratch borrow included) is set up before entering
-//! the `#[target_feature]` clone: a closure created inside it is not
-//! compiled with the clone's features, and its `mul_add` would fall back
-//! to the libm routine.
+//! most lanes and all fused multiply-adds on the table. Each entry
+//! point therefore runs one of three compilations of the same
+//! `#[inline(always)]` body, picked per call by the [`Tier`] that CPUID
+//! reported once ([`tier`]): AVX-512 (F/VL/DQ/BW) + FMA, AVX2 + FMA, or
+//! the portable body. The private `tiered!` macro writes a body's two
+//! `#[target_feature]` clones and the match over the tier (the std-only
+//! equivalent of function multi-versioning), so a tier adds no code
+//! per kernel. There is no knob: the tier comes from the CPU alone,
+//! and a host without AVX-512 runs AVX2+FMA or portable as before.
+//!
+//! Both vector tiers run the body with `FMA = true`: the same operations
+//! in the same order, fused the same way, over 16 lanes instead of 8.
+//! The lanes are independent output elements and no reduction is
+//! reordered, so the AVX-512 clone is bit-identical to the AVX2+FMA one
+//! (the `tiers_agree_on_*` tests compare the two directly). The portable
+//! body (`FMA = false`) rounds `mul` and `add` separately; every tier
+//! keeps the ascending-`k` order, so each is deterministic.
+//!
+//! A kernel takes the AVX-512 tier where an interleaved timing of its
+//! two clones favours it on the shapes that carry its time (DESIGN.md,
+//! "Compute & parallelism"): [`exp_inplace`], [`csr_gemm_tn`] (the
+//! 24-wide aggregation gradients), and [`gemm`]/[`gemm_set`] and
+//! [`softmax_cols`], which win on the attention of 100–1000-node nets
+//! and run a few per cent slower on 24-wide projections and 20-node
+//! softmaxes. [`csr_gemm`] (1.3–1.5x slower on AVX-512), [`gemm_tn`]
+//! (slower on its 6-wide per-head shapes) and [`gemm_nt`] (no gain)
+//! stop at AVX2+FMA. The losses most likely come from loops over a
+//! runtime width of 1 to 24 columns, where a 16-lane loop leaves up to
+//! 15 remainder iterations and an 8-lane one at most 7.
+//!
+//! The clones take the body's arguments as their own parameters.
+//! Everything the body needs (the scratch borrow included) is set up
+//! before entering a clone: a closure created inside it is not compiled
+//! with the clone's features, and its `mul_add` would fall back to the
+//! libm routine. A body handed its slices inside a struct loses their
+//! `noalias`, and with it the vectorized loops that need no overlap
+//! check: the softmax's `exp` pass ran scalar that way.
 //!
 //! # Exact `expf`
 //!
@@ -93,13 +120,18 @@
 //! fuses five of the steps) and a generic one otherwise; the AVX2+FMA
 //! clone fuses the same five and the portable body none, on the same
 //! CPU test, so the dispatched kernel equals the `f32::exp` of the same
-//! machine. An in-module test sweeps all 2³² inputs against `f32::exp`
-//! (`scripts/check.sh` runs it in release) and the debug suite checks a
-//! strided sample and the edges. The special cases (`±∞`, NaN, the
-//! underflow and overflow thresholds) are selects, not early returns,
-//! which would keep the loop scalar. The `f64` steps are the price of
-//! exactness, yet the vector loop still runs about 2.5x faster than
-//! libm's scalar call (`BENCH_compute.json`).
+//! machine. glibc has no AVX-512 `expf`: its ifunc still picks
+//! `__expf_fma` on an AVX-512 CPU, so the AVX-512 clone must fuse the
+//! same five steps too. Fused and separate bodies round differently on
+//! only two of the 2³² inputs, which the tier tests therefore include.
+//! An in-module test sweeps all 2³² inputs against `f32::exp` on every
+//! vector tier the host supports (`scripts/check.sh` runs it in
+//! release) and the debug suite checks a strided sample and the edges.
+//! The special cases (`±∞`, NaN, the underflow and overflow thresholds)
+//! are selects, not early returns, which would keep the loop scalar.
+//! The `f64` steps are the price of exactness, yet the vector loop
+//! still runs several times faster than libm's scalar call
+//! (`BENCH_compute.json`).
 //!
 //! The replica is exact against glibc only. On another libm the tape's
 //! `f32::exp` can differ by an ulp, and the bit-exact parity gates
@@ -107,10 +139,12 @@
 
 use crate::sparse::CsrRef;
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Micro-tile rows (of `A` / `C`).
 const MR: usize = 6;
-/// Micro-tile columns (of `B` / `C`); two 8-lane `f32` vectors.
+/// Micro-tile columns (of `B` / `C`); two 8-lane `f32` vectors, or one
+/// 16-lane.
 const NR: usize = 16;
 /// `k`-dimension cache block: `KC x NR` of packed `B` stays in L1. The
 /// CSR kernels flush their accumulators at the same boundaries.
@@ -131,11 +165,105 @@ fn madd<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
     }
 }
 
-/// Whether the AVX2+FMA clones may run on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn has_avx2_fma() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+/// A kernel clone's instruction set. The discriminant is the value of
+/// the `tensor.kernel_tier` gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// Baseline x86-64 (SSE2), or another architecture: separate
+    /// multiply and add.
+    Portable = 0,
+    /// AVX2 + FMA: 8 `f32` lanes, fused multiply-add.
+    Avx2Fma = 1,
+    /// AVX-512 F/VL/DQ/BW + FMA: 16 `f32` lanes, fused multiply-add.
+    Avx512 = 2,
+}
+
+impl Tier {
+    /// The name reports print.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable",
+            Tier::Avx2Fma => "avx2+fma",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The fastest tier this CPU supports, from CPUID on the first call,
+/// which also sets the `tensor.kernel_tier` gauge to its discriminant
+/// so `/metrics` and run reports say which clones timed them. Every
+/// kernel runs this tier's clone.
+pub fn tier() -> Tier {
+    static TIER: OnceLock<Tier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        let tier = detect_tier();
+        obs::gauge("tensor.kernel_tier").set(f64::from(tier as u8));
+        tier
+    })
+}
+
+fn detect_tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("fma") {
+            let avx512 =
+                has!("avx512f") && has!("avx512vl") && has!("avx512dq") && has!("avx512bw");
+            return if avx512 { Tier::Avx512 } else { Tier::Avx2Fma };
+        }
+    }
+    Tier::Portable
+}
+
+/// The tier the kernels run on: [`tier`], or in this module's tests
+/// the (supported) one they force.
+#[inline(always)]
+fn active_tier() -> Tier {
+    #[cfg(test)]
+    if let Some(forced) = tests::forced_tier() {
+        return forced;
+    }
+    tier()
+}
+
+/// `tiered!(Top, body(arg: Type, ..))` runs `body::<FMA>(arg, ..)` on
+/// [`active_tier`]'s clone, capped at `Tier::Top`: the portable body
+/// with `FMA = false`, or the body with `FMA = true` inlined into a
+/// function compiled with the AVX2+FMA or the AVX-512+FMA features (see
+/// "Dispatch" above for why the clones take the arguments as their own
+/// parameters). Each argument must be a local of the caller; a const
+/// generic of the caller is passed on as `body::<SET>(..)`.
+macro_rules! tiered {
+    ($top:ident, $body:ident $(::<$g:ident>)? ($($arg:ident: $ty:ty),* $(,)?)) => {{
+        /// # Safety
+        ///
+        /// The CPU must support AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2,fma")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn avx2_fma$(<const $g: bool>)?($($arg: $ty),*) {
+            $body::<true $(, $g)?>($($arg),*);
+        }
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512 F/VL/DQ/BW, AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw,avx2,fma")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn avx512$(<const $g: bool>)?($($arg: $ty),*) {
+            $body::<true $(, $g)?>($($arg),*);
+        }
+        match active_tier().min(Tier::$top) {
+            // SAFETY: `active_tier` returns a tier whose features CPUID
+            // reported on this CPU, and `min` only lowers it.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { avx512$(::<$g>)?($($arg),*) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2Fma => unsafe { avx2_fma$(::<$g>)?($($arg),*) },
+            _ => $body::<false $(, $g)?>($($arg),*),
+        }
+    }};
 }
 
 /// Per-thread scratch: [`gemm`]'s packed `B` panel and `A` micro-panel,
@@ -203,33 +331,17 @@ fn gemm_dispatch<const SET: bool>(
         if apack.len() < MR * KC.min(k) {
             apack.resize(MR * KC.min(k), 0.0);
         }
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2_fma() {
-            // SAFETY: the required target features were just detected.
-            unsafe { gemm_avx2::<SET>(m, k, n, a, b, c, panel, apack) };
-            return;
-        }
-        gemm_body::<false, SET>(m, k, n, a, b, c, panel, apack);
+        tiered!(Avx512, gemm_body::<SET>(
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &[f32],
+            b: &[f32],
+            c: &mut [f32],
+            panel: &mut [f32],
+            apack: &mut [f32],
+        ));
     });
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_avx2<const SET: bool>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    panel: &mut [f32],
-    apack: &mut [f32],
-) {
-    gemm_body::<true, SET>(m, k, n, a, b, c, panel, apack);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -373,22 +485,7 @@ pub fn csr_gemm(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
     if n == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the required target features were just detected.
-        unsafe { csr_gemm_avx2(a, n, b, c) };
-        return;
-    }
-    csr_gemm_body::<false>(a, n, b, c);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn csr_gemm_avx2(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
-    csr_gemm_body::<true>(a, n, b, c);
+    tiered!(Avx2Fma, csr_gemm_body(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]));
 }
 
 #[inline(always)]
@@ -441,22 +538,7 @@ fn flush(dst: &mut [f32], acc: &mut [f32; NR]) {
 /// Panics when a column index is out of range for `C`.
 pub fn csr_gemm_tn(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
     debug_assert_eq!(b.len(), a.rows() * n);
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the required target features were just detected.
-        unsafe { csr_gemm_tn_avx2(a, n, b, c) };
-        return;
-    }
-    csr_gemm_tn_body::<false>(a, n, b, c);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn csr_gemm_tn_avx2(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]) {
-    csr_gemm_tn_body::<true>(a, n, b, c);
+    tiered!(Avx512, csr_gemm_tn_body(a: CsrRef<'_>, n: usize, b: &[f32], c: &mut [f32]));
 }
 
 #[inline(always)]
@@ -482,19 +564,14 @@ pub fn gemm_tn(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the required target features were just detected.
-        unsafe { gemm_tn_avx2(k, m, n, a, b, c) };
-        return;
-    }
-    gemm_tn_body::<false>(k, m, n, a, b, c);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_tn_avx2(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_tn_body::<true>(k, m, n, a, b, c);
+    tiered!(Avx2Fma, gemm_tn_body(
+        k: usize,
+        m: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ));
 }
 
 #[inline(always)]
@@ -526,19 +603,14 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the required target features were just detected.
-        unsafe { gemm_nt_avx2(m, k, n, a, b, c) };
-        return;
-    }
-    gemm_nt_body::<false>(m, k, n, a, b, c);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_nt_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_body::<true>(m, k, n, a, b, c);
+    tiered!(Avx2Fma, gemm_nt_body(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ));
 }
 
 #[inline(always)]
@@ -629,7 +701,7 @@ const EXPF_TAB: [u64; 32] = [
 /// vectorizer can widen. `FMA` picks glibc's AVX2+FMA variant
 /// (`__expf_fma`, which fuses `kd`, `r`, the two linear terms and the
 /// final Horner step) or its generic one (separate mul and add); glibc's
-/// ifunc chooses between them on the condition of [`has_avx2_fma`].
+/// ifunc chooses between them on AVX2 and FMA, as [`tier`] does.
 /// The special cases are selects, not early returns: a branchy clamp
 /// keeps the loop scalar.
 #[inline(always)]
@@ -667,22 +739,7 @@ fn expf<const FMA: bool>(x: f32) -> f32 {
 /// `x = expf(x)` for every element: glibc's `expf` bit for bit (the
 /// libm behind `f32::exp` on x86-64 GNU/Linux), at vector width.
 pub fn exp_inplace(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the required target features were just detected.
-        unsafe { exp_inplace_avx2(xs) };
-        return;
-    }
-    exp_inplace_body::<false>(xs);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn exp_inplace_avx2(xs: &mut [f32]) {
-    exp_inplace_body::<true>(xs);
+    tiered!(Avx512, exp_inplace_body(xs: &mut [f32]));
 }
 
 #[inline(always)]
@@ -717,29 +774,14 @@ pub fn softmax_cols(rows: usize, cols: usize, scale: f32, v: &mut [f32]) {
             colsum.resize(cols, 0.0);
         }
         let (max, sum) = (&mut colmax[..cols], &mut colsum[..cols]);
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2_fma() {
-            // SAFETY: the required target features were just detected.
-            unsafe { softmax_cols_avx2(cols, scale, v, max, sum) };
-            return;
-        }
-        softmax_cols_body::<false>(cols, scale, v, max, sum);
+        tiered!(Avx512, softmax_cols_body(
+            cols: usize,
+            scale: f32,
+            v: &mut [f32],
+            max: &mut [f32],
+            sum: &mut [f32],
+        ));
     });
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn softmax_cols_avx2(
-    cols: usize,
-    scale: f32,
-    v: &mut [f32],
-    max: &mut [f32],
-    sum: &mut [f32],
-) {
-    softmax_cols_body::<true>(cols, scale, v, max, sum);
 }
 
 #[inline(always)]
@@ -775,6 +817,36 @@ fn softmax_cols_body<const FMA: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static FORCED_TIER: Cell<Option<Tier>> = const { Cell::new(None) };
+    }
+
+    /// The tier [`on_tier`] forces on this thread, if any.
+    pub(super) fn forced_tier() -> Option<Tier> {
+        FORCED_TIER.with(Cell::get)
+    }
+
+    /// Runs `f` with this thread's kernels on `tier`'s clones.
+    fn on_tier<T>(tier: Tier, f: impl FnOnce() -> T) -> T {
+        assert!(tier <= super::tier(), "{tier:?} is not supported here");
+        FORCED_TIER.with(|t| t.set(Some(tier)));
+        let out = f();
+        FORCED_TIER.with(|t| t.set(None));
+        out
+    }
+
+    #[test]
+    fn tier_is_published_as_a_gauge() {
+        let tier = super::tier();
+        assert_eq!(
+            obs::gauge("tensor.kernel_tier").get(),
+            f64::from(tier as u8),
+            "{}",
+            tier.name()
+        );
+    }
 
     /// Scalar reference: plain triple loop, `k` ascending.
     fn gemm_ref(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
@@ -832,16 +904,15 @@ mod tests {
         }
     }
 
+    /// `k` past two KC blocks with `n` past an NC panel, and `k = 0`.
+    const BLOCK_SHAPES: [(usize, usize, usize); 2] = [(9, 2 * KC + 5, NC + 3), (4, 0, 5)];
+
     #[test]
     fn gemm_set_equals_zero_fill_then_accumulate() {
-        // The overwrite store on the edge shapes, plus `k` past two KC
-        // blocks with `n` past an NC panel and `k = 0`, bit for bit
+        // The overwrite store on the edge and block shapes, bit for bit
         // against zero-fill + `gemm`, over a `C` of stale NaNs it must
         // never read.
-        for &(m, k, n) in EDGE_SHAPES
-            .iter()
-            .chain(&[(9, 2 * KC + 5, NC + 3), (4, 0, 5)])
-        {
+        for &(m, k, n) in EDGE_SHAPES.iter().chain(&BLOCK_SHAPES) {
             let a = fill(m * k, 1.5);
             let b = fill(k * n, 2.5);
             let mut want = vec![0.0f32; m * n];
@@ -966,6 +1037,203 @@ mod tests {
         assert_eq!(c2, vec![5.0; 4]);
     }
 
+    /// NaN, ±∞, ±0, the smallest normal and subnormal, and values whose
+    /// products overflow or underflow.
+    const SPECIALS: [f32; 10] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -1e-45,
+        f32::MAX,
+        -3.0e38,
+        1e-30,
+    ];
+
+    /// `fill(len, seed)` as a `rows x cols` matrix, with one special
+    /// value in every third row (`by_row`) or fourth column, so most of
+    /// a product stays finite and the rest sees every special.
+    fn with_specials(rows: usize, cols: usize, seed: f32, by_row: bool) -> Vec<f32> {
+        let mut v = fill(rows * cols, seed);
+        if by_row {
+            for r in (1..rows).step_by(3).filter(|_| cols > 0) {
+                v[r * cols + (r * 5) % cols] = SPECIALS[r % SPECIALS.len()];
+            }
+        } else {
+            for c in (2..cols).step_by(4).filter(|_| rows > 0) {
+                v[((c * 3) % rows) * cols + c] = SPECIALS[(c + 2) % SPECIALS.len()];
+            }
+        }
+        v
+    }
+
+    /// Runs `f` on the AVX2+FMA and on the AVX-512 clones and asserts
+    /// that the two agree bit for bit, every NaN counted as one pattern
+    /// (which payload an operation propagates is not part of the
+    /// tape's contract either). Does nothing on a host without AVX-512.
+    fn assert_tiers_agree(what: &str, f: impl Fn() -> Vec<f32>) {
+        if super::tier() < Tier::Avx512 {
+            return;
+        }
+        let bits = |v: Vec<f32>| -> Vec<u32> {
+            v.iter()
+                .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                .collect()
+        };
+        let avx2 = bits(on_tier(Tier::Avx2Fma, &f));
+        let avx512 = bits(on_tier(Tier::Avx512, &f));
+        if let Some(i) = (0..avx2.len()).find(|&i| avx2[i] != avx512[i]) {
+            panic!(
+                "{what}: element {i} of {}: AVX2+FMA {:#010x}, AVX-512 {:#010x}",
+                avx2.len(),
+                avx2[i],
+                avx512[i]
+            );
+        }
+        assert_eq!(avx2.len(), avx512.len(), "{what}");
+    }
+
+    #[test]
+    fn tiers_agree_on_gemm_and_gemm_set() {
+        for &(m, k, n) in EDGE_SHAPES.iter().chain(&BLOCK_SHAPES) {
+            for special in [false, true] {
+                let a = with_specials(m, k, 1.0, special);
+                let b = with_specials(k, n, 2.0, !special);
+                let what = format!("{m}x{k}x{n}, specials {special}");
+                assert_tiers_agree(&format!("gemm {what}"), || {
+                    let mut c = fill(m * n, 0.3);
+                    gemm(m, k, n, &a, &b, &mut c);
+                    c
+                });
+                assert_tiers_agree(&format!("gemm_set {what}"), || {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_set(m, k, n, &a, &b, &mut c);
+                    c
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_csr_gemm_tn() {
+        // `A` is `k x m` with about three stored entries in four,
+        // specials among them or in `B`; `C` starts non-zero.
+        for &(m, k, n) in EDGE_SHAPES.iter().chain(&BLOCK_SHAPES) {
+            for special in [false, true] {
+                let dense = with_specials(k, m, 1.0, special);
+                let triplets: Vec<_> = (0..k * m)
+                    .filter(|e| e % 4 != 1)
+                    .map(|e| (e / m, e % m, dense[e]))
+                    .collect();
+                let a = crate::sparse::Csr::from_triplets(k, m, &triplets);
+                let b = with_specials(k, n, 2.0, !special);
+                assert_tiers_agree(
+                    &format!("csr_gemm_tn {m}x{k}x{n}, specials {special}"),
+                    || {
+                        let mut c = fill(m * n, 0.3);
+                        csr_gemm_tn(a.view(), n, &b, &mut c);
+                        c
+                    },
+                );
+            }
+        }
+    }
+
+    /// The only two `f32` inputs on which the fused and the separate
+    /// `expf` bodies round differently (an exhaustive search): all that
+    /// tells the tiers' `exp` apart if one of them lost its FMA.
+    const EXPF_FMA_SPLITS: [u32; 2] = [0x4202_422f, 0xc27c_65d9];
+
+    #[test]
+    fn fused_and_separate_expf_split_where_expected() {
+        for bits in EXPF_FMA_SPLITS {
+            let x = f32::from_bits(bits);
+            assert_ne!(
+                expf::<true>(x).to_bits(),
+                expf::<false>(x).to_bits(),
+                "{x:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_exp() {
+        let mut xs: Vec<f32> = (0..=u32::MAX).step_by(4093).map(f32::from_bits).collect();
+        xs.extend(SPECIALS);
+        xs.extend([
+            EXPF_LO,
+            EXPF_HI,
+            f32::from_bits(0x7f80_0001),
+            88.0,
+            -88.0,
+            -104.5,
+        ]);
+        xs.extend(EXPF_FMA_SPLITS.map(f32::from_bits));
+        // Every length up to two 16-lane vectors and a remainder.
+        for len in (0..40).chain([xs.len()]) {
+            assert_tiers_agree(&format!("exp_inplace, {len} values"), || {
+                let mut ys = xs[..len].to_vec();
+                exp_inplace(&mut ys);
+                ys
+            });
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_softmax_cols() {
+        let scale = 1.0 / 6f32.sqrt();
+        let shapes = (1..=40)
+            .flat_map(|r| (1..=40).map(move |c| (r, c)))
+            .chain([(129, 300), (1000, 7)]);
+        for (rows, cols) in shapes {
+            let v: Vec<f32> = fill(rows * cols, rows as f32 + 0.1 * cols as f32)
+                .iter()
+                .map(|x| x * 10.0)
+                .collect();
+            assert_tiers_agree(&format!("softmax_cols {rows}x{cols}"), || {
+                let mut p = v.clone();
+                softmax_cols(rows, cols, scale, &mut p);
+                p
+            });
+        }
+        // Unit scale and a zero column max, so one `exp` argument is an
+        // input where fused and separate `expf` differ.
+        let split = f32::from_bits(EXPF_FMA_SPLITS[1]);
+        for cols in [1, 9, 16, 33] {
+            let mut v: Vec<f32> = fill(3 * cols, 0.7).iter().map(|x| x - 1.0).collect();
+            v[..cols].fill(0.0);
+            v[2 * cols..].fill(split);
+            assert_tiers_agree(&format!("softmax_cols 3x{cols} at an expf split"), || {
+                let mut p = v.clone();
+                softmax_cols(3, cols, 1.0, &mut p);
+                p
+            });
+        }
+        // The column-poisoning cases: a NaN, a +∞ and a −∞ score, an
+        // all-equal column, ±0 and subnormal scores, at widths on both
+        // sides of a 16-lane vector.
+        for cols in [6, 17, 40] {
+            let rows = 5;
+            let mut v = fill(rows * cols, 0.3);
+            v[2 * cols + 1] = f32::NAN;
+            v[3] = f32::INFINITY;
+            v[4 * cols + 4] = f32::NEG_INFINITY;
+            for r in 0..rows {
+                v[r * cols + 5] = 1.5;
+            }
+            v[cols - 1] = -0.0;
+            v[2 * cols - 1] = 0.0;
+            v[3 * cols - 1] = -1e-45;
+            assert_tiers_agree(&format!("poisoned softmax_cols {rows}x{cols}"), || {
+                let mut p = v.clone();
+                softmax_cols(rows, cols, 0.75, &mut p);
+                p
+            });
+        }
+    }
+
     /// Oracles for [`expf`] and [`softmax_cols`]: `f32::exp` is glibc's
     /// `expf` only on GNU/Linux.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -978,18 +1246,39 @@ mod tests {
             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
         }
 
-        /// Asserts that both scalar bodies and the dispatched vector
-        /// loop reproduce `f32::exp` on `xs`.
+        /// The tiers whose `expf` is this machine's libm `expf`: every
+        /// vector tier the host supports (glibc runs `__expf_fma` on
+        /// all of them), or the portable one on a CPU without FMA.
+        fn libm_tiers() -> Vec<Tier> {
+            let tiers: Vec<Tier> = [Tier::Avx2Fma, Tier::Avx512]
+                .into_iter()
+                .filter(|&t| t <= tier())
+                .collect();
+            if tiers.is_empty() {
+                vec![Tier::Portable]
+            } else {
+                tiers
+            }
+        }
+
+        /// Asserts that both scalar bodies and the vector loop of every
+        /// [`libm_tiers`] tier reproduce `f32::exp` on `xs`.
         fn check_expf(xs: &[f32]) {
-            let mut vector = xs.to_vec();
-            exp_inplace(&mut vector);
-            for (&x, &got) in xs.iter().zip(&vector) {
+            for tier in libm_tiers() {
+                let mut vector = xs.to_vec();
+                on_tier(tier, || exp_inplace(&mut vector));
+                for (&x, &got) in xs.iter().zip(&vector) {
+                    let want = x.exp();
+                    assert!(
+                        same(got, want),
+                        "{} expf({x:e} = {:#010x}) = {got:e}, libm {want:e}",
+                        tier.name(),
+                        x.to_bits()
+                    );
+                }
+            }
+            for &x in xs {
                 let want = x.exp();
-                assert!(
-                    same(got, want),
-                    "vector expf({x:e} = {:#010x}) = {got:e}, libm {want:e}",
-                    x.to_bits()
-                );
                 for (fma, got) in [(true, expf::<true>(x)), (false, expf::<false>(x))] {
                     assert!(
                         same(got, want),
@@ -1056,32 +1345,42 @@ mod tests {
             check_expf(&xs);
         }
 
-        /// Every `f32` bit pattern through the vector loop (about 20 s
-        /// in release on two cores; `scripts/check.sh` runs it).
+        /// Every `f32` bit pattern through the vector loop of every
+        /// [`libm_tiers`] tier, against libm computed once per chunk
+        /// (about 23 s in release on two cores for two tiers;
+        /// `scripts/check.sh` runs it).
         #[test]
         #[ignore = "exhaustive: run in release"]
         fn expf_matches_libm_on_every_f32() {
             const CHUNK: u64 = 1 << 16;
             let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
             let chunks = (1u64 << 32) / CHUNK;
+            let tiers = libm_tiers();
             std::thread::scope(|scope| {
                 for t in 0..threads {
+                    let tiers = &tiers;
                     scope.spawn(move || {
                         let mut xs = vec![0.0f32; CHUNK as usize];
+                        let mut want = vec![0.0f32; CHUNK as usize];
                         let mut ys = vec![0.0f32; CHUNK as usize];
                         for c in (t..chunks).step_by(threads as usize) {
                             for (i, x) in xs.iter_mut().enumerate() {
                                 *x = f32::from_bits((c * CHUNK + i as u64) as u32);
                             }
-                            ys.copy_from_slice(&xs);
-                            exp_inplace(&mut ys);
-                            for (&x, &got) in xs.iter().zip(&ys) {
-                                assert!(
-                                    same(got, x.exp()),
-                                    "expf({x:e} = {:#010x}) = {got:e}, libm {:e}",
-                                    x.to_bits(),
-                                    x.exp()
-                                );
+                            for (w, x) in want.iter_mut().zip(&xs) {
+                                *w = x.exp();
+                            }
+                            for &tier in tiers {
+                                ys.copy_from_slice(&xs);
+                                on_tier(tier, || exp_inplace(&mut ys));
+                                for ((&x, &got), &w) in xs.iter().zip(&ys).zip(&want) {
+                                    assert!(
+                                        same(got, w),
+                                        "{} expf({x:e} = {:#010x}) = {got:e}, libm {w:e}",
+                                        tier.name(),
+                                        x.to_bits()
+                                    );
+                                }
                             }
                         }
                     });

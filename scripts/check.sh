@@ -30,15 +30,19 @@ cargo test -q --release -p gnn --test infer_parity --test grad_parity
 
 # The kernel and op oracles under that parity (the overwrite-store
 # GEMM against zero-fill + accumulate, the row ops against the tape on
-# NaN, ±∞ and ±0) in the same optimized build, where the vectorized
-# paths they pin actually run.
+# NaN, ±∞ and ±0, and on an AVX-512 host the AVX2+FMA and AVX-512
+# clones of every kernel with the AVX-512 tier against each other) in
+# the same optimized build, where the vectorized paths they pin
+# actually run.
 cargo test -q --release -p tensor --lib
 
 # Exact-expf gate: the vectorized glibc `expf` replica behind the packed
 # attention softmax must equal libm's `f32::exp`, which the tape runs,
-# on every one of the 2³² f32 bit patterns (NaN counted equal to NaN);
-# the parity gate above only sees the scores its nets produce. About
-# 20 s in release on two cores; the debug suite checks a strided sample.
+# on every one of the 2³² f32 bit patterns (NaN counted equal to NaN),
+# on every vector tier the host supports (AVX2+FMA, and AVX-512 where
+# present); the parity gate above only sees the scores its nets
+# produce. About 23 s for both tiers in release on two cores (libm's
+# side runs once per input); the debug suite checks a strided sample.
 cargo test -q --release -p tensor --lib expf_matches_libm_on_every_f32 -- --ignored
 
 # Release-mode moments gate: the sparse LDLᵀ moment solver must match a
@@ -50,6 +54,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Compute-layer smoke: kernels + 1-vs-N pool runs at a reduced step
 # count; writes a throwaway report and fails on any kernel/pool panic.
+# Its first line names the dispatched kernel tier, so the log says
+# which clones the gates above ran.
 cargo run -q -p bench --release --bin compute -- --steps 2 \
     --out target/BENCH_compute_smoke.json
 
