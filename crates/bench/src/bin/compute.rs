@@ -11,9 +11,11 @@
 //! benchmark (`bench --bin train`, `BENCH_train.json`), which measures
 //! tape vs packed training rather than pool scaling.
 //!
-//! The variants of each kernel row are timed in interleaved rounds,
-//! each measurement spanning at least 100 ms ([`bench::timing`]), and
-//! the report names the kernel tier (`tensor::kernels::tier`) that ran.
+//! The variants of each kernel row, and the dataset build's 1 and `N`
+//! threads, are timed in interleaved rounds, each measurement spanning
+//! at least 100 ms ([`bench::timing`]); every speedup is the median of
+//! per-round ratios. The report names the kernel tier
+//! (`tensor::kernels::tier`) that ran.
 //!
 //! ```text
 //! cargo run -p bench --release --bin compute [-- --steps N --threads T \
@@ -30,7 +32,6 @@ use bench::timing;
 use gnntrans::dataset::DatasetBuilder;
 use netgen::nets::{NetConfig, NetGenerator};
 use std::fmt::Write as _;
-use std::time::Instant;
 use tensor::{kernels, Mat};
 
 struct Args {
@@ -158,19 +159,12 @@ struct MatmulRow {
     speedup: f64,
 }
 
-/// 1-vs-N timing of one closure, with the pool reset in between.
+/// 1-vs-N timing of one closure.
 struct Scaling {
     serial_s: f64,
     parallel_s: f64,
-}
-
-fn time_at<F: FnMut()>(threads: usize, mut f: F) -> f64 {
-    par::set_threads(threads);
-    let t0 = Instant::now();
-    f();
-    let dt = t0.elapsed().as_secs_f64();
-    par::set_threads(1);
-    dt
+    /// Serial time over parallel time, the median of per-round ratios.
+    speedup: f64,
 }
 
 fn main() {
@@ -287,10 +281,12 @@ fn main() {
         })
         .collect();
 
-    // --- dataset build nets/sec, 1 vs N threads.
+    // --- dataset build nets/sec, 1 vs N threads, each variant setting
+    // the pool size before its timed build.
     let net_count = (4 * args.steps).max(6);
     eprintln!(
-        "compute: dataset build over {net_count} nets, 1 vs {} threads...",
+        "compute: dataset build over {net_count} nets, 1 vs {} threads \
+         ({rounds} interleaved rounds)...",
         args.threads
     );
     let net_cfg = NetConfig {
@@ -302,22 +298,32 @@ fn main() {
     let nets: Vec<_> = (0..net_count)
         .map(|i| g.net(format!("c{i}"), i % 3 == 0))
         .collect();
-    let build = |_: &mut ()| {
-        DatasetBuilder::new(1)
-            .with_sim_steps(600)
-            .build(&nets)
-            .expect("dataset build")
+    let build_at = |threads: usize| {
+        par::set_threads(threads);
+        timing::time(|| {
+            DatasetBuilder::new(1)
+                .with_sim_steps(600)
+                .build(&nets)
+                .expect("dataset build");
+        })
     };
-    let ds_serial = time_at(1, || {
-        build(&mut ());
-    });
-    let ds_parallel = time_at(args.threads, || {
-        build(&mut ());
-    });
+    let t = timing::interleaved(
+        rounds,
+        &mut [&mut || build_at(1), &mut || build_at(args.threads)],
+    );
+    par::set_threads(1);
     let dataset_scaling = Scaling {
-        serial_s: ds_serial,
-        parallel_s: ds_parallel,
+        serial_s: t.secs(0),
+        parallel_s: t.secs(1),
+        speedup: t.ratio(0, 1),
     };
+    eprintln!(
+        "compute: dataset build: {:.1} ms serial, {:.1} ms at {} threads ({:.2}x)",
+        dataset_scaling.serial_s * 1e3,
+        dataset_scaling.parallel_s * 1e3,
+        args.threads,
+        dataset_scaling.speedup,
+    );
 
     // --- report.
     let cores = host_cores();
@@ -371,7 +377,7 @@ fn main() {
         out.push_str(",\"parallel_s\":");
         obs::json::push_f64(out, s.parallel_s);
         out.push_str(",\"speedup\":");
-        obs::json::push_f64(out, s.serial_s / s.parallel_s.max(1e-12));
+        obs::json::push_f64(out, s.speedup);
         if let Some(units) = unit_per_s {
             out.push_str(",\"serial_nets_per_s\":");
             obs::json::push_f64(out, units / s.serial_s.max(1e-12));

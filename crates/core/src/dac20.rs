@@ -130,50 +130,19 @@ impl Dac20Estimator {
 }
 
 impl sta::WireTimer for Dac20Estimator {
-    fn path_timing(
+    /// One [`Dac20Estimator::predict_net`] under
+    /// [`NetContext::for_driver`].
+    fn time_net(
         &self,
         net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
-        let mut ctx = NetContext::generic(net);
-        ctx.input_slew = input_slew;
-        self.timing_from_ctx(net, path_idx, &ctx)
-    }
-
-    fn path_timing_with_driver(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
         input_slew: Seconds,
         driver: Option<&sta::cells::Cell>,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
-        let ctx = match driver {
-            Some(cell) => NetContext::for_driver(net, cell, input_slew),
-            None => {
-                let mut c = NetContext::generic(net);
-                c.input_slew = input_slew;
-                c
-            }
-        };
-        self.timing_from_ctx(net, path_idx, &ctx)
-    }
-}
-
-impl Dac20Estimator {
-    fn timing_from_ctx(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        ctx: &NetContext,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
+    ) -> Result<Vec<(Seconds, Seconds)>, sta::StaError> {
+        let ctx = NetContext::for_driver(net, driver, input_slew);
         let est = self
-            .predict_net(net, ctx)
+            .predict_net(net, &ctx)
             .map_err(|e| sta::StaError::Wire(e.to_string()))?;
-        let p = est
-            .get(path_idx)
-            .ok_or_else(|| sta::StaError::Wire(format!("path {path_idx} out of range")))?;
-        Ok((p.1, p.0))
+        Ok(est.into_iter().map(|(slew, delay)| (delay, slew)).collect())
     }
 }
 

@@ -13,7 +13,7 @@ use crate::CoreError;
 use elmore::WireAnalysis;
 use gnn::GraphBatch;
 use rcnet::{RcNet, Seconds};
-use rcsim::{GoldenTimer, SiMode, SolverKind};
+use rcsim::{GoldenTimer, SiMode};
 use sta::cells::CellLibrary;
 use tensor::init::InitRng;
 use tensor::Mat;
@@ -122,7 +122,6 @@ pub struct DatasetBuilder {
     lib: CellLibrary,
     vdd: f64,
     sim_steps: usize,
-    solver: SolverKind,
 }
 
 impl DatasetBuilder {
@@ -133,20 +132,12 @@ impl DatasetBuilder {
             lib: CellLibrary::builtin(),
             vdd: 0.8,
             sim_steps: 2500,
-            solver: SolverKind::default(),
         }
     }
 
     /// Overrides the golden-simulation step count (accuracy vs speed).
     pub fn with_sim_steps(mut self, steps: usize) -> Self {
         self.sim_steps = steps;
-        self
-    }
-
-    /// Selects the golden simulator's linear solver backend (sparse LDLᵀ
-    /// by default; dense LU is the slow test oracle).
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -225,9 +216,7 @@ impl DatasetBuilder {
                 aggressor_ramp: ctx.input_slew,
             }
         };
-        let timer = GoldenTimer::new(self.vdd, ctx.drive_res)
-            .with_steps(self.sim_steps)
-            .with_solver(self.solver);
+        let timer = GoldenTimer::new(self.vdd, ctx.drive_res).with_steps(self.sim_steps);
         let timing = {
             let _s = obs::span("golden");
             timer.time_net(net, ctx.input_slew, si)?

@@ -661,50 +661,19 @@ fn clamp_pred(mut m: Mat) -> Mat {
 }
 
 impl sta::WireTimer for WireTimingEstimator {
-    fn path_timing(
+    /// One [`WireTimingEstimator::predict_net`] under
+    /// [`NetContext::for_driver`].
+    fn time_net(
         &self,
         net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
-        let mut ctx = NetContext::generic(net);
-        ctx.input_slew = input_slew;
-        self.timing_from_ctx(net, path_idx, &ctx)
-    }
-
-    fn path_timing_with_driver(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
         input_slew: Seconds,
         driver: Option<&sta::cells::Cell>,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
-        let ctx = match driver {
-            Some(cell) => NetContext::for_driver(net, cell, input_slew),
-            None => {
-                let mut c = NetContext::generic(net);
-                c.input_slew = input_slew;
-                c
-            }
-        };
-        self.timing_from_ctx(net, path_idx, &ctx)
-    }
-}
-
-impl WireTimingEstimator {
-    fn timing_from_ctx(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        ctx: &NetContext,
-    ) -> Result<(Seconds, Seconds), sta::StaError> {
+    ) -> Result<Vec<(Seconds, Seconds)>, sta::StaError> {
+        let ctx = NetContext::for_driver(net, driver, input_slew);
         let est = self
-            .predict_net(net, ctx)
+            .predict_net(net, &ctx)
             .map_err(|e| sta::StaError::Wire(e.to_string()))?;
-        let p = est
-            .get(path_idx)
-            .ok_or_else(|| sta::StaError::Wire(format!("path {path_idx} out of range")))?;
-        Ok((p.delay, p.slew))
+        Ok(est.iter().map(|p| (p.delay, p.slew)).collect())
     }
 }
 
@@ -799,14 +768,31 @@ mod tests {
         let ds = b.build(&train_nets).unwrap();
         let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
         est.train(&ds).unwrap();
-        let (d, s) = est
-            .path_timing(&train_nets[0], 0, Seconds::from_ps(20.0))
+        let rows = est
+            .time_net(&train_nets[0], Seconds::from_ps(20.0), None)
             .unwrap();
-        assert!(d.value() >= 0.0);
-        assert!(s.value() >= 0.0);
-        assert!(est
-            .path_timing(&train_nets[0], 999, Seconds::from_ps(20.0))
-            .is_err());
+        assert_eq!(rows.len(), train_nets[0].paths().len());
+        assert!(rows
+            .iter()
+            .all(|(d, s)| d.value() >= 0.0 && s.value() >= 0.0));
+
+        // Per sink, propagation adds the driver arrival to `predict_net`
+        // under the context the seam builds, with and without a driver.
+        let mut nl = sta::netlist::Netlist::new();
+        let pi = nl.add_primary_input(train_nets[1].clone());
+        let buf = sta::CellLibrary::builtin().cell("BUF_X2").unwrap().clone();
+        nl.add_gate(buf, &[(pi, 0)], train_nets[2].clone()).unwrap();
+        let timing = nl.propagate(&est, Seconds::from_ps(20.0)).unwrap();
+        for (ni, nt) in nl.nets().iter().zip(&timing) {
+            let driver = ni.driver.map(|g| &nl.gates()[g.0].cell);
+            let ctx = NetContext::for_driver(&ni.rc, driver, nt.at_driver.1);
+            let pred = est.predict_net(&ni.rc, &ctx).unwrap();
+            let want: Vec<_> = pred
+                .iter()
+                .map(|p| (nt.at_driver.0 + p.delay, p.slew))
+                .collect();
+            assert_eq!(nt.at_sinks, want);
+        }
     }
 
     #[test]

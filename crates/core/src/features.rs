@@ -80,17 +80,19 @@ pub struct NetContext {
 }
 
 impl NetContext {
-    /// A context derived from a known driving cell (arrival-time flows
-    /// know the driver; see `sta::WireTimer::path_timing_with_driver`),
-    /// with default loads.
-    pub fn for_driver(net: &RcNet, cell: &sta::cells::Cell, input_slew: Seconds) -> Self {
-        NetContext {
-            input_slew,
-            drive_strength: cell.drive(),
-            drive_func: cell.func().encode(),
-            drive_res: cell.drive_res(),
-            loads: vec![LoadInfo::default(); net.sinks().len()],
+    /// The context arrival-time flows time a net under (see
+    /// [`sta::WireTimer::time_net`]): the driving cell when there is one,
+    /// else [`NetContext::generic`]'s driver, with `input_slew` and
+    /// default loads.
+    pub fn for_driver(net: &RcNet, driver: Option<&sta::cells::Cell>, input_slew: Seconds) -> Self {
+        let mut ctx = NetContext::generic(net);
+        ctx.input_slew = input_slew;
+        if let Some(cell) = driver {
+            ctx.drive_strength = cell.drive();
+            ctx.drive_func = cell.func().encode();
+            ctx.drive_res = cell.drive_res();
         }
+        ctx
     }
 
     /// A generic context: 20 ps input slew, X2 buffer-class driver,

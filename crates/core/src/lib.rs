@@ -11,13 +11,13 @@
 //! * [`dataset`] — labelled sample building: assign driver/load cells,
 //!   run the golden timer, pack [`gnn::GraphBatch`]es;
 //! * [`estimator`] — [`WireTimingEstimator`]: train / predict / save /
-//!   load, plans A/B/C, and an [`sta::WireTimer`] implementation so the
-//!   estimator drops into arrival-time computation;
+//!   load, plans A/B/C, the one SPEF → timing pipeline
+//!   ([`WireTimingEstimator::predict_spef`]), and an [`sta::WireTimer`]
+//!   implementation so the estimator drops into arrival-time computation;
 //! * [`dac20`] — the DAC'20 baseline \[5\]: loop-breaking manual features
-//!   plus gradient-boosted trees;
-//! * [`timers`] — golden and Elmore [`sta::WireTimer`] adapters;
-//! * [`metrics`] — R² / max-error evaluation over whole designs;
-//! * [`flow`] — one-call SPEF → reduce → estimate → report pipeline.
+//!   plus gradient-boosted trees, also an [`sta::WireTimer`];
+//! * [`timers`] — the golden simulator as an [`sta::WireTimer`];
+//! * [`metrics`] — R² / max-error evaluation over whole designs.
 //!
 //! # Examples
 //!
@@ -45,7 +45,6 @@ pub mod dac20;
 pub mod dataset;
 pub mod estimator;
 pub mod features;
-pub mod flow;
 pub mod metrics;
 pub mod scaler;
 pub mod timers;

@@ -1,134 +1,50 @@
-//! [`sta::WireTimer`] adapters for the golden simulator and the
-//! analytical Elmore engine.
-//!
-//! Both cache per-net results (keyed by net name and input slew) because
-//! arrival propagation queries one path at a time while the engines
-//! naturally produce all paths of a net at once.
+//! The golden simulator as an [`sta::WireTimer`]: the "sign-off"
+//! reference that arrival-time comparisons hold the estimators against.
 
-use elmore::WireAnalysis;
 use rcnet::{RcNet, Seconds};
-use rcsim::{GoldenTimer, PathTiming, SiMode};
+use rcsim::{GoldenTimer, SiMode};
+use sta::cells::Cell;
 use sta::{StaError, WireTimer};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
-/// Wire timer backed by the golden transient simulator (the "sign-off"
-/// reference in arrival-time comparisons).
+/// Wire timer backed by the golden transient simulator.
 #[derive(Debug)]
 pub struct GoldenWireTimer {
     timer: GoldenTimer,
     si: bool,
-    cache: RefCell<HashMap<(String, u64), Vec<PathTiming>>>,
 }
 
 impl GoldenWireTimer {
     /// Creates the adapter; `si` enables worst-case aggressors on coupled
     /// nets.
     pub fn new(timer: GoldenTimer, si: bool) -> Self {
-        GoldenWireTimer {
-            timer,
-            si,
-            cache: RefCell::new(HashMap::new()),
-        }
+        GoldenWireTimer { timer, si }
     }
+}
 
-    fn si_mode(&self, net: &RcNet, input_slew: Seconds) -> SiMode {
-        if self.si && !net.couplings().is_empty() {
+impl WireTimer for GoldenWireTimer {
+    /// Simulates `net` driven through the driver's resistance, or the
+    /// timer's own one when `driver` is `None`.
+    fn time_net(
+        &self,
+        net: &RcNet,
+        input_slew: Seconds,
+        driver: Option<&Cell>,
+    ) -> Result<Vec<(Seconds, Seconds)>, StaError> {
+        let timer = match driver {
+            Some(cell) => self.timer.clone().with_drive(cell.drive_res()),
+            None => self.timer.clone(),
+        };
+        let si = if self.si && !net.couplings().is_empty() {
             SiMode::WorstCase {
                 aggressor_ramp: input_slew,
             }
         } else {
             SiMode::Off
-        }
-    }
-}
-
-impl WireTimer for GoldenWireTimer {
-    fn path_timing(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        self.timing_with(net, path_idx, input_slew, self.timer.clone())
-    }
-
-    fn path_timing_with_driver(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-        driver: Option<&sta::cells::Cell>,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        let timer = match driver {
-            Some(cell) => self.timer.clone().with_drive(cell.drive_res()),
-            None => self.timer.clone(),
         };
-        self.timing_with(net, path_idx, input_slew, timer)
-    }
-}
-
-impl GoldenWireTimer {
-    fn timing_with(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-        timer: rcsim::GoldenTimer,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        let key = (
-            format!("{}@{}", net.name(), timer.r_drive().value()),
-            input_slew.value().to_bits(),
-        );
-        if !self.cache.borrow().contains_key(&key) {
-            let timing = timer
-                .time_net(net, input_slew, self.si_mode(net, input_slew))
-                .map_err(|e| StaError::Wire(e.to_string()))?;
-            self.cache.borrow_mut().insert(key.clone(), timing);
-        }
-        let cache = self.cache.borrow();
-        let timing = cache.get(&key).expect("inserted above");
-        let p = timing
-            .get(path_idx)
-            .ok_or_else(|| StaError::Wire(format!("path {path_idx} out of range")))?;
-        Ok((p.delay, p.slew))
-    }
-}
-
-/// Wire timer backed by closed-form moment metrics: D2M for delay, PERI
-/// slew for slew. The zero-training-cost analytical baseline.
-#[derive(Debug, Default)]
-pub struct ElmoreWireTimer {
-    cache: RefCell<HashMap<String, WireAnalysis>>,
-}
-
-impl ElmoreWireTimer {
-    /// Creates the adapter.
-    pub fn new() -> Self {
-        ElmoreWireTimer::default()
-    }
-}
-
-impl WireTimer for ElmoreWireTimer {
-    fn path_timing(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        if !self.cache.borrow().contains_key(net.name()) {
-            let wa = WireAnalysis::new(net).map_err(|e| StaError::Wire(e.to_string()))?;
-            self.cache
-                .borrow_mut()
-                .insert(net.name().to_string(), wa);
-        }
-        let cache = self.cache.borrow();
-        let wa = cache.get(net.name()).expect("inserted above");
-        let path = net
-            .paths()
-            .get(path_idx)
-            .ok_or_else(|| StaError::Wire(format!("path {path_idx} out of range")))?;
-        Ok((wa.path_d2m(path), wa.path_slew(path, input_slew)))
+        let timing = timer
+            .time_net(net, input_slew, si)
+            .map_err(|e| StaError::Wire(e.to_string()))?;
+        Ok(timing.iter().map(|p| (p.delay, p.slew)).collect())
     }
 }
 
@@ -137,46 +53,46 @@ mod tests {
     use super::*;
     use rcnet::{Farads, Ohms, RcNetBuilder};
 
-    fn net() -> RcNet {
+    fn net(r: f64) -> RcNet {
         let mut b = RcNetBuilder::new("t");
         let s = b.source("s", Farads::from_ff(1.0));
         let k = b.sink("k", Farads::from_ff(10.0));
-        b.resistor(s, k, Ohms(500.0));
+        b.resistor(s, k, Ohms(r));
         b.build().unwrap()
     }
 
     #[test]
     fn golden_timer_adapter_returns_positive_timing() {
         let t = GoldenWireTimer::new(GoldenTimer::default(), true);
-        let (d, s) = t.path_timing(&net(), 0, Seconds::from_ps(20.0)).unwrap();
+        let rows = t
+            .time_net(&net(500.0), Seconds::from_ps(20.0), None)
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        let (d, s) = rows[0];
         assert!(d.value() > 0.0);
         assert!(s.value() > 0.0);
-        // Second query hits the cache and agrees.
-        let (d2, s2) = t.path_timing(&net(), 0, Seconds::from_ps(20.0)).unwrap();
-        assert_eq!((d, s), (d2, s2));
-    }
-
-    #[test]
-    fn elmore_adapter_tracks_golden_roughly() {
-        let n = net();
-        let golden = GoldenWireTimer::new(GoldenTimer::default(), false);
-        let elm = ElmoreWireTimer::new();
-        let slew = Seconds::from_ps(20.0);
-        let (dg, _) = golden.path_timing(&n, 0, slew).unwrap();
-        let (de, _) = elm.path_timing(&n, 0, slew).unwrap();
-        let ratio = de.value() / dg.value();
-        assert!(
-            (0.2..5.0).contains(&ratio),
-            "Elmore-based delay {de} vs golden {dg}"
+        // A second query simulates again and agrees.
+        assert_eq!(
+            t.time_net(&net(500.0), Seconds::from_ps(20.0), None)
+                .unwrap(),
+            rows
         );
     }
 
     #[test]
-    fn out_of_range_paths_rejected() {
-        let n = net();
-        let golden = GoldenWireTimer::new(GoldenTimer::default(), false);
-        assert!(golden.path_timing(&n, 3, Seconds::from_ps(10.0)).is_err());
-        let elm = ElmoreWireTimer::new();
-        assert!(elm.path_timing(&n, 3, Seconds::from_ps(10.0)).is_err());
+    fn nets_sharing_a_name_are_timed_apart() {
+        let golden = GoldenTimer::default();
+        let t = GoldenWireTimer::new(golden.clone(), false);
+        let slew = Seconds::from_ps(20.0);
+        let (short, long) = (net(100.0), net(2000.0));
+        assert_eq!(short.name(), long.name());
+        let rows = |n: &RcNet| t.time_net(n, slew, None).unwrap();
+        let direct = |n: &RcNet| {
+            let timing = golden.time_net(n, slew, SiMode::Off).unwrap();
+            timing.iter().map(|p| (p.delay, p.slew)).collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&short), direct(&short));
+        assert_eq!(rows(&long), direct(&long));
+        assert!(rows(&long)[0].0 > rows(&short)[0].0);
     }
 }

@@ -268,14 +268,8 @@ impl DesignSession {
     /// The driver/load context net `i` is currently timed under.
     fn ctx_for(&self, i: usize, slew: Seconds) -> NetContext {
         let ni = &self.netlist.nets()[i];
-        let mut ctx = match ni.driver {
-            Some(g) => NetContext::for_driver(&ni.rc, &self.netlist.gates()[g.0].cell, slew),
-            None => {
-                let mut c = NetContext::generic(&ni.rc);
-                c.input_slew = slew;
-                c
-            }
-        };
+        let driver = ni.driver.map(|g| &self.netlist.gates()[g.0].cell);
+        let mut ctx = NetContext::for_driver(&ni.rc, driver, slew);
         for (pos, fo) in ni.fanout.iter().enumerate() {
             if let Some(g) = fo {
                 let cell = &self.netlist.gates()[g.0].cell;

@@ -9,9 +9,9 @@
 //!   capacitance) with bilinear interpolation and clamped extrapolation;
 //! * [`cells`] — a built-in parametric cell library (inverters, buffers,
 //!   NAND/NOR, DFF end-points) with per-drive-strength tables;
-//! * [`wire`] — the [`wire::WireTimer`] abstraction that plugs any wire
-//!   timing engine (golden simulator, GNNTrans estimator, Elmore…) into
-//!   arrival-time computation;
+//! * [`wire`] — the per-net [`wire::WireTimer`] abstraction that plugs
+//!   any wire timing engine (golden simulator, GNNTrans estimator,
+//!   DAC'20…) into arrival-time computation;
 //! * [`path`] — multi-stage timing paths (gate → wire → gate → …) and the
 //!   arrival-time engine with a per-stage breakdown;
 //! * [`netlist`] — a combinational gate netlist with topological

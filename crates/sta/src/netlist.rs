@@ -4,7 +4,8 @@
 //! align position-wise with the net's fanout pins. Arrival propagation
 //! walks a Kahn topological order: a gate's output arrival is the max over
 //! its input pins of `input arrival + NLDM gate delay`, and each fanout
-//! pin adds its wire-path delay from the pluggable [`WireTimer`].
+//! pin adds its wire-path delay from the pluggable [`WireTimer`], which
+//! times each net once.
 
 use crate::cells::Cell;
 use crate::wire::WireTimer;
@@ -177,12 +178,15 @@ impl Netlist {
     }
 
     /// Propagates arrival times from all primary inputs (arrival 0 with
-    /// the given slew) to every net, using `timer` for wires.
+    /// the given slew) to every net, using `timer` for wires: one
+    /// [`WireTimer::time_net`] call per net.
     ///
     /// # Errors
     ///
-    /// Propagates wire-timer failures and cycle detection.
-    pub fn propagate<T: WireTimer>(
+    /// Propagates wire-timer failures and cycle detection, and returns
+    /// [`StaError::Wire`] when the timer's row count differs from a
+    /// net's sink count.
+    pub fn propagate<T: WireTimer + ?Sized>(
         &self,
         timer: &T,
         input_slew: Seconds,
@@ -190,21 +194,27 @@ impl Netlist {
         let order = self.topo_order()?;
         let mut timing: Vec<Option<NetTiming>> = vec![None; self.nets.len()];
 
-        let compute_net = |net: &NetInst,
-                           at_driver: (Seconds, Seconds)|
-         -> Result<NetTiming, StaError> {
-            let driver_cell = net.driver.map(|g| &self.gates[g.0].cell);
-            let mut at_sinks = Vec::with_capacity(net.rc.sinks().len());
-            for (i, _) in net.rc.sinks().iter().enumerate() {
-                let (d, s) =
-                    timer.path_timing_with_driver(&net.rc, i, at_driver.1, driver_cell)?;
-                at_sinks.push((at_driver.0 + d, s));
-            }
-            Ok(NetTiming {
-                at_driver,
-                at_sinks,
-            })
-        };
+        let compute_net =
+            |net: &NetInst, at_driver: (Seconds, Seconds)| -> Result<NetTiming, StaError> {
+                let driver_cell = net.driver.map(|g| &self.gates[g.0].cell);
+                let rows = timer.time_net(&net.rc, at_driver.1, driver_cell)?;
+                if rows.len() != net.rc.sinks().len() {
+                    return Err(StaError::Wire(format!(
+                        "net `{}`: {} timing rows for {} sinks",
+                        net.rc.name(),
+                        rows.len(),
+                        net.rc.sinks().len()
+                    )));
+                }
+                let at_sinks = rows
+                    .into_iter()
+                    .map(|(d, s)| (at_driver.0 + d, s))
+                    .collect();
+                Ok(NetTiming {
+                    at_driver,
+                    at_sinks,
+                })
+            };
 
         for &pi in &self.primary_inputs {
             timing[pi.0] = Some(compute_net(&self.nets[pi.0], (Seconds(0.0), input_slew))?);

@@ -91,14 +91,16 @@ impl TimingPath {
     }
 
     /// Computes the arrival time at the path end-point starting from the
-    /// given input slew, using `timer` for every wire.
+    /// given input slew, using `timer` for every wire: one
+    /// [`WireTimer::time_net`] call per stage, read at its `sink_path`.
     ///
     /// # Errors
     ///
-    /// Propagates [`StaError::Wire`] from the wire timer and returns
+    /// Propagates [`StaError::Wire`] from the wire timer, returns it too
+    /// when the timer yields no row for `sink_path`, and returns
     /// [`StaError::BadNetlist`] when a stage's `sink_path` is out of
     /// range.
-    pub fn arrival<T: WireTimer>(
+    pub fn arrival<T: WireTimer + ?Sized>(
         &self,
         timer: &T,
         input_slew: Seconds,
@@ -117,12 +119,14 @@ impl TimingPath {
                 )));
             }
             let (gate_delay, drv_slew) = stage.cell.arc().eval(slew, stage.load());
-            let (wire_delay, sink_slew) = timer.path_timing_with_driver(
-                &stage.net,
-                stage.sink_path,
-                drv_slew,
-                Some(&stage.cell),
-            )?;
+            let rows = timer.time_net(&stage.net, drv_slew, Some(&stage.cell))?;
+            let &(wire_delay, sink_slew) = rows.get(stage.sink_path).ok_or_else(|| {
+                StaError::Wire(format!(
+                    "stage {i}: {} timing rows, no sink path {}",
+                    rows.len(),
+                    stage.sink_path
+                ))
+            })?;
             arrival += gate_delay + wire_delay;
             gate_total += gate_delay;
             wire_total += wire_delay;

@@ -2,44 +2,35 @@
 //!
 //! The whole point of the paper is swapping the slow sign-off wire timer
 //! for a learned one *without touching the rest of the STA flow*; this
-//! trait is that seam. The golden simulator, the GNNTrans estimator and
-//! the analytical Elmore engine all implement it (in the crates that own
-//! them), and [`crate::path`] / [`crate::netlist`] are generic over it.
+//! trait is that seam. It is per net because every engine behind it —
+//! the golden simulator, the GNNTrans estimator, the DAC'20 baseline —
+//! times all wire paths of a net in one call. They implement it in the
+//! crates that own them, and [`crate::path`] / [`crate::netlist`] are
+//! generic over it.
 
 use crate::cells::Cell;
 use crate::StaError;
 use rcnet::{RcNet, Seconds};
 
-/// Produces the delay and sink slew of one wire path of a net, given the
-/// slew at the net's driver pin.
+/// Produces the delay and sink slew of every wire path of a net, given
+/// the slew at the net's driver pin and, when there is one, the cell
+/// that drives it.
 pub trait WireTimer {
-    /// Returns `(wire delay, sink slew)` for `net.paths()[path_idx]`.
+    /// Returns `(wire delay, sink slew)` for each of `net.paths()`, in
+    /// that order. `driver` is `None` for a primary input; engines that
+    /// model the driver (simulators, learned estimators) then fall back
+    /// to a generic one.
     ///
     /// # Errors
     ///
     /// Returns [`StaError::Wire`] when the engine fails on this net (e.g.
     /// a simulation that does not settle).
-    fn path_timing(
+    fn time_net(
         &self,
         net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), StaError>;
-
-    /// Like [`WireTimer::path_timing`] with the driving cell known — the
-    /// arrival engine always knows who drives a net, and engines that
-    /// model the driver (simulators, learned estimators) produce better
-    /// numbers with it. The default ignores the hint.
-    fn path_timing_with_driver(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
         input_slew: Seconds,
         driver: Option<&Cell>,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        let _ = driver;
-        self.path_timing(net, path_idx, input_slew)
-    }
+    ) -> Result<Vec<(Seconds, Seconds)>, StaError>;
 }
 
 /// The ideal-wire timer: zero delay, slew passes through unchanged.
@@ -48,34 +39,13 @@ pub trait WireTimer {
 pub struct IdealWire;
 
 impl WireTimer for IdealWire {
-    fn path_timing(
-        &self,
-        _net: &RcNet,
-        _path_idx: usize,
-        input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        Ok((Seconds(0.0), input_slew))
-    }
-}
-
-impl<T: WireTimer + ?Sized> WireTimer for &T {
-    fn path_timing(
+    fn time_net(
         &self,
         net: &RcNet,
-        path_idx: usize,
         input_slew: Seconds,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        (**self).path_timing(net, path_idx, input_slew)
-    }
-
-    fn path_timing_with_driver(
-        &self,
-        net: &RcNet,
-        path_idx: usize,
-        input_slew: Seconds,
-        driver: Option<&Cell>,
-    ) -> Result<(Seconds, Seconds), StaError> {
-        (**self).path_timing_with_driver(net, path_idx, input_slew, driver)
+        _driver: Option<&Cell>,
+    ) -> Result<Vec<(Seconds, Seconds)>, StaError> {
+        Ok(vec![(Seconds(0.0), input_slew); net.paths().len()])
     }
 }
 
@@ -91,14 +61,17 @@ mod tests {
         let k = b.sink("k", Farads(1e-15));
         b.resistor(s, k, Ohms(1.0));
         let net = b.build().unwrap();
-        let (d, s) = IdealWire
-            .path_timing(&net, 0, Seconds::from_ps(12.0))
+        let rows = IdealWire
+            .time_net(&net, Seconds::from_ps(12.0), None)
             .unwrap();
-        assert_eq!(d, Seconds(0.0));
-        assert_eq!(s, Seconds::from_ps(12.0));
-        // Trait-object and reference forwarding compile and agree.
+        assert_eq!(rows, [(Seconds(0.0), Seconds::from_ps(12.0))]);
+        // A trait object answers the same.
         let dyn_timer: &dyn WireTimer = &IdealWire;
-        let (d2, _) = dyn_timer.path_timing(&net, 0, Seconds::from_ps(12.0)).unwrap();
-        assert_eq!(d, d2);
+        assert_eq!(
+            dyn_timer
+                .time_net(&net, Seconds::from_ps(12.0), None)
+                .unwrap(),
+            rows
+        );
     }
 }

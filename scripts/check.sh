@@ -78,6 +78,12 @@ cargo test -q -p rcsim --release --test sparse_vs_dense
 cargo run -q -p bench --release --bin rcsim -- --smoke \
     --out target/BENCH_rcsim_smoke.json
 
+# Wire-seam smoke: TABLE V at quick scale drives the golden simulator,
+# DAC'20 and the three GNNTrans plans through `TimingPath::arrival`,
+# one `WireTimer::time_net` call per stage, and fails on any wire-timer
+# error. About 12 s on two cores.
+./target/release/table5_arrival --quick
+
 # Loopback smoke test of the inference server: ephemeral port, one SPEF
 # predict (200 + finite slew/delay), /healthz + /metrics, the tracing
 # round-trip (predict's x-trace-id findable in /v1/traces with all six

@@ -116,11 +116,17 @@ fn wire_timer_trait_objects_are_interchangeable() {
         ("estimator", &est),
         ("ideal", &sta::wire::IdealWire),
     ];
+    let driver = CellLibrary::builtin().cell("BUF_X2").expect("builtin").clone();
     for (name, timer) in timers {
-        let (d, s) = timer
-            .path_timing(&train[2], 0, Seconds::from_ps(15.0))
-            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-        assert!(d.value() >= 0.0, "{name} delay");
-        assert!(s.value() >= 0.0, "{name} slew");
+        for drv in [None, Some(&driver)] {
+            let rows = timer
+                .time_net(&train[2], Seconds::from_ps(15.0), drv)
+                .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+            assert_eq!(rows.len(), train[2].paths().len(), "{name} rows");
+            for (d, s) in rows {
+                assert!(d.value() >= 0.0, "{name} delay");
+                assert!(s.value() >= 0.0, "{name} slew");
+            }
+        }
     }
 }

@@ -22,7 +22,8 @@ fn random_nets(count: usize, seed: u64) -> Vec<RcNet> {
 fn golden_delay_bracketed_by_moment_metrics() {
     // For every random net and sink: D2M is a reasonable lower-side
     // estimate and raw Elmore an upper bound of the 50% delay; the golden
-    // number must land within a generous bracket of the Elmore bound.
+    // number must land within a generous bracket of the Elmore bound,
+    // and D2M within 0.2–5x of the golden number.
     let timer = GoldenTimer::new(0.8, Ohms(140.0));
     for net in random_nets(12, 3) {
         let wa = WireAnalysis::new(&net).expect("analysis");
@@ -38,6 +39,15 @@ fn golden_delay_bracketed_by_moment_metrics() {
                 t.sink,
                 t.delay.value(),
                 elmore
+            );
+            let ratio = wa.path_d2m(path).value() / t.delay.value();
+            assert!(
+                (0.2..5.0).contains(&ratio),
+                "net {} sink {}: D2M {} vs golden {}",
+                net.name(),
+                t.sink,
+                wa.path_d2m(path).value(),
+                t.delay.value()
             );
         }
     }
