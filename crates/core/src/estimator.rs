@@ -742,6 +742,43 @@ mod tests {
     }
 
     #[test]
+    fn times_a_ladder_behind_a_picohm_segment() {
+        // A valid net whose resistances span fifteen decades: a 1 pΩ
+        // segment at the driver feeding ten 1 kΩ segments, 12 nodes. The
+        // features read tree recurrences only, so nothing on the predict
+        // path factors a conductance matrix that such a net makes
+        // numerically singular.
+        use rcnet::{Farads, Ohms, RcNetBuilder};
+        let train_nets = nets(8, 4);
+        let ds = DatasetBuilder::new(1).build(&train_nets).unwrap();
+        let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
+        est.train(&ds).unwrap();
+
+        let mut b = RcNetBuilder::new("picohm");
+        let mut prev = b.source("drv:Z", Farads::from_ff(1.0));
+        let first = b.internal("picohm:0", Farads::from_ff(1.0));
+        b.resistor(prev, first, Ohms(1e-12));
+        prev = first;
+        for i in 1..=10 {
+            let node = if i == 10 {
+                b.sink("load:A", Farads::from_ff(2.0))
+            } else {
+                b.internal(format!("picohm:{i}"), Farads::from_ff(1.0))
+            };
+            b.resistor(prev, node, Ohms(1e3));
+            prev = node;
+        }
+        let net = b.build().unwrap();
+        assert_eq!(net.node_count(), 12);
+
+        let pred = est.predict_net(&net, &NetContext::generic(&net)).unwrap();
+        assert_eq!(pred.len(), net.paths().len());
+        for p in &pred {
+            assert!(p.slew.value().is_finite() && p.delay.value().is_finite());
+        }
+    }
+
+    #[test]
     fn save_load_round_trip_preserves_predictions() {
         let train_nets = nets(8, 5);
         let mut b = DatasetBuilder::new(1);

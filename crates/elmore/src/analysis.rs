@@ -1,6 +1,6 @@
 //! One-stop per-net analytical bundle.
 
-use crate::{metrics, moments::Moments, tree, ElmoreError};
+use crate::{metrics, tree, ElmoreError};
 use rcnet::topology::{orient, orient_dfs, Orientation};
 use rcnet::{Farads, NodeId, RcNet, Seconds, WirePath};
 
@@ -19,8 +19,15 @@ pub enum LoopBreaking {
 }
 
 /// Everything the feature extractor and the DAC'20 baseline need, computed
-/// once per net: the tree orientation, downstream capacitances, stage
-/// delays, and exact moments.
+/// once per net over a source-rooted spanning tree: the tree orientation,
+/// downstream capacitances, stage delays, and the tree Elmore delay and
+/// second moment behind the path features.
+///
+/// These are the loop-broken quantities the TABLE I features prescribe
+/// ("calculated through the Elmore delay calculation"): exact on trees,
+/// blind to loop chords on non-tree nets. The exact moments of any
+/// topology, the reference the tests hold these to, are in
+/// [`crate::moments`].
 ///
 /// # Examples
 ///
@@ -38,8 +45,8 @@ pub enum LoopBreaking {
 /// let net = b.build()?;
 /// let wa = WireAnalysis::new(&net)?;
 /// let p = &net.paths()[0];
-/// assert!(wa.path_elmore(p) > rcnet::Seconds(0.0));
-/// assert!(wa.path_d2m(p) <= wa.path_elmore(p));
+/// assert!(wa.tree_path_elmore(p) > rcnet::Seconds(0.0));
+/// assert!(wa.tree_path_d2m(p) <= wa.tree_path_elmore(p));
 /// # Ok(())
 /// # }
 /// ```
@@ -48,7 +55,6 @@ pub struct WireAnalysis {
     orientation: Orientation,
     downstream: Vec<Farads>,
     stages: Vec<Seconds>,
-    moments: Moments,
     tree_elmore: Vec<Seconds>,
     tree_m2: Vec<f64>,
 }
@@ -58,7 +64,9 @@ impl WireAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates [`ElmoreError::Numeric`] from the moment solver.
+    /// None on a net [`rcnet::RcNetBuilder`] accepts: the tree
+    /// recurrences are total. Callers propagate the `Result` like any
+    /// other per-net stage.
     pub fn new(net: &RcNet) -> Result<Self, ElmoreError> {
         Self::with_policy(net, LoopBreaking::ShortestPath)
     }
@@ -67,7 +75,7 @@ impl WireAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates [`ElmoreError::Numeric`] from the moment solver.
+    /// None, as for [`WireAnalysis::new`].
     pub fn with_policy(net: &RcNet, policy: LoopBreaking) -> Result<Self, ElmoreError> {
         let orientation = match policy {
             LoopBreaking::ShortestPath => orient(net),
@@ -75,45 +83,18 @@ impl WireAnalysis {
         };
         let downstream = tree::downstream_caps(net, &orientation);
         let stages = tree::stage_delays(net, &orientation, &downstream);
-        let moments = Moments::with_tree(net, &orientation)?;
         let tree_elmore = tree::tree_elmore(net, &orientation, &stages);
-
-        // Tree second moment: m2(i) = sum_k R_shared(i,k) * C_k * m1(k),
-        // computed like the Elmore pass but with capacitances weighted by
-        // their own first moment. Exact on trees (single pole: m2 = tau²),
-        // loop-broken approximation on non-tree nets — the fidelity level
-        // the TABLE I features prescribe.
-        let n = net.node_count();
-        let mut weighted: Vec<f64> = (0..n)
-            .map(|i| net.nodes()[i].cap.value() * tree_elmore[i].value())
-            .collect();
-        for c in net.couplings() {
-            weighted[c.node.index()] += c.cap.value() * tree_elmore[c.node.index()].value();
-        }
-        for &node in orientation.order.iter().rev() {
-            if let Some((parent, _)) = orientation.parent[node.index()] {
-                let w = weighted[node.index()];
-                weighted[parent.index()] += w;
-            }
-        }
-        let mut tree_m2 = vec![0.0f64; n];
-        for &node in &orientation.order {
-            if let Some((parent, e)) = orientation.parent[node.index()] {
-                tree_m2[node.index()] =
-                    tree_m2[parent.index()] + net.edge(e).res.value() * weighted[node.index()];
-            }
-        }
+        let tree_m2 = tree::tree_m2(net, &orientation, &tree_elmore);
         Ok(WireAnalysis {
             orientation,
             downstream,
             stages,
-            moments,
             tree_elmore,
             tree_m2,
         })
     }
 
-    /// The source-rooted (shortest-path) tree orientation used internally.
+    /// The source-rooted spanning-tree orientation used internally.
     pub fn orientation(&self) -> &Orientation {
         &self.orientation
     }
@@ -128,62 +109,16 @@ impl WireAnalysis {
         self.stages[node.index()]
     }
 
-    /// Exact (MNA first-moment) Elmore delay of a node; handles loops.
-    pub fn elmore_delay(&self, node: NodeId) -> Seconds {
-        self.moments.elmore_delay(node)
-    }
-
-    /// The raw moments.
-    pub fn moments(&self) -> &Moments {
-        &self.moments
-    }
-
-    /// Wire-path Elmore delay: the Elmore delay of the path's sink
-    /// (TABLE I path feature).
-    pub fn path_elmore(&self, path: &WirePath) -> Seconds {
-        self.elmore_delay(path.sink)
-    }
-
-    /// Wire-path D2M delay (TABLE I path feature).
-    pub fn path_d2m(&self, path: &WirePath) -> Seconds {
-        let i = path.sink.index();
-        metrics::d2m(self.moments.m1[i], self.moments.m2[i])
-    }
-
-    /// Moment-matched step slew at the path's sink.
-    pub fn path_step_slew(&self, path: &WirePath) -> Seconds {
-        let i = path.sink.index();
-        metrics::step_slew(self.moments.m1[i], self.moments.m2[i])
-    }
-
-    /// Output slew estimate at the sink given the driver's input slew
-    /// (PERI combination of driver slew and wire step slew).
-    pub fn path_slew(&self, path: &WirePath, input_slew: Seconds) -> Seconds {
-        metrics::peri_slew(input_slew, self.path_step_slew(path))
-    }
-
-    /// Loop-broken (tree-recurrence) Elmore delay of a node — the
-    /// fidelity the TABLE I features prescribe ("calculated through the
-    /// Elmore delay calculation"); exact on trees, blind to loop chords.
-    pub fn tree_elmore_delay(&self, node: NodeId) -> Seconds {
-        self.tree_elmore[node.index()]
-    }
-
-    /// Loop-broken wire-path Elmore delay (TABLE I path feature).
+    /// Loop-broken wire-path Elmore delay: the tree Elmore delay of the
+    /// path's sink (TABLE I path feature).
     pub fn tree_path_elmore(&self, path: &WirePath) -> Seconds {
-        self.tree_elmore_delay(path.sink)
+        self.tree_elmore[path.sink.index()]
     }
 
     /// Loop-broken wire-path D2M delay (TABLE I path feature).
     pub fn tree_path_d2m(&self, path: &WirePath) -> Seconds {
         let i = path.sink.index();
         metrics::d2m(-self.tree_elmore[i].value(), self.tree_m2[i])
-    }
-
-    /// Loop-broken moment-matched step slew at the path's sink.
-    pub fn tree_path_step_slew(&self, path: &WirePath) -> Seconds {
-        let i = path.sink.index();
-        metrics::step_slew(-self.tree_elmore[i].value(), self.tree_m2[i])
     }
 }
 
@@ -214,9 +149,8 @@ mod tests {
         let n = 6;
         let net = ladder(n, 10.0, 1e-15);
         let wa = WireAnalysis::new(&net).unwrap();
-        let k = net.node_by_name("k").unwrap();
         let expected = 10.0 * 1e-15 * (n * (n + 1) / 2) as f64;
-        assert!((wa.elmore_delay(k).value() - expected).abs() < 1e-24);
+        assert!((wa.tree_path_elmore(&net.paths()[0]).value() - expected).abs() < 1e-24);
     }
 
     #[test]
@@ -224,30 +158,10 @@ mod tests {
         let net = ladder(5, 20.0, 2e-15);
         let wa = WireAnalysis::new(&net).unwrap();
         let p = &net.paths()[0];
-        assert!(wa.path_d2m(p).value() > 0.0);
-        // D2M never exceeds the mean-based bound ln2*(-m1) ... both scaled by
-        // ln2, so compare directly against elmore via the metric ordering.
-        assert!(wa.path_d2m(p).value() <= wa.path_elmore(p).value());
-        assert!(wa.path_step_slew(p).value() > 0.0);
-        let with_input = wa.path_slew(p, Seconds(10e-12));
-        assert!(with_input >= wa.path_step_slew(p));
-        assert!(with_input >= Seconds(10e-12));
-    }
-
-    #[test]
-    fn tree_metrics_match_exact_on_trees() {
-        let net = ladder(5, 20.0, 2e-15);
-        let wa = WireAnalysis::new(&net).unwrap();
-        let p = &net.paths()[0];
-        // On a tree the loop-broken metrics equal the exact ones.
-        assert!(
-            (wa.tree_path_elmore(p).value() - wa.path_elmore(p).value()).abs()
-                < 1e-12 * wa.path_elmore(p).value().abs() + 1e-27
-        );
-        assert!(
-            (wa.tree_path_d2m(p).value() - wa.path_d2m(p).value()).abs()
-                < 1e-9 * wa.path_d2m(p).value().abs() + 1e-24
-        );
+        assert!(wa.tree_path_d2m(p).value() > 0.0);
+        // A multi-pole ladder has m2 > m1², so D2M stays below ln2 times
+        // the Elmore delay, hence below the Elmore delay itself.
+        assert!(wa.tree_path_d2m(p).value() <= wa.tree_path_elmore(p).value());
     }
 
     #[test]
@@ -265,25 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_broken_elmore_overestimates_on_loops() {
-        // Parallel routes reduce the true delay; the loop-broken view
-        // cannot see that, so tree elmore >= exact elmore on the diamond.
-        let mut b = RcNetBuilder::new("d");
-        let s = b.source("s", Farads(1e-15));
-        let a = b.internal("a", Farads(5e-15));
-        let c = b.internal("c", Farads(5e-15));
-        let k = b.sink("k", Farads(5e-15));
-        b.resistor(s, a, Ohms(100.0));
-        b.resistor(a, k, Ohms(100.0));
-        b.resistor(s, c, Ohms(120.0));
-        b.resistor(c, k, Ohms(120.0));
-        let net = b.build().unwrap();
-        let wa = WireAnalysis::new(&net).unwrap();
-        let p = &net.paths()[0];
-        assert!(wa.tree_path_elmore(p).value() > wa.path_elmore(p).value());
-    }
-
-    #[test]
     fn works_on_nontree() {
         let mut b = RcNetBuilder::new("d");
         let s = b.source("s", Farads(1e-15));
@@ -297,8 +192,8 @@ mod tests {
         let net = b.build().unwrap();
         let wa = WireAnalysis::new(&net).unwrap();
         let p = &net.paths()[0];
-        assert!(wa.path_elmore(p).value() > 0.0);
-        assert!(wa.path_d2m(p).value() > 0.0);
+        assert!(wa.tree_path_elmore(p).value() > 0.0);
+        assert!(wa.tree_path_d2m(p).value() > 0.0);
         // Downstream caps on the shortest-path tree still cover all nodes from s.
         assert!(wa.downstream_cap(net.source()).value() >= net.total_cap().value() - 1e-27);
     }

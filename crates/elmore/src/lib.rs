@@ -1,4 +1,4 @@
-//! Analytical wire delay and slew metrics.
+//! Analytical wire delay metrics.
 //!
 //! These closed-form metrics serve two roles in the reproduction:
 //!
@@ -8,23 +8,21 @@
 //! 2. **Baseline inputs** — the DAC'20 baseline \[5\] feeds manually selected
 //!    analytical features into a tree ensemble.
 //!
-//! Two computation styles are provided:
+//! Both read [`WireAnalysis`], computed once per net from the [`tree`]
+//! recurrences — downstream capacitance, stage delay, Elmore delay and
+//! second moment over a source-rooted tree orientation (the shortest-path
+//! tree on non-tree nets, loop chords ignored) — with the path D2M delay
+//! from [`metrics::d2m`].
 //!
-//! * [`tree`] — classic downstream-capacitance / stage-delay recurrences
-//!   over a source-rooted tree orientation (the shortest-path tree on
-//!   non-tree nets);
-//! * [`moments`] — exact circuit moments `m1..m3` from the MNA system,
-//!   valid on any topology including resistive loops, from which the
-//!   Elmore delay (`-m1`), the two-moment [`metrics::d2m`] delay, and a
-//!   moment-matched step slew are derived.
-//!
-//! [`WireAnalysis`] bundles everything computed once per net.
+//! [`Moments`] is the exact reference: circuit moments `m1..m3` from the
+//! MNA system, valid on any topology including resistive loops. The tests
+//! hold the tree recurrences to it on tree nets; no feature reads it.
 //!
 //! # Examples
 //!
 //! ```
 //! use rcnet::{Farads, Ohms, RcNetBuilder};
-//! use elmore::WireAnalysis;
+//! use elmore::{Moments, WireAnalysis};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = RcNetBuilder::new("n");
@@ -32,22 +30,22 @@
 //! let k = b.sink("l:A", Farads(10e-15));
 //! b.resistor(s, k, Ohms(100.0));
 //! let net = b.build()?;
+//! // Single RC stage: Elmore delay = R * C_sink, on the tree and exactly.
 //! let wa = WireAnalysis::new(&net)?;
-//! // Single RC stage: Elmore delay = R * C_sink.
-//! let d = wa.elmore_delay(k);
+//! let d = wa.tree_path_elmore(&net.paths()[0]);
 //! assert!((d.value() - 100.0 * 10e-15).abs() < 1e-18);
+//! let exact = Moments::new(&net)?;
+//! assert!((exact.elmore_delay(k).value() - 100.0 * 10e-15).abs() < 1e-18);
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod analysis;
-pub mod awe;
 pub mod metrics;
 pub mod moments;
 pub mod tree;
 
 pub use analysis::{LoopBreaking, WireAnalysis};
-pub use awe::TwoPoleModel;
 pub use moments::Moments;
 
 use std::error::Error;
@@ -57,18 +55,15 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ElmoreError {
-    /// The MNA conductance matrix could not be factorized (should not happen
-    /// on a validated net; indicates degenerate resistances).
+    /// The MNA conductance matrix could not be factorized (degenerate
+    /// resistances; see [`Moments::new`]).
     Numeric(String),
-    /// The underlying net was rejected.
-    Net(String),
 }
 
 impl fmt::Display for ElmoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ElmoreError::Numeric(m) => write!(f, "numeric failure: {m}"),
-            ElmoreError::Net(m) => write!(f, "net error: {m}"),
         }
     }
 }
@@ -78,11 +73,5 @@ impl Error for ElmoreError {}
 impl From<numeric::NumericError> for ElmoreError {
     fn from(e: numeric::NumericError) -> Self {
         ElmoreError::Numeric(e.to_string())
-    }
-}
-
-impl From<rcnet::RcNetError> for ElmoreError {
-    fn from(e: rcnet::RcNetError) -> Self {
-        ElmoreError::Net(e.to_string())
     }
 }

@@ -1,10 +1,6 @@
-//! Closed-form delay/slew metrics derived from circuit moments.
+//! Closed-form delay metrics derived from circuit moments.
 
 use rcnet::Seconds;
-
-/// Natural log of 9, the 10 %–90 % width of a single-pole exponential in
-/// units of its time constant.
-pub const LN9: f64 = 2.197_224_577_336_22;
 
 /// Natural log of 2, the 50 % crossing of a single-pole exponential in
 /// units of its time constant.
@@ -32,27 +28,6 @@ pub fn d2m(m1: f64, m2: f64) -> Seconds {
     Seconds(LN2 * m1 * m1 / m2.sqrt())
 }
 
-/// Moment-matched step-input slew (10 %–90 %): `ln 9 * sigma`, where
-/// `sigma^2 = 2 m2 - m1^2` is the variance of the impulse response.
-///
-/// Negative variance (numerically degenerate nets) clamps to zero.
-pub fn step_slew(m1: f64, m2: f64) -> Seconds {
-    let var = 2.0 * m2 - m1 * m1;
-    if var <= 0.0 {
-        return Seconds(0.0);
-    }
-    Seconds(LN9 * var.sqrt())
-}
-
-/// PERI slew combination: the output slew of a stage given the input slew
-/// and the stage's step-input slew — `sqrt(s_in^2 + s_step^2)`.
-///
-/// Standard root-sum-square used by industrial delay calculators to merge
-/// driver and wire contributions.
-pub fn peri_slew(input_slew: Seconds, step: Seconds) -> Seconds {
-    Seconds((input_slew.value().powi(2) + step.value().powi(2)).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,8 +39,6 @@ mod tests {
         let (m1, m2) = (-tau, tau * tau);
         assert!((elmore50(m1).value() - LN2 * tau).abs() < 1e-24);
         assert!((d2m(m1, m2).value() - LN2 * tau).abs() < 1e-24);
-        // sigma = tau for a single pole => slew = ln9 * tau.
-        assert!((step_slew(m1, m2).value() - LN9 * tau).abs() < 1e-24);
     }
 
     #[test]
@@ -79,14 +52,6 @@ mod tests {
     #[test]
     fn degenerate_moments_fall_back() {
         assert_eq!(d2m(-1e-12, 0.0), elmore50(-1e-12));
-        assert_eq!(step_slew(0.0, 0.0), Seconds(0.0));
         assert_eq!(elmore50(1e-12).value(), 0.0); // positive m1 clamps
-    }
-
-    #[test]
-    fn peri_combines_quadratically() {
-        let s = peri_slew(Seconds(3e-12), Seconds(4e-12));
-        assert!((s.value() - 5e-12).abs() < 1e-24);
-        assert_eq!(peri_slew(Seconds(0.0), Seconds(2e-12)), Seconds(2e-12));
     }
 }

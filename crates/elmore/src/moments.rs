@@ -11,24 +11,27 @@
 //!
 //! where `G` is the reduced conductance matrix (source row/column folded
 //! into the right-hand side). `-m1_i` is the Elmore delay of node `i`,
-//! exact for *any* RC topology including resistive loops — this is how the
-//! reproduction honours the paper's emphasis on non-tree nets.
+//! exact for *any* RC topology including resistive loops.
+//!
+//! These moments are the exact reference, not a feature source: the
+//! TABLE I features read the loop-broken recurrences of [`crate::tree`]
+//! through [`crate::WireAnalysis`], and the tests hold those to these
+//! moments on tree nets.
 //!
 //! # Solver
 //!
 //! `G` has one off-diagonal pair per resistor, so it is assembled sparse
 //! and factored once with the sparse LDLᵀ of [`numeric::sparse`], then
 //! the three moments are three triangular solves. The elimination order
-//! is leaf-first over a source-rooted spanning tree of the net: every
-//! node is eliminated after its tree children, so a tree factors with no
-//! fill at all and each loop chord adds fill only along its tree cycle.
-//! [`crate::WireAnalysis`] hands over the tree it has already computed,
-//! so the order costs nothing. One path serves every net size; the dense
-//! [`numeric::LuFactor`] remains only as the test oracle.
+//! is leaf-first over the net's shortest-path tree: every node is
+//! eliminated after its tree children, so a tree factors with no fill at
+//! all and each loop chord adds fill only along its tree cycle. One path
+//! serves every net size; the dense [`numeric::LuFactor`] remains only as
+//! the test oracle.
 
 use crate::ElmoreError;
 use numeric::sparse::{LdlSymbolic, TripletBuilder};
-use rcnet::topology::{orient, Orientation};
+use rcnet::topology::orient;
 use rcnet::{NodeId, RcNet, Seconds};
 
 /// First three voltage moments per node, plus derived delay metrics.
@@ -43,29 +46,19 @@ pub struct Moments {
 }
 
 impl Moments {
-    /// Computes the first three moments of every node of `net`, ordering
-    /// the elimination by `net`'s shortest-path tree.
-    ///
-    /// # Errors
-    ///
-    /// See [`Moments::with_tree`].
-    pub fn new(net: &RcNet) -> Result<Self, ElmoreError> {
-        Self::with_tree(net, &orient(net))
-    }
-
     /// Computes the first three moments of every node of `net`,
-    /// eliminating leaf-first over `tree`, a source-rooted spanning tree
-    /// of `net` (any loop-breaking policy's).
+    /// eliminating leaf-first over `net`'s shortest-path tree.
     ///
     /// Coupling capacitors are lumped to ground at the victim node (the
     /// grounded-aggressor approximation used by every moment-based metric).
     ///
     /// # Errors
     ///
-    /// Returns [`ElmoreError::Numeric`] when `tree` does not span `net`,
-    /// or when the reduced conductance matrix is not positive definite,
-    /// which a validated connected net cannot produce.
-    pub fn with_tree(net: &RcNet, tree: &Orientation) -> Result<Self, ElmoreError> {
+    /// Returns [`ElmoreError::Numeric`] when the factor meets a pivot
+    /// below its roundoff tolerance, which scales with the node count and
+    /// the largest conductance: a valid net whose resistances span many
+    /// decades (a 1 pΩ segment ahead of a 1 kΩ ladder) can trip it.
+    pub fn new(net: &RcNet) -> Result<Self, ElmoreError> {
         let n = net.node_count();
         let src = net.source().index();
 
@@ -107,9 +100,8 @@ impl Moments {
         let g = g.build();
 
         // Leaf-first: the reverse of the tree's parent-before-child
-        // order, source excluded. A tree that misses a node yields no
-        // permutation, which the analysis rejects.
-        let leaf_first = tree
+        // order, source excluded.
+        let leaf_first = orient(net)
             .order
             .iter()
             .rev()
@@ -160,7 +152,6 @@ impl Moments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcnet::topology::orient;
     use rcnet::{Farads, Ohms, RcNetBuilder};
 
     #[test]
@@ -191,6 +182,7 @@ mod tests {
         let down = crate::tree::downstream_caps(&net, &o);
         let st = crate::tree::stage_delays(&net, &o, &down);
         let el = crate::tree::tree_elmore(&net, &o, &st);
+        let m2 = crate::tree::tree_m2(&net, &o, &el);
         let mom = Moments::new(&net).unwrap();
         for (id, _) in net.iter_nodes() {
             let tree_val = el[id.index()].value();
@@ -199,7 +191,31 @@ mod tests {
                 (tree_val - mna_val).abs() < 1e-24 + 1e-9 * tree_val.abs(),
                 "node {id}: tree {tree_val} vs MNA {mna_val}"
             );
+            let (tree_m2, mna_m2) = (m2[id.index()], mom.m2[id.index()]);
+            assert!(
+                (tree_m2 - mna_m2).abs() < 1e-48 + 1e-9 * tree_m2.abs(),
+                "node {id}: tree m2 {tree_m2} vs MNA {mna_m2}"
+            );
         }
+    }
+
+    #[test]
+    fn loop_broken_elmore_overestimates_on_loops() {
+        // Parallel routes reduce the true delay; the loop-broken view
+        // cannot see that, so tree elmore >= exact elmore on the diamond.
+        let mut b = RcNetBuilder::new("d");
+        let s = b.source("s", Farads(1e-15));
+        let a = b.internal("a", Farads(5e-15));
+        let c = b.internal("c", Farads(5e-15));
+        let k = b.sink("k", Farads(5e-15));
+        b.resistor(s, a, Ohms(100.0));
+        b.resistor(a, k, Ohms(100.0));
+        b.resistor(s, c, Ohms(120.0));
+        b.resistor(c, k, Ohms(120.0));
+        let net = b.build().unwrap();
+        let wa = crate::WireAnalysis::new(&net).unwrap();
+        let exact = Moments::new(&net).unwrap();
+        assert!(wa.tree_path_elmore(&net.paths()[0]) > exact.elmore_delay(k));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! On tree nets these are the textbook Elmore quantities. On non-tree nets
 //! the recurrences run over the resistance-weighted shortest-path tree
 //! (loop-closing chords are ignored), which is exactly the feature
-//! semantics the paper inherits from the DAC'20 loop-breaking recipe — the
-//! *exact* delays on loops come from [`crate::moments`] instead.
+//! semantics the paper inherits from the DAC'20 loop-breaking recipe. The
+//! *exact* moments of any topology are [`crate::Moments`], the reference
+//! the tests hold these recurrences to on trees.
 
 use rcnet::topology::Orientation;
 use rcnet::{Farads, RcNet, Seconds};
@@ -57,10 +58,36 @@ pub fn tree_elmore(net: &RcNet, orientation: &Orientation, stages: &[Seconds]) -
     delay
 }
 
-/// Total capacitance seen looking *into* the net from the driver (the load
-/// the driver cell must charge): ground plus coupling capacitance.
-pub fn driver_load(net: &RcNet) -> Farads {
-    net.total_cap() + net.total_coupling_cap()
+/// Tree-recurrence second moment per node:
+/// `m2(i) = sum_k R_shared(i,k) * C_k * elmore(k)`, computed like the
+/// Elmore pass but with every capacitance weighted by its own Elmore
+/// delay `elmore` (from [`tree_elmore`]). Exact on trees (single pole:
+/// `m2 = tau²`); a shortest-path-tree approximation on non-tree nets,
+/// the fidelity the TABLE I D2M feature prescribes.
+pub fn tree_m2(net: &RcNet, orientation: &Orientation, elmore: &[Seconds]) -> Vec<f64> {
+    let mut weighted: Vec<f64> = net
+        .nodes()
+        .iter()
+        .zip(elmore)
+        .map(|(node, t)| node.cap.value() * t.value())
+        .collect();
+    for c in net.couplings() {
+        weighted[c.node.index()] += c.cap.value() * elmore[c.node.index()].value();
+    }
+    for &node in orientation.order.iter().rev() {
+        if let Some((parent, _)) = orientation.parent[node.index()] {
+            let w = weighted[node.index()];
+            weighted[parent.index()] += w;
+        }
+    }
+    let mut m2 = vec![0.0f64; net.node_count()];
+    for &node in &orientation.order {
+        if let Some((parent, e)) = orientation.parent[node.index()] {
+            m2[node.index()] =
+                m2[parent.index()] + net.edge(e).res.value() * weighted[node.index()];
+        }
+    }
+    m2
 }
 
 #[cfg(test)]
@@ -125,6 +152,5 @@ mod tests {
         let o = orient(&net);
         let d = downstream_caps(&net, &o);
         assert!((d[k.index()].femto_farads() - 1.5).abs() < 1e-9);
-        assert!((driver_load(&net).femto_farads() - 2.5).abs() < 1e-9);
     }
 }

@@ -1,12 +1,11 @@
 //! The sparse moment solver against a dense oracle: on random tree and
 //! non-tree nets of 2–1000 nodes, each with a pair of parallel
 //! resistors and some coupling caps, `Moments::new` (sparse LDLᵀ,
-//! leaf-first over the shortest-path tree) and the `WireAnalysis` path
-//! (the same solve over the analysis' own tree) must match a dense
+//! leaf-first over the shortest-path tree) must match a dense
 //! `LuFactor` solve of the same reduced system to 1e-9 relative, moment
 //! by moment and node by node.
 
-use elmore::{LoopBreaking, Moments, WireAnalysis};
+use elmore::Moments;
 use numeric::{LuFactor, Matrix, Vector};
 use proptest::prelude::*;
 use rcnet::{Farads, NodeId, Ohms, RcNet, RcNetBuilder};
@@ -160,9 +159,6 @@ proptest! {
         let net = random_net(seed, nodes, chords);
         let want = dense_moments(&net);
         check(&Moments::new(&net).expect("sparse moments"), &want)?;
-        let depth_first = WireAnalysis::with_policy(&net, LoopBreaking::DepthFirst)
-            .expect("analysis");
-        check(depth_first.moments(), &want)?;
     }
 }
 

@@ -6,14 +6,13 @@
 //! the sinks. This crate provides:
 //!
 //! * [`RcNet`] / [`RcNetBuilder`] — the network itself, with validation;
-//! * [`topology`] — tree/loop classification, BFS, resistance-weighted
-//!   shortest paths (Dijkstra);
+//! * [`topology`] — resistance-weighted shortest paths (Dijkstra) and
+//!   source-rooted tree orientations (shortest-path or depth-first, loop
+//!   chords listed);
 //! * [`path`] — wire-path extraction (tree traversal, or shortest path on
 //!   non-tree nets per Definition 1 of the paper);
 //! * [`spef`] — a from-scratch SPEF (IEEE 1481) subset parser and writer so
-//!   externally extracted parasitics can be ingested and round-tripped;
-//! * [`reduce`] — series-merge parasitic reduction (TICER-style first
-//!   pass) preserving path structure and total R/C.
+//!   externally extracted parasitics can be ingested and round-tripped.
 //!
 //! # Examples
 //!
@@ -37,7 +36,6 @@
 pub mod hash;
 pub mod net;
 pub mod path;
-pub mod reduce;
 pub mod spef;
 pub mod topology;
 mod units;

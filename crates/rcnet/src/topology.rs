@@ -1,28 +1,8 @@
-//! Topology queries on an [`RcNet`]: traversal orders, shortest paths,
-//! cycle detection, and tree orientation.
+//! Topology queries on an [`RcNet`]: shortest paths and source-rooted
+//! tree orientations.
 
 use crate::{EdgeId, NodeId, Ohms, RcNet};
 use std::collections::BinaryHeap;
-
-/// Breadth-first order of all nodes starting from the source.
-pub fn bfs_order(net: &RcNet) -> Vec<NodeId> {
-    let n = net.node_count();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(net.source());
-    seen[net.source().index()] = true;
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &(v, _) in net.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
 
 /// Result of a single-source shortest-path run (weights = resistance).
 #[derive(Debug, Clone)]
@@ -217,45 +197,6 @@ pub fn orient(net: &RcNet) -> Orientation {
     }
 }
 
-/// Finds the cycle closed by adding `chord` to the orientation's tree:
-/// returns the cycle's edges (chord included).
-pub fn cycle_of_chord(net: &RcNet, orientation: &Orientation, chord: EdgeId) -> Vec<EdgeId> {
-    let e = net.edge(chord);
-    // Walk both endpoints up to their common ancestor.
-    let depth = |mut n: NodeId| -> usize {
-        let mut d = 0;
-        while let Some((p, _)) = orientation.parent[n.index()] {
-            n = p;
-            d += 1;
-        }
-        d
-    };
-    let (mut u, mut v) = (e.a, e.b);
-    let (mut du, mut dv) = (depth(u), depth(v));
-    let mut cycle = vec![chord];
-    while du > dv {
-        let (p, pe) = orientation.parent[u.index()].expect("depth > 0 has parent");
-        cycle.push(pe);
-        u = p;
-        du -= 1;
-    }
-    while dv > du {
-        let (p, pe) = orientation.parent[v.index()].expect("depth > 0 has parent");
-        cycle.push(pe);
-        v = p;
-        dv -= 1;
-    }
-    while u != v {
-        let (pu, eu) = orientation.parent[u.index()].expect("non-root");
-        let (pv, ev) = orientation.parent[v.index()].expect("non-root");
-        cycle.push(eu);
-        cycle.push(ev);
-        u = pu;
-        v = pv;
-    }
-    cycle
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,14 +214,6 @@ mod tests {
         b.resistor(s, bb, Ohms(1.0));
         b.resistor(bb, k, Ohms(1.0));
         b.build().unwrap()
-    }
-
-    #[test]
-    fn bfs_starts_at_source_and_covers_all() {
-        let net = diamond();
-        let order = bfs_order(&net);
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], net.source());
     }
 
     #[test]
@@ -324,19 +257,6 @@ mod tests {
                 assert!(p.is_some());
             }
         }
-    }
-
-    #[test]
-    fn chord_cycle_covers_loop() {
-        let net = diamond();
-        let o = orient(&net);
-        let cycle = cycle_of_chord(&net, &o, o.chords[0]);
-        // Diamond loop has 4 edges.
-        assert_eq!(cycle.len(), 4);
-        let mut sorted: Vec<usize> = cycle.iter().map(|e| e.index()).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4, "cycle edges must be distinct");
     }
 
     #[test]

@@ -329,8 +329,10 @@ mod tests {
         let timing = GoldenTimer::default()
             .time_net(&net, Seconds::from_ps(15.0), SiMode::Off)
             .unwrap();
-        let elmore = elmore::WireAnalysis::new(&net).unwrap();
-        let bound = elmore.path_elmore(&net.paths()[0]).value();
+        let bound = elmore::Moments::new(&net)
+            .unwrap()
+            .elmore_delay(net.paths()[0].sink)
+            .value();
         let d = timing[0].delay.value();
         assert!(d > 0.2 * bound, "delay {d} vs elmore {bound}");
         assert!(d < 1.5 * bound, "delay {d} vs elmore {bound}");

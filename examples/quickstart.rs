@@ -32,14 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.is_tree()
     );
 
-    // 2. Closed-form analysis: Elmore / D2M per path.
-    let wa = elmore::WireAnalysis::new(&net)?;
+    // 2. Closed-form analysis: exact Elmore / D2M per path.
+    let m = elmore::Moments::new(&net)?;
     for path in net.paths() {
+        let i = path.sink.index();
         println!(
             "  path to {:>6}: Elmore {:6.2} ps, D2M {:6.2} ps",
             net.node(path.sink).name,
-            wa.path_elmore(path).pico_seconds(),
-            wa.path_d2m(path).pico_seconds()
+            m.elmore_delay(path.sink).pico_seconds(),
+            elmore::metrics::d2m(m.m1[i], m.m2[i]).pico_seconds()
         );
     }
 

@@ -45,10 +45,18 @@ cargo test -q --release -p tensor --lib
 # side runs once per input); the debug suite checks a strided sample.
 cargo test -q --release -p tensor --lib expf_matches_libm_on_every_f32 -- --ignored
 
-# Release-mode moments gate: the sparse LDLᵀ moment solver must match a
+# Release-mode moments gate: `elmore::Moments`, the exact reference the
+# tree-recurrence Elmore/D2M features are tested against, must match a
 # dense LU solve to 1e-9 relative on random tree and non-tree nets of
 # 2–1000 nodes.
 cargo test -q --release -p elmore --test moments_oracle
+
+# Quickstart smoke: exact Elmore/D2M of a hand-built net, its golden
+# timing, a small estimator trained and asked to predict an unseen net;
+# fails on any error. Examples otherwise only compile under `cargo
+# test`, and this one is the only non-test caller of `Moments::new`.
+# About 1.5 s on two cores.
+cargo run -q --release --example quickstart
 
 cargo clippy --workspace --all-targets -- -D warnings
 

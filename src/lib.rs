@@ -5,7 +5,7 @@
 //! crates for the real APIs:
 //!
 //! * [`rcnet`] — parasitic RC networks, wire paths, SPEF I/O
-//! * [`elmore`] — analytical delay/slew metrics (Elmore, moments, D2M)
+//! * [`elmore`] — analytical delay metrics (tree Elmore/D2M, exact moments)
 //! * [`rcsim`] — golden transient simulator with SI coupling
 //! * [`tensor`] — minimal reverse-mode autograd
 //! * [`gnn`] — GNNTrans and the baseline graph-learning models

@@ -1,7 +1,8 @@
 //! Property-based invariants over randomly generated RC networks,
 //! spanning `rcnet`, `elmore`, `netgen` and the SPEF round-trip.
 
-use elmore::WireAnalysis;
+use elmore::metrics::d2m;
+use elmore::{Moments, WireAnalysis};
 use netgen::nets::{NetConfig, NetGenerator};
 use proptest::prelude::*;
 use rcnet::spef::{parse, write, SpefHeader};
@@ -51,11 +52,11 @@ proptest! {
         prop_assert!((rt.total_cap().value() - net.total_cap().value()).abs() < 1e-22);
         prop_assert!((rt.total_res().value() - net.total_res().value()).abs() < 1e-6);
         // Wire-path delays derived from the round-tripped net agree.
-        let wa_a = WireAnalysis::new(&net).expect("analysis");
-        let wa_b = WireAnalysis::new(rt).expect("analysis");
+        let m_a = Moments::new(&net).expect("moments");
+        let m_b = Moments::new(rt).expect("moments");
         for (pa, pb) in net.paths().iter().zip(rt.paths()) {
-            let da = wa_a.path_elmore(pa).value();
-            let db = wa_b.path_elmore(pb).value();
+            let da = m_a.elmore_delay(pa.sink).value();
+            let db = m_b.elmore_delay(pb.sink).value();
             prop_assert!((da - db).abs() <= 1e-6 * da.abs() + 1e-24);
         }
     }
@@ -64,7 +65,7 @@ proptest! {
     fn moment_invariants_hold(seed in 0u64..10_000, nontree in any::<bool>()) {
         let net = generated_net(seed, nontree);
         let wa = WireAnalysis::new(&net).expect("analysis");
-        let m = wa.moments();
+        let m = Moments::new(&net).expect("moments");
         for (id, _) in net.iter_nodes() {
             let i = id.index();
             if id == net.source() {
@@ -77,10 +78,11 @@ proptest! {
         }
         for path in net.paths() {
             // D2M never exceeds the Elmore bound; all metrics non-negative.
-            let elmore = wa.path_elmore(path).value();
-            let d2m = wa.path_d2m(path).value();
-            prop_assert!(elmore >= 0.0 && d2m >= 0.0);
-            prop_assert!(d2m <= elmore * (1.0 + 1e-9) + 1e-24);
+            let i = path.sink.index();
+            let elmore = m.elmore_delay(path.sink).value();
+            let d2m_delay = d2m(m.m1[i], m.m2[i]).value();
+            prop_assert!(elmore >= 0.0 && d2m_delay >= 0.0);
+            prop_assert!(d2m_delay <= elmore * (1.0 + 1e-9) + 1e-24);
             prop_assert!(wa.tree_path_elmore(path).value() >= 0.0);
             prop_assert!(wa.tree_path_d2m(path).value() >= 0.0);
         }
