@@ -5,12 +5,12 @@
 //! every *wire path* in `P` runs from the unique driver (source) to one of
 //! the sinks. This crate provides:
 //!
-//! * [`RcNet`] / [`RcNetBuilder`] — the network itself, with validation;
+//! * [`RcNet`] / [`RcNetBuilder`] — the network itself, with validation,
+//!   CSR adjacency and the shortest-path tree its wire paths follow;
 //! * [`topology`] — resistance-weighted shortest paths (Dijkstra) and
-//!   source-rooted tree orientations (shortest-path or depth-first, loop
-//!   chords listed);
-//! * [`path`] — wire-path extraction (tree traversal, or shortest path on
-//!   non-tree nets per Definition 1 of the paper);
+//!   source-rooted tree orientations (shortest-path or depth-first);
+//! * [`path`] — wire paths (tree traversal, or shortest path on non-tree
+//!   nets per Definition 1 of the paper);
 //! * [`spef`] — a from-scratch SPEF (IEEE 1481) subset parser and writer so
 //!   externally extracted parasitics can be ingested and round-tripped.
 //!

@@ -2,8 +2,9 @@
 //! coupling capacitors, and the validating builder.
 
 use crate::{Farads, Ohms, RcNetError, WirePath};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Identifier of a node (capacitance) within one [`RcNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,8 +100,8 @@ pub struct CouplingCap {
 /// A validated parasitic RC network with one driver and one or more sinks.
 ///
 /// Construct via [`RcNetBuilder`] or [`crate::spef::parse`]. The structure is
-/// immutable after `build`, so derived data (adjacency lists, wire paths) is
-/// computed once and shared.
+/// immutable after `build`, so derived data (adjacency, the shortest-path
+/// tree, wire paths) is computed once and shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RcNet {
     name: String,
@@ -109,8 +110,12 @@ pub struct RcNet {
     couplings: Vec<CouplingCap>,
     source: NodeId,
     sinks: Vec<NodeId>,
-    /// adjacency[n] = (neighbor, edge) pairs.
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    /// CSR adjacency: node `i`'s `(neighbor, edge)` pairs are
+    /// `adjacency[adj_start[i]..adj_start[i + 1]]`, in edge order.
+    adj_start: Vec<u32>,
+    adjacency: Vec<(NodeId, EdgeId)>,
+    /// `(parent, edge)` per node on its wire path; `None` for the source.
+    parents: Vec<Option<(NodeId, EdgeId)>>,
     paths: Vec<WirePath>,
 }
 
@@ -165,14 +170,15 @@ impl RcNet {
         &self.edges[id.index()]
     }
 
-    /// Neighbors of `n` as `(neighbor, edge)` pairs.
+    /// Neighbors of `n` as `(neighbor, edge)` pairs, in edge order.
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adjacency[n.index()]
+        let i = n.index();
+        &self.adjacency[self.adj_start[i] as usize..self.adj_start[i + 1] as usize]
     }
 
     /// Degree (number of incident resistors) of `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency[n.index()].len()
+        self.neighbors(n).len()
     }
 
     /// The wire paths from the source to every sink (paper Definition 1),
@@ -180,6 +186,14 @@ impl RcNet {
     /// path is the resistance-weighted shortest path.
     pub fn paths(&self) -> &[WirePath] {
         &self.paths
+    }
+
+    /// The shortest-path tree the wire paths follow: each node's
+    /// `(parent, edge)` on its resistance-weighted shortest path from the
+    /// source, as [`crate::topology::shortest_paths`] finds it; `None`
+    /// for the source. On a tree net this is the net itself.
+    pub fn shortest_path_parents(&self) -> &[Option<(NodeId, EdgeId)>] {
+        &self.parents
     }
 
     /// Whether the net is a tree (no resistive loops).
@@ -255,7 +269,96 @@ pub struct RcNetBuilder {
     nodes: Vec<RcNode>,
     edges: Vec<RcEdge>,
     couplings: Vec<CouplingCap>,
-    names: HashMap<String, NodeId>,
+    names: NameIndex,
+}
+
+/// Marks a free slot of a [`NameIndex`].
+const FREE: u32 = u32::MAX;
+
+/// The builder's node-name index: an open-addressing table of node ids
+/// that compares names against the builder's own nodes, so it stores no
+/// string. A name is hashed once per lookup, with std's `RandomState`:
+/// names come from untrusted SPEF, and its per-process keyed SipHash
+/// keeps a client from choosing names that collide.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    state: RandomState,
+    /// Node id per slot or [`FREE`]; the length is 0 or a power of two,
+    /// at least twice the node count.
+    slots: Vec<u32>,
+    /// Name hash per node id, so growing rehashes no name.
+    hashes: Vec<u64>,
+}
+
+impl NameIndex {
+    /// The node called `name`, or the name's hash and the free slot to
+    /// [`NameIndex::insert`] it at.
+    fn find(&self, name: &str, nodes: &[RcNode]) -> Result<NodeId, (u64, usize)> {
+        let hash = self.state.hash_one(name);
+        if self.slots.is_empty() {
+            return Err((hash, 0));
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                FREE => return Err((hash, slot)),
+                id if self.hashes[id as usize] == hash && nodes[id as usize].name == name => {
+                    return Ok(NodeId(id))
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Records the next node id at the slot a failed [`NameIndex::find`]
+    /// returned.
+    fn insert(&mut self, (hash, slot): (u64, usize)) {
+        let id = self.hashes.len() as u32;
+        self.hashes.push(hash);
+        if self.hashes.len() * 2 <= self.slots.len() {
+            self.slots[slot] = id;
+            return;
+        }
+        let len = (self.slots.len() * 2).max(64);
+        self.hashes.reserve(len / 2 - self.hashes.len());
+        self.slots.clear();
+        self.slots.resize(len, FREE);
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (len - 1);
+            while self.slots[slot] != FREE {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = id as u32;
+        }
+    }
+}
+
+/// Groups `(row, value)` pairs by row in CSR form: row `r`'s values are
+/// `values[start[r]..start[r + 1]]`, in the order the pairs come.
+pub(crate) fn csr<T: Copy>(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; rows + 1];
+    for (r, _) in pairs.clone() {
+        start[r + 1] += 1;
+    }
+    for r in 0..rows {
+        start[r + 1] += start[r];
+    }
+    let Some((_, first)) = pairs.clone().next() else {
+        return (start, Vec::new());
+    };
+    let mut values = vec![first; start[rows] as usize];
+    // `start[r]` is row r's fill cursor, which ends at row r + 1's start.
+    for (r, v) in pairs {
+        values[start[r] as usize] = v;
+        start[r] += 1;
+    }
+    start.copy_within(0..rows, 1);
+    start[0] = 0;
+    (start, values)
 }
 
 impl RcNetBuilder {
@@ -267,44 +370,66 @@ impl RcNetBuilder {
         }
     }
 
-    fn add_node(&mut self, name: impl Into<String>, kind: NodeKind, cap: Farads) -> NodeId {
-        let name = name.into();
-        if let Some(&id) = self.names.get(&name) {
-            // Re-declaring an existing node refreshes its role/cap; SPEF
-            // emits *CONN before *CAP so this upgrade path is required.
-            let node = &mut self.nodes[id.index()];
-            if kind != NodeKind::Internal {
-                node.kind = kind;
+    /// The node called `name`, added with `kind` and `cap` when new; the
+    /// name is hashed once and turned into a `String` only for a new node.
+    fn add_node<N: AsRef<str> + Into<String>>(
+        &mut self,
+        name: N,
+        kind: NodeKind,
+        cap: Farads,
+    ) -> NodeId {
+        match self.names.find(name.as_ref(), &self.nodes) {
+            Ok(id) => {
+                // Re-declaring an existing node refreshes its role/cap; SPEF
+                // emits *CONN before *CAP so this upgrade path is required.
+                let node = &mut self.nodes[id.index()];
+                if kind != NodeKind::Internal {
+                    node.kind = kind;
+                }
+                if cap.value() != 0.0 {
+                    node.cap = cap;
+                }
+                id
             }
-            if cap.value() != 0.0 {
-                node.cap = cap;
+            Err(free) => {
+                let id = NodeId(self.nodes.len() as u32);
+                self.nodes.push(RcNode {
+                    name: name.into(),
+                    kind,
+                    cap,
+                });
+                self.names.insert(free);
+                id
             }
-            return id;
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(RcNode { name: name.clone(), kind, cap });
-        self.names.insert(name, id);
-        id
     }
 
     /// Adds (or re-labels) the driver node.
     pub fn source(&mut self, name: impl Into<String>, cap: Farads) -> NodeId {
-        self.add_node(name, NodeKind::Source, cap)
+        self.add_node(name.into(), NodeKind::Source, cap)
     }
 
     /// Adds (or re-labels) a sink node.
     pub fn sink(&mut self, name: impl Into<String>, cap: Farads) -> NodeId {
-        self.add_node(name, NodeKind::Sink, cap)
+        self.add_node(name.into(), NodeKind::Sink, cap)
     }
 
     /// Adds an internal parasitic node.
     pub fn internal(&mut self, name: impl Into<String>, cap: Farads) -> NodeId {
-        self.add_node(name, NodeKind::Internal, cap)
+        self.add_node(name.into(), NodeKind::Internal, cap)
+    }
+
+    /// The node called `name`, added as an internal node with zero
+    /// capacitance when the builder has not seen the name. `name` is
+    /// hashed once and copied only for a new node, so the SPEF parser can
+    /// pass the tokens it borrows from its input.
+    pub(crate) fn node_or_insert(&mut self, name: &str) -> NodeId {
+        self.add_node(name, NodeKind::Internal, Farads(0.0))
     }
 
     /// Looks up an already-added node by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.names.get(name).copied()
+        self.names.find(name, &self.nodes).ok()
     }
 
     /// Sets the ground capacitance of an existing node.
@@ -407,32 +532,13 @@ impl RcNetBuilder {
                 )));
             }
         }
-        let mut adjacency: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            adjacency[e.a.index()].push((e.b, id));
-            adjacency[e.b.index()].push((e.a, id));
-        }
-        // Connectivity from the source.
-        let mut seen = vec![false; n];
-        let mut stack = vec![source];
-        seen[source.index()] = true;
-        let mut reached = 1usize;
-        while let Some(u) = stack.pop() {
-            for &(v, _) in &adjacency[u.index()] {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    reached += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        if reached != n {
-            return Err(RcNetError::InvalidNet(format!(
-                "net `{}` is disconnected: only {reached} of {n} nodes reachable from the source",
-                self.name
-            )));
-        }
+        let (adj_start, adjacency) = csr(
+            n,
+            self.edges.iter().enumerate().flat_map(|(i, e)| {
+                let id = EdgeId(i as u32);
+                [(e.a.index(), (e.b, id)), (e.b.index(), (e.a, id))]
+            }),
+        );
         let mut net = RcNet {
             name: self.name,
             nodes: self.nodes,
@@ -440,8 +546,44 @@ impl RcNetBuilder {
             couplings: self.couplings,
             source,
             sinks,
+            adj_start,
             adjacency,
+            parents: Vec::new(),
             paths: Vec::new(),
+        };
+        // Connectivity from the source. On a tree the walk's parent links
+        // are the wire paths. Their resistance sums repeat Dijkstra's
+        // additions, and like Dijkstra the walk leaves a node whose sum
+        // overflows to infinity without a parent.
+        let mut parents = vec![None; n];
+        let mut dist = vec![0.0f64; n];
+        let mut seen = vec![false; n];
+        let mut stack = vec![source];
+        seen[source.index()] = true;
+        let mut reached = 1usize;
+        while let Some(u) = stack.pop() {
+            for &(v, e) in net.neighbors(u) {
+                if !seen[v.index()] {
+                    seen[v.index()] = true;
+                    reached += 1;
+                    stack.push(v);
+                    dist[v.index()] = dist[u.index()] + net.edge(e).res.value();
+                    if dist[v.index()] < f64::INFINITY {
+                        parents[v.index()] = Some((u, e));
+                    }
+                }
+            }
+        }
+        if reached != n {
+            return Err(RcNetError::InvalidNet(format!(
+                "net `{}` is disconnected: only {reached} of {n} nodes reachable from the source",
+                net.name
+            )));
+        }
+        net.parents = if net.is_tree() {
+            parents
+        } else {
+            crate::topology::shortest_paths(&net).parent
         };
         net.paths = crate::path::extract_paths(&net);
         Ok(net)
@@ -584,5 +726,53 @@ mod tests {
         let net = b.build().unwrap();
         assert_eq!(net.couplings().len(), 1);
         assert_eq!(net.total_coupling_cap(), Farads(0.5e-15));
+    }
+
+    #[test]
+    fn neighbors_keep_edge_order() {
+        let mut b = RcNetBuilder::new("x");
+        let k = b.sink("k", Farads(1e-15));
+        let s = b.source("s", Farads(1e-15));
+        let m = b.internal("m", Farads(1e-15));
+        b.resistor(m, k, Ohms(1.0));
+        b.resistor(s, m, Ohms(1.0));
+        b.resistor(k, s, Ohms(1.0));
+        let net = b.build().unwrap();
+        assert_eq!(net.neighbors(k), &[(m, EdgeId(0)), (s, EdgeId(2))]);
+        assert_eq!(net.neighbors(s), &[(m, EdgeId(1)), (k, EdgeId(2))]);
+        assert_eq!(net.neighbors(m), &[(k, EdgeId(0)), (s, EdgeId(1))]);
+        assert_eq!(net.degree(m), 2);
+    }
+
+    #[test]
+    fn tree_paths_stop_where_dijkstra_stops() {
+        // The resistance sum to k overflows: Dijkstra leaves k without a
+        // parent, and so must the tree walk.
+        let mut b = RcNetBuilder::new("x");
+        let s = b.source("s", Farads(1e-15));
+        let a = b.internal("a", Farads(1e-15));
+        let k = b.sink("k", Farads(1e-15));
+        b.resistor(s, a, Ohms(1e308));
+        b.resistor(a, k, Ohms(1e308));
+        let net = b.build().unwrap();
+        let sp = crate::topology::shortest_paths(&net);
+        assert_eq!(net.shortest_path_parents(), &sp.parent[..]);
+        assert_eq!(net.shortest_path_parents()[a.index()], Some((s, EdgeId(0))));
+        assert_eq!(net.shortest_path_parents()[k.index()], None);
+        assert_eq!(net.paths()[0].nodes, vec![k]);
+    }
+
+    #[test]
+    fn name_index_survives_growth() {
+        let mut b = RcNetBuilder::new("x");
+        let ids: Vec<NodeId> = (0..100)
+            .map(|i| b.node_or_insert(&format!("n{i}")))
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(b.node_by_name(&format!("n{i}")), Some(id));
+            assert_eq!(b.node_or_insert(&format!("n{i}")), id);
+        }
+        assert_eq!(b.node_by_name("n100"), None);
+        assert_eq!(b.nodes.len(), 100);
     }
 }

@@ -41,16 +41,13 @@ impl WirePath {
     }
 }
 
-/// Extracts the wire path for every sink of the net, in sink order.
-///
-/// Uses a single Dijkstra run from the source, which degenerates to plain
-/// tree traversal on tree nets.
-pub fn extract_paths(net: &RcNet) -> Vec<WirePath> {
-    let sp = crate::topology::shortest_paths(net);
+/// Extracts the wire path for every sink of the net, in sink order, from
+/// the shortest-path tree [`RcNet::shortest_path_parents`] keeps.
+pub(crate) fn extract_paths(net: &RcNet) -> Vec<WirePath> {
     net.sinks()
         .iter()
         .map(|&sink| {
-            let (nodes, edges) = sp.path_to(sink);
+            let (nodes, edges) = crate::topology::trace(net.shortest_path_parents(), sink);
             WirePath { sink, nodes, edges }
         })
         .collect()

@@ -1,4 +1,5 @@
-//! Line-oriented SPEF subset parser.
+//! Line-oriented SPEF subset parser: one pass over the text, with every
+//! token borrowed from it.
 
 use crate::{Farads, Ohms, RcNet, RcNetBuilder, RcNetError};
 use std::collections::HashMap;
@@ -70,28 +71,158 @@ fn unit_scale(line_no: usize, value: &str, unit: &str, kind: char) -> Result<f64
     Ok(v * base)
 }
 
-/// Resolves `*<idx>` name-map references inside a node token. Handles the
-/// delimiter form `*12:3` (mapped name plus pin/sub-node suffix).
-fn resolve(
-    token: &str,
-    map: &HashMap<u64, String>,
+/// Resolves a node token to its name: the token itself, or for a
+/// `*<idx>` name-map reference, optionally with a `<delimiter><pin>`
+/// suffix as in `*12:3`, the mapped name plus suffix, written into `buf`.
+fn resolve<'t>(
+    token: &'t str,
+    map: &HashMap<u64, &str>,
     delimiter: char,
     line_no: usize,
-) -> Result<String, RcNetError> {
-    if let Some(rest) = token.strip_prefix('*') {
-        let (idx_str, suffix) = match rest.find(delimiter) {
-            Some(pos) => (&rest[..pos], &rest[pos..]),
-            None => (rest, ""),
+    buf: &'t mut String,
+) -> Result<&'t str, RcNetError> {
+    let Some(rest) = token.strip_prefix('*') else {
+        return Ok(token);
+    };
+    let (idx_str, suffix) = match rest.find(delimiter) {
+        Some(pos) => (&rest[..pos], &rest[pos..]),
+        None => (rest, ""),
+    };
+    let idx: u64 = idx_str
+        .parse()
+        .map_err(|_| err(line_no, format!("bad name-map reference `{token}`")))?;
+    let name = map
+        .get(&idx)
+        .ok_or_else(|| err(line_no, format!("unknown name-map index *{idx}")))?;
+    buf.clear();
+    buf.push_str(name);
+    buf.push_str(suffix);
+    Ok(buf)
+}
+
+/// Byte classes of the line scanner.
+const TOKEN: u8 = 0;
+const SPACE: u8 = 1;
+const NEWLINE: u8 = 2;
+const SLASH: u8 = 3;
+const WIDE: u8 = 4;
+
+/// The class of every byte: the ASCII bytes `char::is_whitespace`
+/// accepts other than the line feed (tab, vertical tab, form feed,
+/// carriage return, space) are [`SPACE`], every byte of a multi-byte
+/// character is [`WIDE`].
+const CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'\n' => NEWLINE,
+            b'\t' | 0x0B | 0x0C | b'\r' | b' ' => SPACE,
+            b'/' => SLASH,
+            0x80..=0xFF => WIDE,
+            _ => TOKEN,
         };
-        let idx: u64 = idx_str
-            .parse()
-            .map_err(|_| err(line_no, format!("bad name-map reference `{token}`")))?;
-        let name = map
-            .get(&idx)
-            .ok_or_else(|| err(line_no, format!("unknown name-map index *{idx}")))?;
-        Ok(format!("{name}{suffix}"))
-    } else {
-        Ok(token.to_string())
+        b += 1;
+    }
+    class
+};
+
+/// The tokens of one line up to a `//` comment, borrowed from the text.
+/// No entry reads past its fourth token, so only four are kept, while
+/// `len` counts them all.
+struct Tokens<'a> {
+    first: [&'a str; 4],
+    len: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new() -> Self {
+        Tokens {
+            first: [""; 4],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, token: &'a str) {
+        if let Some(slot) = self.first.get_mut(self.len) {
+            *slot = token;
+        }
+        self.len += 1;
+    }
+}
+
+/// The text's lines as `str::lines` splits them, each split into tokens
+/// as `split_whitespace` splits it, up to the first `//`: one pass over
+/// the bytes of ASCII lines. A line with any other byte before its
+/// comment goes through `split_whitespace` itself, so Unicode whitespace
+/// splits tokens there too.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// Index of the first line feed at or after `from`, or the text's end.
+    fn line_end(&self, from: usize) -> usize {
+        let bytes = &self.text.as_bytes()[from..];
+        from + bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap_or(bytes.len())
+    }
+
+    /// The tokens of the line starting at `line_start`, which holds a
+    /// multi-byte character at `wide`.
+    fn unicode_line(&mut self, line_start: usize, wide: usize) -> Tokens<'a> {
+        let end = self.line_end(wide);
+        self.pos = end + 1;
+        let line = &self.text[line_start..end];
+        let code = line.find("//").map_or(line, |pos| &line[..pos]);
+        let mut tokens = Tokens::new();
+        code.split_whitespace().for_each(|t| tokens.push(t));
+        tokens
+    }
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = Tokens<'a>;
+
+    fn next(&mut self) -> Option<Tokens<'a>> {
+        let bytes = self.text.as_bytes();
+        let class = |i: usize| bytes.get(i).map_or(NEWLINE, |&b| CLASS[usize::from(b)]);
+        let comment = |i: usize| bytes.get(i..i + 2) == Some(b"//");
+        let line_start = self.pos;
+        if line_start >= bytes.len() {
+            return None;
+        }
+        let mut tokens = Tokens::new();
+        let mut i = line_start;
+        loop {
+            while class(i) == SPACE {
+                i += 1;
+            }
+            match class(i) {
+                NEWLINE => break,
+                WIDE => return Some(self.unicode_line(line_start, i)),
+                SLASH if comment(i) => {
+                    i = self.line_end(i);
+                    break;
+                }
+                _ => {}
+            }
+            // A token: up to whitespace, a line end or a `//`.
+            let start = i;
+            i += 1;
+            while class(i) == TOKEN || (class(i) == SLASH && !comment(i)) {
+                i += 1;
+            }
+            if class(i) == WIDE {
+                return Some(self.unicode_line(line_start, i));
+            }
+            tokens.push(&self.text[start..i]);
+        }
+        self.pos = i + 1;
+        Some(tokens)
     }
 }
 
@@ -104,11 +235,22 @@ enum Section {
     NetRes,
 }
 
+/// Entry counts of one parse, added to the `rcnet.spef.*` counters once
+/// per document.
+#[derive(Default)]
+struct Counts {
+    lines: u64,
+    caps: u64,
+    res: u64,
+}
+
 /// Parses a SPEF document from text.
 ///
 /// Supports the header, `*NAME_MAP`, and `*D_NET` sections with `*CONN`,
 /// `*CAP` (ground and coupling) and `*RES`. `//` comments and blank lines
-/// are skipped anywhere.
+/// are skipped anywhere. One pass over the text: tokens are borrowed
+/// from it, and a node name is copied only for a node its net has not
+/// seen.
 ///
 /// # Errors
 ///
@@ -117,8 +259,15 @@ enum Section {
 /// validation (e.g. no driver connection).
 pub fn parse(text: &str) -> Result<SpefDocument, RcNetError> {
     let _span = obs::span("spef_parse");
-    let result = parse_inner(text);
-    obs::counter("rcnet.spef.lines").add(text.lines().count() as u64);
+    let mut counts = Counts::default();
+    let result = parse_inner(text, &mut counts);
+    if result.is_err() {
+        // The parse stopped at the failing line; count the rest too.
+        counts.lines = text.lines().count() as u64;
+    }
+    obs::counter("rcnet.spef.lines").add(counts.lines);
+    obs::counter("rcnet.spef.caps").add(counts.caps);
+    obs::counter("rcnet.spef.res").add(counts.res);
     match &result {
         Ok(doc) => obs::counter("rcnet.spef.nets").add(doc.nets.len() as u64),
         Err(e) => {
@@ -134,110 +283,109 @@ pub fn parse(text: &str) -> Result<SpefDocument, RcNetError> {
     result
 }
 
-fn parse_inner(text: &str) -> Result<SpefDocument, RcNetError> {
-    let cap_entries = obs::counter("rcnet.spef.caps");
-    let res_entries = obs::counter("rcnet.spef.res");
+fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetError> {
     let mut header = SpefHeader::default();
-    let mut name_map: HashMap<u64, String> = HashMap::new();
+    let mut name_map: HashMap<u64, &str> = HashMap::new();
     let mut nets = Vec::new();
     let mut section = Section::Preamble;
     let mut builder: Option<RcNetBuilder> = None;
+    // Resolved name-map references; two, for the entries naming two nodes.
+    let (mut buf_a, mut buf_b) = (String::new(), String::new());
+    let mut line_no = 0;
 
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = match raw.find("//") {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
+    for line in (Lines { text, pos: 0 }) {
+        line_no += 1;
+        if line.len == 0 {
             continue;
         }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let tokens = &line.first[..line.len.min(4)];
         let keyword = tokens[0];
 
-        match keyword {
-            "*SPEF" | "*DATE" | "*VENDOR" | "*PROGRAM" | "*VERSION" | "*DESIGN_FLOW"
-            | "*BUS_DELIMITER" | "*L_UNIT" => continue,
-            "*DESIGN" => {
-                header.design = tokens
-                    .get(1)
-                    .map(|s| s.trim_matches('"').to_string())
-                    .unwrap_or_default();
-                continue;
-            }
-            "*DIVIDER" => {
-                header.divider = tokens
-                    .get(1)
-                    .and_then(|s| s.chars().next())
-                    .ok_or_else(|| err(line_no, "missing divider"))?;
-                continue;
-            }
-            "*DELIMITER" => {
-                header.delimiter = tokens
-                    .get(1)
-                    .and_then(|s| s.chars().next())
-                    .ok_or_else(|| err(line_no, "missing delimiter"))?;
-                continue;
-            }
-            "*T_UNIT" => {
-                if tokens.len() < 3 {
-                    return Err(err(line_no, "malformed *T_UNIT"));
+        if keyword.starts_with('*') {
+            match keyword {
+                "*SPEF" | "*DATE" | "*VENDOR" | "*PROGRAM" | "*VERSION" | "*DESIGN_FLOW"
+                | "*BUS_DELIMITER" | "*L_UNIT" => continue,
+                "*DESIGN" => {
+                    header.design = tokens
+                        .get(1)
+                        .map(|s| s.trim_matches('"').to_string())
+                        .unwrap_or_default();
+                    continue;
                 }
-                header.time_scale = unit_scale(line_no, tokens[1], tokens[2], 't')?;
-                continue;
-            }
-            "*C_UNIT" => {
-                if tokens.len() < 3 {
-                    return Err(err(line_no, "malformed *C_UNIT"));
+                "*DIVIDER" => {
+                    header.divider = tokens
+                        .get(1)
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| err(line_no, "missing divider"))?;
+                    continue;
                 }
-                header.cap_scale = unit_scale(line_no, tokens[1], tokens[2], 'c')?;
-                continue;
-            }
-            "*R_UNIT" => {
-                if tokens.len() < 3 {
-                    return Err(err(line_no, "malformed *R_UNIT"));
+                "*DELIMITER" => {
+                    header.delimiter = tokens
+                        .get(1)
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| err(line_no, "missing delimiter"))?;
+                    continue;
                 }
-                header.res_scale = unit_scale(line_no, tokens[1], tokens[2], 'r')?;
-                continue;
-            }
-            "*NAME_MAP" => {
-                section = Section::NameMap;
-                continue;
-            }
-            "*D_NET" => {
-                if builder.is_some() {
-                    return Err(err(line_no, "*D_NET before previous *END"));
+                "*T_UNIT" => {
+                    if line.len < 3 {
+                        return Err(err(line_no, "malformed *T_UNIT"));
+                    }
+                    header.time_scale = unit_scale(line_no, tokens[1], tokens[2], 't')?;
+                    continue;
                 }
-                if tokens.len() < 2 {
-                    return Err(err(line_no, "malformed *D_NET"));
+                "*C_UNIT" => {
+                    if line.len < 3 {
+                        return Err(err(line_no, "malformed *C_UNIT"));
+                    }
+                    header.cap_scale = unit_scale(line_no, tokens[1], tokens[2], 'c')?;
+                    continue;
                 }
-                let name = resolve(tokens[1], &name_map, header.delimiter, line_no)?;
-                builder = Some(RcNetBuilder::new(name));
-                section = Section::NetConn;
-                continue;
+                "*R_UNIT" => {
+                    if line.len < 3 {
+                        return Err(err(line_no, "malformed *R_UNIT"));
+                    }
+                    header.res_scale = unit_scale(line_no, tokens[1], tokens[2], 'r')?;
+                    continue;
+                }
+                "*NAME_MAP" => {
+                    section = Section::NameMap;
+                    continue;
+                }
+                "*D_NET" => {
+                    if builder.is_some() {
+                        return Err(err(line_no, "*D_NET before previous *END"));
+                    }
+                    if line.len < 2 {
+                        return Err(err(line_no, "malformed *D_NET"));
+                    }
+                    let name =
+                        resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                    builder = Some(RcNetBuilder::new(name));
+                    section = Section::NetConn;
+                    continue;
+                }
+                "*CONN" => {
+                    section = Section::NetConn;
+                    continue;
+                }
+                "*CAP" => {
+                    section = Section::NetCap;
+                    continue;
+                }
+                "*RES" => {
+                    section = Section::NetRes;
+                    continue;
+                }
+                "*END" => {
+                    let b = builder
+                        .take()
+                        .ok_or_else(|| err(line_no, "*END outside *D_NET"))?;
+                    nets.push(b.build()?);
+                    section = Section::Preamble;
+                    continue;
+                }
+                _ => {}
             }
-            "*CONN" => {
-                section = Section::NetConn;
-                continue;
-            }
-            "*CAP" => {
-                section = Section::NetCap;
-                continue;
-            }
-            "*RES" => {
-                section = Section::NetRes;
-                continue;
-            }
-            "*END" => {
-                let b = builder
-                    .take()
-                    .ok_or_else(|| err(line_no, "*END outside *D_NET"))?;
-                nets.push(b.build()?);
-                section = Section::Preamble;
-                continue;
-            }
-            _ => {}
         }
 
         match section {
@@ -252,17 +400,20 @@ fn parse_inner(text: &str) -> Result<SpefDocument, RcNetError> {
                 let name = tokens
                     .get(1)
                     .ok_or_else(|| err(line_no, "name-map entry missing name"))?;
-                name_map.insert(idx, (*name).to_string());
+                name_map.insert(idx, *name);
             }
             Section::NetConn => {
                 // "*I <pin> <dir>" or "*P <port> <dir>"
                 if keyword != "*I" && keyword != "*P" {
-                    return Err(err(line_no, format!("unexpected token `{keyword}` in *CONN")));
+                    return Err(err(
+                        line_no,
+                        format!("unexpected token `{keyword}` in *CONN"),
+                    ));
                 }
-                if tokens.len() < 3 {
+                if line.len < 3 {
                     return Err(err(line_no, "malformed connection entry"));
                 }
-                let pin = resolve(tokens[1], &name_map, header.delimiter, line_no)?;
+                let pin = resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err(line_no, "connection outside *D_NET"))?;
@@ -286,62 +437,58 @@ fn parse_inner(text: &str) -> Result<SpefDocument, RcNetError> {
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err(line_no, "*CAP entry outside *D_NET"))?;
-                match tokens.len() {
+                match line.len {
                     // "<id> <node> <cap>": ground capacitance
                     3 => {
-                        let node = resolve(tokens[1], &name_map, header.delimiter, line_no)?;
-                        let cap: f64 = tokens[2]
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad capacitance `{}`", tokens[2])))?;
-                        let id = b
-                            .node_by_name(&node)
-                            .unwrap_or_else(|| b.internal(node, Farads(0.0)));
+                        let node =
+                            resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                        let cap: f64 = tokens[2].parse().map_err(|_| {
+                            err(line_no, format!("bad capacitance `{}`", tokens[2]))
+                        })?;
+                        let id = b.node_or_insert(node);
                         b.set_cap(id, Farads(cap * header.cap_scale));
                     }
                     // "<id> <node> <other_node> <cap>": coupling capacitance
                     4 => {
-                        let node = resolve(tokens[1], &name_map, header.delimiter, line_no)?;
-                        let other = resolve(tokens[2], &name_map, header.delimiter, line_no)?;
-                        let cap: f64 = tokens[3]
-                            .parse()
-                            .map_err(|_| err(line_no, format!("bad capacitance `{}`", tokens[3])))?;
-                        let id = b
-                            .node_by_name(&node)
-                            .unwrap_or_else(|| b.internal(node, Farads(0.0)));
+                        let node =
+                            resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                        let other =
+                            resolve(tokens[2], &name_map, header.delimiter, line_no, &mut buf_b)?;
+                        let cap: f64 = tokens[3].parse().map_err(|_| {
+                            err(line_no, format!("bad capacitance `{}`", tokens[3]))
+                        })?;
+                        let id = b.node_or_insert(node);
                         b.coupling(id, other, Farads(cap * header.cap_scale));
                     }
                     _ => return Err(err(line_no, "malformed *CAP entry")),
                 }
-                cap_entries.inc();
+                counts.caps += 1;
             }
             Section::NetRes => {
-                if tokens.len() != 4 {
+                if line.len != 4 {
                     return Err(err(line_no, "malformed *RES entry"));
                 }
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err(line_no, "*RES entry outside *D_NET"))?;
-                let n1 = resolve(tokens[1], &name_map, header.delimiter, line_no)?;
-                let n2 = resolve(tokens[2], &name_map, header.delimiter, line_no)?;
+                let n1 = resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                let n2 = resolve(tokens[2], &name_map, header.delimiter, line_no, &mut buf_b)?;
                 let res: f64 = tokens[3]
                     .parse()
                     .map_err(|_| err(line_no, format!("bad resistance `{}`", tokens[3])))?;
-                let a = b
-                    .node_by_name(&n1)
-                    .unwrap_or_else(|| b.internal(n1, Farads(0.0)));
-                let bb = b
-                    .node_by_name(&n2)
-                    .unwrap_or_else(|| b.internal(n2, Farads(0.0)));
+                let a = b.node_or_insert(n1);
+                let bb = b.node_or_insert(n2);
                 b.resistor(a, bb, Ohms(res * header.res_scale));
-                res_entries.inc();
+                counts.res += 1;
             }
             Section::Preamble => {
                 return Err(err(line_no, format!("unexpected token `{keyword}`")));
             }
         }
     }
+    counts.lines = line_no as u64;
     if builder.is_some() {
-        return Err(err(text.lines().count(), "unterminated *D_NET (missing *END)"));
+        return Err(err(line_no, "unterminated *D_NET (missing *END)"));
     }
     Ok(SpefDocument { header, nets })
 }
@@ -382,6 +529,20 @@ mod tests {
 2 *1:1 *3:A 8.0
 *END
 "#;
+
+    #[test]
+    fn byte_classes_follow_char_is_whitespace() {
+        for b in 0..=255u8 {
+            let expected = match b {
+                b'\n' => NEWLINE,
+                b'/' => SLASH,
+                0x80.. => WIDE,
+                _ if char::from(b).is_whitespace() => SPACE,
+                _ => TOKEN,
+            };
+            assert_eq!(CLASS[usize::from(b)], expected, "byte {b:#04x}");
+        }
+    }
 
     #[test]
     fn parses_header_units() {

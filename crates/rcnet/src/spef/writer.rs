@@ -2,13 +2,29 @@
 
 use super::SpefHeader;
 use crate::{NodeKind, RcNet};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// An R or C value in header units, printed `{:.9}`; a nonzero value
+/// that would print as zero there (under 0.5e-9) is printed `{:e}`, so
+/// it parses back nonzero.
+struct Value(f64);
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 != 0.0 && self.0.abs() < 0.5e-9 {
+            write!(f, "{:e}", self.0)
+        } else {
+            write!(f, "{:.9}", self.0)
+        }
+    }
+}
 
 /// Serializes nets into a SPEF document using the given header.
 ///
 /// Values are written in the header's units (`time_scale` is currently
-/// unused because the subset carries no delays). The output round-trips
-/// through [`super::parse`].
+/// unused because the subset carries no delays), with nine decimals, or
+/// in exponent form when nine decimals would round a nonzero value to
+/// zero. The output round-trips through [`super::parse`].
 ///
 /// # Examples
 ///
@@ -64,9 +80,9 @@ pub fn write(header: &SpefHeader, nets: &[RcNet]) -> String {
             if node.cap.value() != 0.0 {
                 let _ = writeln!(
                     out,
-                    "{cap_id} {} {:.9}",
+                    "{cap_id} {} {}",
                     node.name,
-                    node.cap.value() / header.cap_scale
+                    Value(node.cap.value() / header.cap_scale)
                 );
                 cap_id += 1;
             }
@@ -74,10 +90,10 @@ pub fn write(header: &SpefHeader, nets: &[RcNet]) -> String {
         for c in net.couplings() {
             let _ = writeln!(
                 out,
-                "{cap_id} {} {} {:.9}",
+                "{cap_id} {} {} {}",
                 net.node(c.node).name,
                 c.aggressor,
-                c.cap.value() / header.cap_scale
+                Value(c.cap.value() / header.cap_scale)
             );
             cap_id += 1;
         }
@@ -85,11 +101,11 @@ pub fn write(header: &SpefHeader, nets: &[RcNet]) -> String {
         for (i, (_, e)) in net.iter_edges().enumerate() {
             let _ = writeln!(
                 out,
-                "{} {} {} {:.9}",
+                "{} {} {} {}",
                 i + 1,
                 net.node(e.a).name,
                 net.node(e.b).name,
-                e.res.value() / header.res_scale
+                Value(e.res.value() / header.res_scale)
             );
         }
         let _ = writeln!(out, "*END");
@@ -102,7 +118,7 @@ pub fn write(header: &SpefHeader, nets: &[RcNet]) -> String {
 mod tests {
     use super::super::parse;
     use super::*;
-    use crate::{Farads, Ohms, RcNetBuilder};
+    use crate::{EdgeId, Farads, Ohms, RcNetBuilder};
 
     fn build_net() -> RcNet {
         let mut b = RcNetBuilder::new("nx");
@@ -154,5 +170,32 @@ mod tests {
         for (a, b) in orig.iter().zip(&round) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn round_trip_keeps_tiny_values() {
+        // 1 pΩ and 1e-10 fF print as zero with nine decimals.
+        let mut b = RcNetBuilder::new("tiny");
+        let s = b.source("drv:Z", Farads(1e-15));
+        let m = b.internal("tiny:1", Farads(1e-25));
+        let k = b.sink("l1:A", Farads(2e-15));
+        b.resistor(s, m, Ohms(1e-12));
+        b.resistor(m, k, Ohms(13.0));
+        b.coupling(m, "agg:1", Farads(3e-25));
+        let net = b.build().unwrap();
+        let text = write(&SpefHeader::default(), std::slice::from_ref(&net));
+        assert!(
+            text.contains(" 13.000000000\n"),
+            "ordinary values keep nine decimals"
+        );
+        let rt = parse(&text)
+            .expect("a 1 pΩ segment parses back")
+            .nets
+            .remove(0);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-15 * b.abs();
+        assert_eq!(rt.edge(EdgeId(0)).res, Ohms(1e-12));
+        let node = rt.node_by_name("tiny:1").unwrap();
+        assert!(close(rt.node(node).cap.value(), 1e-25));
+        assert!(close(rt.couplings()[0].cap.value(), 3e-25));
     }
 }

@@ -18,24 +18,40 @@ impl ShortestPaths {
     /// Reconstructs the node/edge sequence from the source to `target`.
     /// Nodes are ordered source → target.
     pub fn path_to(&self, target: NodeId) -> (Vec<NodeId>, Vec<EdgeId>) {
-        let mut nodes = vec![target];
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some((p, e)) = self.parent[cur.index()] {
-            nodes.push(p);
-            edges.push(e);
+        trace(&self.parent, target)
+    }
+}
+
+/// The tree path from the root to `target` along `parent` links, as
+/// `(nodes, edges)` with nodes ordered root → target.
+pub(crate) fn trace(
+    parent: &[Option<(NodeId, EdgeId)>],
+    target: NodeId,
+) -> (Vec<NodeId>, Vec<EdgeId>) {
+    let mut len = 0;
+    let mut cur = target;
+    while let Some((p, _)) = parent[cur.index()] {
+        len += 1;
+        cur = p;
+    }
+    let mut nodes = vec![target; len + 1];
+    let mut edges = vec![EdgeId(0); len];
+    let mut cur = target;
+    for k in (0..len).rev() {
+        if let Some((p, e)) = parent[cur.index()] {
+            (nodes[k], edges[k]) = (p, e);
             cur = p;
         }
-        nodes.reverse();
-        edges.reverse();
-        (nodes, edges)
     }
+    (nodes, edges)
 }
 
 /// Dijkstra from the net source with resistance edge weights.
 ///
-/// Used to define wire paths on non-tree nets ("the wire path is the
-/// shortest path from the source to the target sink", paper §II-B).
+/// Defines wire paths on non-tree nets ("the wire path is the shortest
+/// path from the source to the target sink", paper §II-B).
+/// [`crate::RcNetBuilder::build`] runs it once per non-tree net and keeps
+/// the parents as [`RcNet::shortest_path_parents`].
 pub fn shortest_paths(net: &RcNet) -> ShortestPaths {
     let n = net.node_count();
     let mut dist = vec![Ohms(f64::INFINITY); n];
@@ -83,37 +99,43 @@ pub fn shortest_paths(net: &RcNet) -> ShortestPaths {
 
 /// A tree orientation of the net rooted at the source.
 ///
-/// On a tree net this covers every edge. On a non-tree net it is the
-/// shortest-path tree; the remaining edges are returned as `chords`
-/// (each chord closes one independent loop).
+/// On a tree net this covers every edge. On a non-tree net it is a
+/// spanning tree, and each of the [`RcNet::loop_count`] edges it leaves
+/// out closes one independent loop.
 #[derive(Debug, Clone)]
 pub struct Orientation {
     /// `(parent, connecting edge)` per node; `None` for the source.
     pub parent: Vec<Option<(NodeId, EdgeId)>>,
-    /// Children per node, in discovery order.
-    pub children: Vec<Vec<(NodeId, EdgeId)>>,
     /// Nodes in topological (parent-before-child) order; starts at the source.
     pub order: Vec<NodeId>,
-    /// Edges not in the tree (loop-closing chords).
-    pub chords: Vec<EdgeId>,
 }
 
 impl Orientation {
     /// Reconstructs the tree path from the root to `target` as
     /// `(nodes, edges)`, nodes ordered root → target.
     pub fn path_to(&self, target: NodeId) -> (Vec<NodeId>, Vec<EdgeId>) {
-        let mut nodes = vec![target];
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some((p, e)) = self.parent[cur.index()] {
-            nodes.push(p);
-            edges.push(e);
-            cur = p;
-        }
-        nodes.reverse();
-        edges.reverse();
-        (nodes, edges)
+        trace(&self.parent, target)
     }
+}
+
+/// Parent-before-child order of the tree that `links` (`(parent, child)`
+/// pairs) describe: breadth first from `root`, each node's children in
+/// the order `links` lists them.
+fn bfs_order(
+    n: usize,
+    root: NodeId,
+    links: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+) -> Vec<NodeId> {
+    let (start, children) = crate::net::csr(n, links.map(|(p, c)| (p.index(), c)));
+    let mut order = Vec::with_capacity(n);
+    order.push(root);
+    let mut next = 0;
+    while let Some(&u) = order.get(next) {
+        next += 1;
+        let (lo, hi) = (start[u.index()] as usize, start[u.index() + 1] as usize);
+        order.extend_from_slice(&children[lo..hi]);
+    }
+    order
 }
 
 /// Orients the net as a depth-first spanning tree rooted at the source —
@@ -122,79 +144,37 @@ impl Orientation {
 pub fn orient_dfs(net: &RcNet) -> Orientation {
     let n = net.node_count();
     let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut children: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
-    let mut tree_edge = vec![false; net.edge_count()];
+    let mut links = Vec::with_capacity(n.saturating_sub(1));
     let mut seen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
     let mut stack = vec![net.source()];
     seen[net.source().index()] = true;
     while let Some(u) = stack.pop() {
-        order.push(u);
         for &(v, e) in net.neighbors(u) {
             if !seen[v.index()] {
                 seen[v.index()] = true;
                 parent[v.index()] = Some((u, e));
-                children[u.index()].push((v, e));
-                tree_edge[e.index()] = true;
+                links.push((u, v));
                 stack.push(v);
             }
         }
     }
     // DFS discovery order is not parent-before-child when revisiting the
-    // stack; rebuild a BFS order over the tree children.
-    let mut topo = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(net.source());
-    while let Some(u) = queue.pop_front() {
-        topo.push(u);
-        for &(v, _) in &children[u.index()] {
-            queue.push_back(v);
-        }
-    }
-    let chords = (0..net.edge_count())
-        .filter(|&i| !tree_edge[i])
-        .map(|i| EdgeId(i as u32))
-        .collect();
-    Orientation {
-        parent,
-        children,
-        order: topo,
-        chords,
-    }
+    // stack; the order is a BFS over the tree children, in discovery order.
+    let order = bfs_order(n, net.source(), links.into_iter());
+    Orientation { parent, order }
 }
 
-/// Orients the net as a shortest-path tree rooted at the source.
+/// Orients the net as its shortest-path tree rooted at the source: the
+/// tree [`RcNet::shortest_path_parents`] keeps, with each node's children
+/// in node order.
 pub fn orient(net: &RcNet) -> Orientation {
-    let sp = shortest_paths(net);
-    let n = net.node_count();
-    let mut children: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
-    let mut tree_edge = vec![false; net.edge_count()];
-    for (i, p) in sp.parent.iter().enumerate() {
-        if let Some((parent, e)) = p {
-            children[parent.index()].push((NodeId(i as u32), *e));
-            tree_edge[e.index()] = true;
-        }
-    }
-    // Parent-before-child order via BFS over tree children.
-    let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(net.source());
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &(v, _) in &children[u.index()] {
-            queue.push_back(v);
-        }
-    }
-    let chords = (0..net.edge_count())
-        .filter(|&i| !tree_edge[i])
-        .map(|i| EdgeId(i as u32))
-        .collect();
-    Orientation {
-        parent: sp.parent,
-        children,
-        order,
-        chords,
-    }
+    let parent = net.shortest_path_parents().to_vec();
+    let links = parent
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| p.map(|(q, _)| (q, NodeId(i as u32))));
+    let order = bfs_order(net.node_count(), net.source(), links);
+    Orientation { parent, order }
 }
 
 #[cfg(test)]
@@ -229,6 +209,15 @@ mod tests {
         assert_eq!(nodes[1], b);
     }
 
+    /// Edges no parent link uses: the loop-closing chords.
+    fn chords(net: &RcNet, o: &Orientation) -> usize {
+        let mut in_tree = vec![false; net.edge_count()];
+        for &(_, e) in o.parent.iter().flatten() {
+            in_tree[e.index()] = true;
+        }
+        in_tree.iter().filter(|&&t| !t).count()
+    }
+
     #[test]
     fn orientation_of_tree_has_no_chords() {
         let mut b = RcNetBuilder::new("t");
@@ -239,7 +228,7 @@ mod tests {
         b.resistor(m, k, Ohms(1.0));
         let net = b.build().unwrap();
         let o = orient(&net);
-        assert!(o.chords.is_empty());
+        assert_eq!(chords(&net, &o), 0);
         assert_eq!(o.order[0], net.source());
         assert_eq!(o.order.len(), 3);
     }
@@ -248,7 +237,8 @@ mod tests {
     fn orientation_of_diamond_has_one_chord() {
         let net = diamond();
         let o = orient(&net);
-        assert_eq!(o.chords.len(), 1);
+        assert_eq!(chords(&net, &o), net.loop_count());
+        assert_eq!(net.loop_count(), 1);
         // Every non-source node has a parent.
         for (i, p) in o.parent.iter().enumerate() {
             if NodeId(i as u32) == net.source() {
@@ -263,7 +253,7 @@ mod tests {
     fn dfs_orientation_spans_and_may_differ_from_shortest() {
         let net = diamond();
         let o = orient_dfs(&net);
-        assert_eq!(o.chords.len(), 1);
+        assert_eq!(chords(&net, &o), net.loop_count());
         assert_eq!(o.order.len(), 4);
         assert_eq!(o.order[0], net.source());
         // Every non-source node has a parent; the spanning tree covers all.
@@ -288,7 +278,7 @@ mod tests {
         b.resistor(m, k, Ohms(1.0));
         let net = b.build().unwrap();
         let o = orient_dfs(&net);
-        assert!(o.chords.is_empty());
+        assert_eq!(chords(&net, &o), 0);
         let (nodes, _) = o.path_to(k);
         assert_eq!(nodes, vec![s, m, k]);
     }
@@ -300,5 +290,22 @@ mod tests {
         let (nodes, edges) = sp.path_to(net.source());
         assert_eq!(nodes, vec![net.source()]);
         assert!(edges.is_empty());
+    }
+
+    #[test]
+    fn orders_visit_children_in_node_or_discovery_order() {
+        // The source's edges run to k, a, c in that order; the nodes were
+        // added c, a, k.
+        let mut b = RcNetBuilder::new("o");
+        let s = b.source("s", Farads(1e-15));
+        let c = b.internal("c", Farads(1e-15));
+        let a = b.internal("a", Farads(1e-15));
+        let k = b.sink("k", Farads(1e-15));
+        b.resistor(s, k, Ohms(1.0));
+        b.resistor(s, a, Ohms(1.0));
+        b.resistor(s, c, Ohms(1.0));
+        let net = b.build().unwrap();
+        assert_eq!(orient(&net).order, vec![s, c, a, k]);
+        assert_eq!(orient_dfs(&net).order, vec![s, k, a, c]);
     }
 }

@@ -3,11 +3,17 @@
 //! The serving layer feeds untrusted request bodies straight into
 //! `rcnet::spef::parse`, so the parser's contract is: *any* byte soup
 //! either parses or returns a typed `RcNetError` — it must never panic,
-//! hang, or produce a structurally invalid net.
+//! hang, or produce a structurally invalid net. It must also agree with
+//! the reference line parser in `reference/`: the same document, or the
+//! same error.
+
+mod reference;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use rcnet::spef::parse;
+use rcnet::spef::{parse, SpefDocument};
+use rcnet::topology::shortest_paths;
+use rcnet::RcNet;
 
 /// A well-formed multi-net fixture exercising every section the parser
 /// knows: header units, name map, connections, ground and coupling caps,
@@ -81,21 +87,67 @@ const HOSTILE_TOKENS: &[&str] = &[
     "//",
 ];
 
-/// Parse must return (Ok or Err), never panic; an Ok document must be
-/// structurally sound enough to walk.
-fn assert_total(text: &str) {
-    if let Ok(doc) = parse(text) {
-        for net in &doc.nets {
-            // Walking paths, nodes and couplings must be safe on any
-            // net the parser accepts.
-            let mut paths = 0usize;
-            for p in net.paths() {
-                let _ = net.node(p.sink);
-                paths += 1;
+/// Parse must return (Ok or Err), never panic, and equal the reference
+/// parser's result; an Ok document must be structurally sound enough to
+/// walk.
+fn assert_total(text: &str) -> Option<SpefDocument> {
+    let got = parse(text);
+    match (&got, &reference::parse(text)) {
+        (Ok(doc), Ok(want)) => {
+            // By bits: `*T_UNIT NaN PS` is accepted.
+            let h = (&doc.header, &want.header);
+            assert_eq!(h.0.design, h.1.design, "{text:?}");
+            assert_eq!((h.0.divider, h.0.delimiter), (h.1.divider, h.1.delimiter));
+            for (a, b) in [
+                (h.0.time_scale, h.1.time_scale),
+                (h.0.cap_scale, h.1.cap_scale),
+                (h.0.res_scale, h.1.res_scale),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{text:?}");
             }
-            assert_eq!(paths, net.paths().len());
-            assert!(net.node_count() >= 1);
+            assert_eq!(doc.nets, want.nets, "{text:?}");
         }
+        (Err(e), Err(want)) => assert_eq!(e, want, "{text:?}"),
+        (got, want) => panic!("{text:?}: parse gave {got:?}, the reference {want:?}"),
+    }
+    let doc = got.ok()?;
+    for net in &doc.nets {
+        // Walking paths, nodes and couplings must be safe on any
+        // net the parser accepts.
+        let mut paths = 0usize;
+        for p in net.paths() {
+            let _ = net.node(p.sink);
+            paths += 1;
+        }
+        assert_eq!(paths, net.paths().len());
+        assert!(net.node_count() >= 1);
+        assert_structure(net);
+    }
+    Some(doc)
+}
+
+/// The net's derived structure equals what its edge list defines: each
+/// node's neighbours in edge order, and each wire path the one Dijkstra
+/// finds.
+fn assert_structure(net: &RcNet) {
+    let mut lists = vec![Vec::new(); net.node_count()];
+    for (id, e) in net.iter_edges() {
+        lists[e.a.index()].push((e.b, id));
+        lists[e.b.index()].push((e.a, id));
+    }
+    for (id, _) in net.iter_nodes() {
+        assert_eq!(net.neighbors(id), &lists[id.index()][..], "node {id}");
+    }
+    let sp = shortest_paths(net);
+    assert_eq!(net.shortest_path_parents(), &sp.parent[..]);
+    for p in net.paths() {
+        let (nodes, edges) = sp.path_to(p.sink);
+        assert_eq!(
+            (&p.nodes, &p.edges),
+            (&nodes, &edges),
+            "net `{}`",
+            net.name()
+        );
     }
 }
 
@@ -207,6 +259,155 @@ fn non_finite_values_are_rejected() {
         ] {
             let text = FIXTURE.replace(line, &format!("{value} {bad}"));
             assert!(parse(&text).is_err(), "`{value} {bad}` must be rejected");
+        }
+    }
+}
+
+/// Separators a SPEF writer or a mangled transfer may put between
+/// tokens: ASCII and Unicode whitespace, runs of it, and U+200B, which
+/// is not whitespace and so joins its neighbours.
+const SEPARATORS: &[&str] = &[
+    "\t", "  ", " \t ", "\u{A0}", "\u{3000}", "\u{0B}", "\u{0C}", "\r", "\u{85}", "\u{2003}",
+    "\u{200B}",
+];
+
+/// Line endings, some with a comment glued to the line's last token.
+const LINE_ENDS: &[&str] = &[
+    "\r\n",
+    "//c\n",
+    "//x\r\n",
+    "//\u{E9}\n",
+    " // note\n",
+    "\n\n",
+];
+
+/// Deterministic respelling of the fixture: each space, line end and
+/// `U` is kept or, with even odds, swapped for a random variant
+/// (separators, CRLF and glued comments, non-ASCII names).
+fn respell(seed: u64) -> String {
+    let mut rng = TestRng::for_case("spef_respell", seed as u32);
+    let mut out = String::new();
+    let mut pick = |options: &[&'static str]| -> Option<&'static str> {
+        if rng.next_below(2) == 0 {
+            None
+        } else {
+            Some(options[rng.next_below(options.len() as u64) as usize])
+        }
+    };
+    for c in FIXTURE.chars() {
+        let variant = match c {
+            ' ' => pick(SEPARATORS),
+            '\n' => pick(LINE_ENDS),
+            'U' => pick(&["Ü", "Ω", "\u{4E0A}"]),
+            _ => None,
+        };
+        match variant {
+            Some(v) => out.push_str(v),
+            None => out.push(c),
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn respellings_match_the_reference(seed in 0u64..1_000_000) {
+        assert_total(&respell(seed));
+    }
+}
+
+#[test]
+fn spellings_of_the_fixture_parse_like_the_fixture() {
+    let base = parse(FIXTURE).unwrap();
+    for (what, text) in [
+        ("CRLF", FIXTURE.replace('\n', "\r\n")),
+        ("tabs", FIXTURE.replace(' ', "\t")),
+        ("glued comment", FIXTURE.replace(" 8.0\n", " 8.0//x\n")),
+        ("U+00A0", FIXTURE.replace(' ', "\u{A0}")),
+        ("U+3000", FIXTURE.replace(' ', "\u{3000}")),
+        (
+            "vertical tab and form feed",
+            FIXTURE.replace(' ', "\u{0B}\u{0C}"),
+        ),
+    ] {
+        let doc = assert_total(&text).unwrap_or_else(|| panic!("{what} must parse"));
+        assert_eq!(doc.nets, base.nets, "{what}");
+    }
+    let text = FIXTURE.replace("U4", "Ü4").replace("blk/net1", "блок/net1");
+    let doc = assert_total(&text).expect("non-ASCII names parse");
+    assert_eq!(doc.nets[1].name(), "блок/net1");
+    assert_eq!(doc.nets[1].node(doc.nets[1].source()).name, "Ü4:Z");
+}
+
+fn sub_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64
+}
+
+fn render(nets: &[RcNet]) -> String {
+    rcnet::spef::write(&rcnet::spef::SpefHeader::default(), nets)
+}
+
+/// wtbench's `design_spef` inputs: four AES-128 instances at scale
+/// 0.004 (~370 nets of 6–36 nodes each), one document per instance.
+fn design_documents(seed: u64) -> Vec<String> {
+    let spec = netgen::paper_roster()
+        .into_iter()
+        .find(|d| d.name == "AES-128")
+        .expect("AES-128 is in the paper roster");
+    let cfg = netgen::NetConfig {
+        nodes_min: 6,
+        nodes_max: 36,
+        ..Default::default()
+    };
+    (0..4)
+        .map(|i| {
+            render(&netgen::generate_design(&spec, 0.004, sub_seed(seed, i), cfg.clone()).nets)
+        })
+        .collect()
+}
+
+/// wtbench's `large_nets` inputs: 64 nets of 100 to 1000 nodes, every
+/// third non-tree, in 16 documents of 4.
+fn ladder_documents(seed: u64) -> Vec<String> {
+    let nets: Vec<RcNet> = (0..64)
+        .map(|i| {
+            let n = 100 + 900 * i / 63;
+            let cfg = netgen::NetConfig {
+                nodes_min: n,
+                nodes_max: n,
+                ..Default::default()
+            };
+            netgen::NetGenerator::new(sub_seed(seed, i), cfg).net(format!("big{i}"), i % 3 == 0)
+        })
+        .collect();
+    (0..16)
+        .map(|g| {
+            let mut idx = [g, 31 - g, 32 + g, 63 - g];
+            idx.sort_unstable();
+            render(&idx.map(|i| nets[i].clone()))
+        })
+        .collect()
+}
+
+#[test]
+fn design_spef_documents_match_the_reference() {
+    for seed in [2023, 7] {
+        for text in design_documents(seed) {
+            let doc = assert_total(&text).expect("design documents parse");
+            assert!(doc.nets.len() > 300);
+            assert!(doc.nets.iter().any(|n| !n.is_tree()));
+        }
+    }
+}
+
+#[test]
+fn large_nets_ladder_matches_the_reference() {
+    for seed in [2023, 7] {
+        for text in ladder_documents(seed) {
+            let doc = assert_total(&text).expect("ladder documents parse");
+            assert_eq!(doc.nets.len(), 4);
         }
     }
 }

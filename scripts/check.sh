@@ -51,6 +51,15 @@ cargo test -q --release -p tensor --lib expf_matches_libm_on_every_f32 -- --igno
 # 2–1000 nodes.
 cargo test -q --release -p elmore --test moments_oracle
 
+# Release-mode SPEF parser gate: holds `rcnet::spef::parse` to the
+# reference line parser in `crates/rcnet/tests/reference/` (the same
+# document, header by bits, or the same error) in the optimized build
+# that serves, on the hostile mutation corpora, Unicode, CRLF and
+# comment respellings, and the wtbench `design_spef` and `large_nets`
+# documents, and checks every accepted net's adjacency and wire paths
+# against its edge list and Dijkstra.
+cargo test -q --release -p rcnet --test proptest_spef
+
 # Quickstart smoke: exact Elmore/D2M of a hand-built net, its golden
 # timing, a small estimator trained and asked to predict an unseen net;
 # fails on any error. Examples otherwise only compile under `cargo
