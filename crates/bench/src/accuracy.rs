@@ -7,7 +7,7 @@ use crate::harness::{
 };
 use crate::tables::TableWriter;
 use gnn::gbdt::GbdtConfig;
-use gnntrans::dac20::Dac20Estimator;
+use gnntrans::dac20::{feature_rows, Dac20Estimator};
 use gnntrans::estimator::{EstimatorConfig, WireTimingEstimator};
 use gnntrans::metrics::{evaluate_estimator, EvalResult, Evaluator};
 use gnntrans::{CoreError, Dataset, Sample};
@@ -23,7 +23,8 @@ fn eval_dac20(
         if nontree_only && s.is_tree() {
             continue;
         }
-        for (i, (slew, delay)) in model.predict_rows(&s.dac20_rows).iter().enumerate() {
+        let rows = feature_rows(&s.net, &s.ctx)?;
+        for (i, (slew, delay)) in model.predict_rows(&rows).iter().enumerate() {
             ev.push(
                 (
                     s.targets_ps.get(i, 0) as f64,

@@ -10,12 +10,12 @@
 //!     [-- --scale X --seed N --epochs E --quick]
 //! ```
 
-use bench::harness::{build_test_samples, build_train_dataset, ExperimentConfig};
+use bench::harness::{build_test_samples, build_train_dataset, eval_baseline, ExperimentConfig};
 use bench::tables::TableWriter;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
 use gnn::train::{train, TrainConfig};
 use gnntrans::features::{NODE_DIM, PATH_DIM};
-use gnntrans::metrics::Evaluator;
+use gnntrans::Sample;
 
 fn main() {
     let cfg = ExperimentConfig::from_args(std::env::args().skip(1));
@@ -26,7 +26,12 @@ fn main() {
 fn run(cfg: ExperimentConfig) {
     eprintln!("[ablation] building datasets (scale {})...", cfg.scale);
     let train_data = build_train_dataset(&cfg).expect("train data");
-    let tests = build_test_samples(&cfg).expect("test data");
+    // Every test design's nets, scored as one set.
+    let tests: Vec<Sample> = build_test_samples(&cfg)
+        .expect("test data")
+        .into_iter()
+        .flat_map(|(_, samples)| samples)
+        .collect();
     let batches = train_data.batches().expect("batches");
 
     let base = GnnTransConfig {
@@ -90,26 +95,7 @@ fn run(cfg: ExperimentConfig) {
         eprint!("[ablation] training `{name}`... ");
         let mut model = GnnTrans::new(&vcfg, cfg.seed);
         train(&mut model, &batches, &tcfg).expect("training");
-        let mut ev = Evaluator::new();
-        for (_, samples) in &tests {
-            for s in samples {
-                let batch = train_data.batch_for(&s.net, &s.ctx).expect("batch");
-                let pred = train_data.target_scaler.inverse(&model.predict(&batch));
-                for i in 0..pred.rows() {
-                    ev.push(
-                        (
-                            s.targets_ps.get(i, 0) as f64,
-                            s.targets_ps.get(i, 1) as f64,
-                        ),
-                        (
-                            pred.get(i, 0).max(0.0) as f64,
-                            pred.get(i, 1).max(0.0) as f64,
-                        ),
-                    );
-                }
-            }
-        }
-        let r = ev.finish().expect("evaluation");
+        let r = eval_baseline(&model, &train_data, &tests, false).expect("evaluation");
         eprintln!("R² delay {:.3}", r.r2_delay);
         table.row(vec![
             name.to_string(),

@@ -247,8 +247,8 @@ pub fn train_baselines(
     Ok(models)
 }
 
-/// Evaluates one graph model on labelled samples using the training
-/// dataset's scalers.
+/// Evaluates one graph model on labelled samples: each sample's stored
+/// raw features go through the training dataset's scalers.
 ///
 /// # Errors
 ///
@@ -259,13 +259,14 @@ pub fn eval_baseline(
     samples: &[Sample],
     nontree_only: bool,
 ) -> Result<EvalResult, CoreError> {
+    let sc = &train_data.scalers;
     let mut ev = Evaluator::new();
     for s in samples {
         if nontree_only && s.is_tree() {
             continue;
         }
-        let batch = train_data.batch_for(&s.net, &s.ctx)?;
-        let pred = train_data.target_scaler.inverse(&model.predict(&batch));
+        let batch = sc.batch(&s.net, &s.node_feats, &s.path_feats, None)?;
+        let pred = sc.target.inverse(&model.predict(&batch));
         for i in 0..pred.rows() {
             ev.push(
                 (

@@ -4,11 +4,13 @@
 //! and non-tree net structures", DAC 2020) hand-pick RC-structure
 //! features, convert non-tree nets to trees with a loop-breaking step,
 //! and fit an XGBoost regressor. This module reproduces that recipe:
-//! the loop-breaking is the shortest-path-tree projection (chords
-//! dropped), the features below are the tree-structural quantities the
-//! estimator sees, and the regressor is [`gnn::gbdt::Gbdt`]. Its
-//! characteristic failure — accuracy collapse on non-tree nets, whose
-//! loops the features cannot see — is exactly what TABLE III measures.
+//! the loop-breaking is the depth-first spanning tree
+//! ([`LoopBreaking::DepthFirst`]: whichever edge the walk finds first
+//! stays, the rest are dropped), the features below are tree-structural
+//! quantities of that tree, and the regressor is [`gnn::gbdt::Gbdt`].
+//! Its characteristic failure — accuracy collapse on non-tree nets,
+//! whose loops the features cannot see — is exactly what TABLE III
+//! measures.
 
 use crate::features::NetContext;
 use crate::{CoreError, Dataset};
@@ -21,11 +23,17 @@ pub const DAC20_DIM: usize = 14;
 
 /// Extracts the manual feature rows of every path of a net.
 ///
-/// Tree-structural quantities come from the *loop-broken* view (the
-/// shortest-path tree inside [`WireAnalysis`]), which is the source of the
-/// baseline's non-tree error.
-pub fn feature_rows(net: &RcNet, wa: &WireAnalysis, ctx: &NetContext) -> Vec<Vec<f64>> {
-    net.paths()
+/// Tree-structural quantities come from the *loop-broken* view, a
+/// [`WireAnalysis`] over the depth-first spanning tree that this function
+/// builds itself, which is the source of the baseline's non-tree error.
+///
+/// # Errors
+///
+/// Propagates [`WireAnalysis::with_policy`] failures.
+pub fn feature_rows(net: &RcNet, ctx: &NetContext) -> Result<Vec<Vec<f64>>, CoreError> {
+    let wa = WireAnalysis::with_policy(net, LoopBreaking::DepthFirst)?;
+    Ok(net
+        .paths()
         .iter()
         .enumerate()
         .map(|(i, path)| {
@@ -55,7 +63,7 @@ pub fn feature_rows(net: &RcNet, wa: &WireAnalysis, ctx: &NetContext) -> Vec<Vec
                 net.total_cap().value() / 1e-15,
             ]
         })
-        .collect()
+        .collect())
 }
 
 /// The trained DAC'20 estimator: one GBDT for slew, one for delay.
@@ -66,18 +74,19 @@ pub struct Dac20Estimator {
 }
 
 impl Dac20Estimator {
-    /// Fits both ensembles on a dataset's precomputed manual features.
+    /// Fits both ensembles on the [`feature_rows`] of a dataset's nets.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] when the dataset has no paths.
+    /// Returns [`CoreError::BadInput`] when the dataset has no paths and
+    /// propagates analysis failures.
     pub fn fit(data: &Dataset, cfg: &GbdtConfig) -> Result<Self, CoreError> {
         let mut rows = Vec::new();
         let mut slews = Vec::new();
         let mut delays = Vec::new();
         for s in &data.samples {
-            for (i, row) in s.dac20_rows.iter().enumerate() {
-                rows.push(row.clone());
+            for (i, row) in feature_rows(&s.net, &s.ctx)?.into_iter().enumerate() {
+                rows.push(row);
                 slews.push(s.targets_ps.get(i, 0) as f64);
                 delays.push(s.targets_ps.get(i, 1) as f64);
             }
@@ -103,20 +112,14 @@ impl Dac20Estimator {
         net: &RcNet,
         ctx: &NetContext,
     ) -> Result<Vec<(Seconds, Seconds)>, CoreError> {
-        let wa = WireAnalysis::with_policy(net, LoopBreaking::DepthFirst)?;
-        Ok(feature_rows(net, &wa, ctx)
-            .iter()
-            .map(|row| {
-                (
-                    Seconds::from_ps(self.slew_model.predict(row).max(0.0)),
-                    Seconds::from_ps(self.delay_model.predict(row).max(0.0)),
-                )
-            })
+        Ok(self
+            .predict_rows(&feature_rows(net, ctx)?)
+            .into_iter()
+            .map(|(slew, delay)| (Seconds::from_ps(slew), Seconds::from_ps(delay)))
             .collect())
     }
 
-    /// Predicts from precomputed feature rows (used during evaluation to
-    /// avoid re-extracting).
+    /// Predicts `(slew, delay)` in picoseconds from [`feature_rows`].
     pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
         rows.iter()
             .map(|r| {
@@ -167,10 +170,33 @@ mod tests {
     fn feature_rows_have_fixed_width() {
         let ds = dataset(3, 5);
         for s in &ds.samples {
-            for r in &s.dac20_rows {
+            let rows = feature_rows(&s.net, &s.ctx).unwrap();
+            assert_eq!(rows.len(), s.net.paths().len());
+            for r in &rows {
                 assert_eq!(r.len(), DAC20_DIM);
             }
         }
+    }
+
+    #[test]
+    fn feature_rows_read_the_depth_first_tree() {
+        // s-b-k costs 2 Ω and is the wire path; the depth-first walk
+        // reaches k through a first, over 20 Ω.
+        use rcnet::{Farads, Ohms, RcNetBuilder};
+        let mut b = RcNetBuilder::new("d");
+        let s = b.source("s", Farads(1e-15));
+        let nb = b.internal("b", Farads(1e-15));
+        let a = b.internal("a", Farads(1e-15));
+        let k = b.sink("k", Farads(1e-15));
+        b.resistor(s, nb, Ohms(1.0));
+        b.resistor(s, a, Ohms(10.0));
+        b.resistor(a, k, Ohms(10.0));
+        b.resistor(nb, k, Ohms(1.0));
+        let net = b.build().unwrap();
+        assert_eq!(net.paths()[0].nodes, vec![s, nb, k]);
+        let rows = feature_rows(&net, &NetContext::generic(&net)).unwrap();
+        // Column 6: the tree path's resistance in kΩ.
+        assert_eq!(rows[0][6], 20.0 / 1e3);
     }
 
     #[test]
@@ -181,7 +207,8 @@ mod tests {
         let mut truth = Vec::new();
         let mut pred = Vec::new();
         for s in &ds.samples {
-            for (i, (ps, pd)) in model.predict_rows(&s.dac20_rows).iter().enumerate() {
+            let rows = feature_rows(&s.net, &s.ctx).unwrap();
+            for (i, (ps, pd)) in model.predict_rows(&rows).iter().enumerate() {
                 truth.push(s.targets_ps.get(i, 1) as f64);
                 pred.push(*pd);
                 assert!(*ps >= 0.0 && *pd >= 0.0);
@@ -197,7 +224,7 @@ mod tests {
         let model = Dac20Estimator::fit(&ds, &GbdtConfig::default()).unwrap();
         let s = &ds.samples[0];
         let from_net = model.predict_net(&s.net, &s.ctx).unwrap();
-        let from_rows = model.predict_rows(&s.dac20_rows);
+        let from_rows = model.predict_rows(&feature_rows(&s.net, &s.ctx).unwrap());
         assert_eq!(from_net.len(), from_rows.len());
         for (a, b) in from_net.iter().zip(&from_rows) {
             assert!((a.0.pico_seconds() - b.0).abs() < 1e-9);

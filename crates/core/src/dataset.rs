@@ -8,9 +8,8 @@
 //! packed [`GraphBatch`]es are produced.
 
 use crate::features::{self, LoadInfo, NetContext, NODE_DIM, PATH_DIM};
-use crate::scaler::Scaler;
+use crate::scaler::Scalers;
 use crate::CoreError;
-use elmore::WireAnalysis;
 use gnn::GraphBatch;
 use rcnet::{RcNet, Seconds};
 use rcsim::{GoldenTimer, SiMode};
@@ -31,8 +30,6 @@ pub struct Sample {
     pub path_feats: Vec<Mat>,
     /// Golden labels, `p x 2`, in picoseconds (slew, delay).
     pub targets_ps: Mat,
-    /// Manual feature rows for the DAC'20 baseline, one per path.
-    pub dac20_rows: Vec<Vec<f64>>,
 }
 
 impl Sample {
@@ -47,12 +44,8 @@ impl Sample {
 pub struct Dataset {
     /// The samples.
     pub samples: Vec<Sample>,
-    /// Node-feature scaler.
-    pub node_scaler: Scaler,
-    /// Path-feature scaler.
-    pub path_scaler: Scaler,
-    /// Target scaler (over the `p x 2` picosecond labels).
-    pub target_scaler: Scaler,
+    /// The scalers fitted over `samples`.
+    pub scalers: Scalers,
 }
 
 impl Dataset {
@@ -65,16 +58,8 @@ impl Dataset {
         if samples.is_empty() {
             return Err(CoreError::BadInput("no samples".into()));
         }
-        let node_scaler = Scaler::fit(samples.iter().map(|s| &s.node_feats));
-        let path_mats: Vec<&Mat> = samples.iter().flat_map(|s| s.path_feats.iter()).collect();
-        let path_scaler = Scaler::fit(path_mats.iter().copied());
-        let target_scaler = Scaler::fit(samples.iter().map(|s| &s.targets_ps));
-        Ok(Dataset {
-            samples,
-            node_scaler,
-            path_scaler,
-            target_scaler,
-        })
+        let scalers = Scalers::fit(&samples);
+        Ok(Dataset { samples, scalers })
     }
 
     /// Packs every sample into a scaled, labelled [`GraphBatch`].
@@ -83,35 +68,7 @@ impl Dataset {
     ///
     /// Propagates batch-validation failures.
     pub fn batches(&self) -> Result<Vec<GraphBatch>, CoreError> {
-        self.samples
-            .iter()
-            .map(|s| {
-                let x = self.node_scaler.transform(&s.node_feats);
-                let pf = s
-                    .path_feats
-                    .iter()
-                    .map(|f| self.path_scaler.transform(f))
-                    .collect();
-                let t = self.target_scaler.transform(&s.targets_ps);
-                GraphBatch::build(&s.net, x, pf, Some(t)).map_err(CoreError::from)
-            })
-            .collect()
-    }
-
-    /// Packs a single (possibly unseen) net into a scaled, unlabelled
-    /// batch using this dataset's scalers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-analysis and batch-validation failures.
-    pub fn batch_for(&self, net: &RcNet, ctx: &NetContext) -> Result<GraphBatch, CoreError> {
-        let wa = WireAnalysis::new(net)?;
-        let x = self.node_scaler.transform(&features::node_features(net, &wa, ctx));
-        let pf = features::all_path_features(net, &wa, ctx)
-            .iter()
-            .map(|f| self.path_scaler.transform(f))
-            .collect();
-        GraphBatch::build(net, x, pf, None).map_err(CoreError::from)
+        self.scalers.batches(&self.samples)
     }
 }
 
@@ -200,10 +157,7 @@ impl DatasetBuilder {
         let ctx = self.context_for(net);
         let (node_feats, path_feats) = {
             let _s = obs::span("features");
-            let wa = WireAnalysis::new(net)?;
-            let node_feats = features::node_features(net, &wa, &ctx);
-            let path_feats = features::all_path_features(net, &wa, &ctx);
-            (node_feats, path_feats)
+            features::extract(net, &ctx)?
         };
         debug_assert_eq!(node_feats.cols(), NODE_DIM);
         debug_assert!(path_feats.iter().all(|f| f.cols() == PATH_DIM));
@@ -227,19 +181,12 @@ impl DatasetBuilder {
             targets.set(i, 0, t.slew.pico_seconds() as f32);
             targets.set(i, 1, t.delay.pico_seconds() as f32);
         }
-
-        // The DAC'20 baseline sees the net through its own crude
-        // (depth-first) loop-breaking, as the original recipe does.
-        let wa_dac =
-            elmore::WireAnalysis::with_policy(net, elmore::LoopBreaking::DepthFirst)?;
-        let dac20_rows = crate::dac20::feature_rows(net, &wa_dac, &ctx);
         Ok(Sample {
             net: net.clone(),
             ctx,
             node_feats,
             path_feats,
             targets_ps: targets,
-            dac20_rows,
         })
     }
 
@@ -296,7 +243,6 @@ mod tests {
             for v in s.targets_ps.as_slice() {
                 assert!(*v > 0.0 && *v < 1000.0, "label {v} ps out of range");
             }
-            assert_eq!(s.dac20_rows.len(), s.net.paths().len());
         }
     }
 
@@ -326,12 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_for_unseen_net_has_no_targets() {
+    fn unlabelled_batch_of_an_unseen_net_has_no_targets() {
         let nets = small_nets(4);
         let mut b = DatasetBuilder::new(1);
         let ds = b.build(&nets[..3]).unwrap();
-        let ctx = b.context_for(&nets[3]);
-        let batch = ds.batch_for(&nets[3], &ctx).unwrap();
+        let (x, pf) = features::extract(&nets[3], &b.context_for(&nets[3])).unwrap();
+        let batch = ds.scalers.batch(&nets[3], &x, &pf, None).unwrap();
         assert!(batch.targets.is_none());
         assert_eq!(batch.path_count(), nets[3].paths().len());
     }

@@ -1,7 +1,7 @@
 //! The user-facing wire-timing estimator.
 
-use crate::features::{NetContext, NODE_DIM, PATH_DIM};
-use crate::scaler::Scaler;
+use crate::features::{self, NetContext, NODE_DIM, PATH_DIM};
+use crate::scaler::{Scaler, Scalers};
 use crate::{CoreError, Dataset};
 use gnn::infer::{split_packs, Arena, Layout, PackedBatch};
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
@@ -21,35 +21,6 @@ thread_local! {
     /// serve workers and `par` lanes each reuse their own warm pool
     /// without locking.
     static ARENA: RefCell<Arena> = RefCell::new(Arena::new());
-}
-
-/// The paper's three depth configurations (TABLE V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Plan {
-    /// `L1 = 25, L2 = 5` — GNN-heavy, best on small designs.
-    A,
-    /// `L1 = 20, L2 = 10` — the default.
-    B,
-    /// `L1 = 15, L2 = 15` — transformer-heavy, best on large designs.
-    C,
-}
-
-impl Plan {
-    /// The `(L1, L2)` layer split at full paper depth.
-    pub fn layer_split(self) -> (usize, usize) {
-        match self {
-            Plan::A => (25, 5),
-            Plan::B => (20, 10),
-            Plan::C => (15, 15),
-        }
-    }
-
-    /// The same split scaled by `1/div` (for CPU-budget runs), each part
-    /// at least 1.
-    pub fn scaled_split(self, div: usize) -> (usize, usize) {
-        let (l1, l2) = self.layer_split();
-        ((l1 / div).max(1), (l2 / div).max(1))
-    }
 }
 
 /// Estimator hyper-parameters (architecture + training).
@@ -84,34 +55,36 @@ impl EstimatorConfig {
         }
     }
 
-    /// PlanA at full paper depth.
+    /// PlanA at full paper depth (TABLE V: `L1=25, L2=5`, GNN-heavy,
+    /// best on small designs).
     pub fn plan_a() -> Self {
-        Self::with_split(Plan::A.layer_split())
+        Self::with_split((25, 5))
     }
 
-    /// PlanB at full paper depth.
+    /// PlanB at full paper depth (`L1=20, L2=10`, the default).
     pub fn plan_b() -> Self {
-        Self::with_split(Plan::B.layer_split())
+        Self::with_split((20, 10))
     }
 
-    /// PlanC at full paper depth.
+    /// PlanC at full paper depth (`L1=15, L2=15`, transformer-heavy,
+    /// best on large designs).
     pub fn plan_c() -> Self {
-        Self::with_split(Plan::C.layer_split())
+        Self::with_split((15, 15))
     }
 
     /// PlanA scaled 1/5 for CPU runs (`L1=5, L2=1`).
     pub fn plan_a_small() -> Self {
-        Self::with_split(Plan::A.scaled_split(5))
+        Self::with_split((5, 1))
     }
 
     /// PlanB scaled 1/5 for CPU runs (`L1=4, L2=2`).
     pub fn plan_b_small() -> Self {
-        Self::with_split(Plan::B.scaled_split(5))
+        Self::with_split((4, 2))
     }
 
     /// PlanC scaled 1/5 for CPU runs (`L1=3, L2=3`).
     pub fn plan_c_small() -> Self {
-        Self::with_split(Plan::C.scaled_split(5))
+        Self::with_split((3, 3))
     }
 
     fn to_model_config(&self) -> GnnTransConfig {
@@ -224,24 +197,8 @@ pub struct WireTimingEstimator {
     model: GnnTrans,
     /// `model`'s packed layout; forwards read `model`'s own weights.
     layout: Layout,
+    /// A copy of the training set's scalers; `None` until trained.
     scalers: Option<Scalers>,
-}
-
-#[derive(Debug, Clone)]
-struct Scalers {
-    node: Scaler,
-    path: Scaler,
-    target: Scaler,
-}
-
-impl Scalers {
-    fn of(data: &Dataset) -> Self {
-        Scalers {
-            node: data.node_scaler.clone(),
-            path: data.path_scaler.clone(),
-            target: data.target_scaler.clone(),
-        }
-    }
 }
 
 impl WireTimingEstimator {
@@ -293,47 +250,7 @@ impl WireTimingEstimator {
         let batches = data.batches()?;
         let cfg = train_config(self.cfg.epochs, self.cfg.lr, 1);
         let report = self.train_copy(|m| train(m, &batches, &cfg))?;
-        self.scalers = Some(Scalers::of(data));
-        Ok(report)
-    }
-
-    /// Trains with a held-out validation split and early stopping: every
-    /// `1/val_every`-th net is held out, training stops after `patience`
-    /// epochs without validation improvement, and the best-epoch weights
-    /// are restored. More robust than [`WireTimingEstimator::train`] when
-    /// run-to-run variance matters (e.g. comparing PlanA/B/C). On failure
-    /// the estimator is left unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates batch packing and training failures; returns
-    /// [`CoreError::BadInput`] when the split leaves either side empty.
-    pub fn train_validated(
-        &mut self,
-        data: &Dataset,
-        val_every: usize,
-        patience: usize,
-    ) -> Result<gnn::train::ValidatedReport, CoreError> {
-        let batches = data.batches()?;
-        if val_every < 2 || batches.len() < val_every {
-            return Err(CoreError::BadInput(format!(
-                "cannot hold out every {val_every}-th of {} batches",
-                batches.len()
-            )));
-        }
-        let (mut train_b, mut val_b) = (Vec::new(), Vec::new());
-        for (i, b) in batches.into_iter().enumerate() {
-            if i % val_every == 0 {
-                val_b.push(b);
-            } else {
-                train_b.push(b);
-            }
-        }
-        let cfg = train_config(self.cfg.epochs, self.cfg.lr, 1);
-        let report = self.train_copy(|m| {
-            gnn::train::train_with_early_stopping(m, &train_b, &val_b, &cfg, patience)
-        })?;
-        self.scalers = Some(Scalers::of(data));
+        self.scalers = Some(data.scalers.clone());
         Ok(report)
     }
 
@@ -358,21 +275,7 @@ impl WireTimingEstimator {
         epochs: usize,
         lr: f32,
     ) -> Result<TrainReport, CoreError> {
-        let sc = self.scalers()?.clone();
-        let batches: Result<Vec<gnn::GraphBatch>, CoreError> = samples
-            .iter()
-            .map(|s| {
-                let x = sc.node.transform(&s.node_feats);
-                let pf = s
-                    .path_feats
-                    .iter()
-                    .map(|f| sc.path.transform(f))
-                    .collect();
-                let t = sc.target.transform(&s.targets_ps);
-                gnn::GraphBatch::build(&s.net, x, pf, Some(t)).map_err(CoreError::from)
-            })
-            .collect();
-        let batches = batches?;
+        let batches = self.scalers()?.batches(samples)?;
         self.train_copy(|m| train(m, &batches, &train_config(epochs, lr, 2)))
     }
 
@@ -393,26 +296,17 @@ impl WireTimingEstimator {
     }
 
     /// Extracts, scales and clamps the features of one net into a
-    /// model-ready batch.
-    fn prepare_batch(&self, net: &RcNet, ctx: &NetContext) -> Result<GraphBatch, CoreError> {
+    /// model-ready batch; also returns how many inputs the clamp changed.
+    fn prepare_batch(
+        &self,
+        net: &RcNet,
+        ctx: &NetContext,
+    ) -> Result<(GraphBatch, u64), CoreError> {
         let sc = self.scalers()?;
-        let wa = elmore::WireAnalysis::new(net)?;
-        // Inference inputs far outside the training distribution are
-        // clamped at ±8 sigma — a deep ReLU stack extrapolates
-        // multiplicatively, so an unclamped outlier net would produce
-        // absurd timing instead of a saturated estimate.
-        let clamp = |mut m: Mat| {
-            for v in m.as_mut_slice() {
-                *v = v.clamp(-8.0, 8.0);
-            }
-            m
-        };
-        let x = clamp(sc.node.transform(&crate::features::node_features(net, &wa, ctx)));
-        let pf = crate::features::all_path_features(net, &wa, ctx)
-            .iter()
-            .map(|f| clamp(sc.path.transform(f)))
-            .collect();
-        Ok(gnn::GraphBatch::build(net, x, pf, None)?)
+        let (x, pf) = features::extract(net, ctx)?;
+        let mut batch = sc.batch(net, &x, &pf, None)?;
+        let clamped = clamp_inputs(&mut batch);
+        Ok((batch, clamped))
     }
 
     /// Un-scales a raw `p x 2` prediction into per-path estimates.
@@ -473,7 +367,8 @@ impl WireTimingEstimator {
     /// Each stage records one observation per pack, beside the
     /// forward's `infer.forward_seconds`: `infer.features_seconds`
     /// (wire analysis, features, scaling and [`GraphBatch::build`]),
-    /// `infer.pack_seconds` and `infer.unscale_seconds`.
+    /// `infer.pack_seconds` and `infer.unscale_seconds`. The pack's
+    /// clamped inputs, if any, are added to `infer.inputs_clamped`.
     fn predict_pack(
         &self,
         pack: &[(&RcNet, &NetContext)],
@@ -484,12 +379,16 @@ impl WireTimingEstimator {
         // another core built made 100–1000-node nets ~10% slower); a
         // lone pack spreads its nets' features over the pool instead.
         let started = Instant::now();
-        let batches = par::try_par_map("predict.features", pack, |&(net, ctx)| {
+        let prepared = par::try_par_map("predict.features", pack, |&(net, ctx)| {
             self.prepare_batch(net, ctx)
         })?;
         obs::histogram("infer.features_seconds").observe(started.elapsed().as_secs_f64());
+        let clamped: u64 = prepared.iter().map(|(_, c)| c).sum();
+        if clamped > 0 {
+            obs::counter("infer.inputs_clamped").add(clamped);
+        }
         let started = Instant::now();
-        let refs: Vec<&GraphBatch> = batches.iter().collect();
+        let refs: Vec<&GraphBatch> = prepared.iter().map(|(b, _)| b).collect();
         let packed = PackedBatch::pack(&refs)?;
         obs::histogram("infer.pack_seconds").observe(started.elapsed().as_secs_f64());
         let params = self.model.param_set();
@@ -640,6 +539,24 @@ impl WireTimingEstimator {
         est.scalers = Some(scalers);
         Ok(est)
     }
+}
+
+/// Clamps a scaled input batch at ±8 sigma in place and returns how many
+/// values changed. A deep ReLU stack extrapolates multiplicatively, so an
+/// input far outside the training distribution would produce absurd
+/// timing instead of a saturated estimate.
+fn clamp_inputs(batch: &mut GraphBatch) -> u64 {
+    let mut changed = 0;
+    let paths = batch.paths.iter_mut().map(|p| &mut p.features);
+    for m in std::iter::once(&mut batch.x).chain(paths) {
+        for v in m.as_mut_slice() {
+            if v.abs() > 8.0 {
+                *v = v.clamp(-8.0, 8.0);
+                changed += 1;
+            }
+        }
+    }
+    changed
 }
 
 /// The estimator's training recipe.
@@ -830,21 +747,6 @@ mod tests {
                 .collect();
             assert_eq!(nt.at_sinks, want);
         }
-    }
-
-    #[test]
-    fn validated_training_restores_best_epoch() {
-        let train_nets = nets(14, 31);
-        let mut b = DatasetBuilder::new(1);
-        let ds = b.build(&train_nets).unwrap();
-        let mut est = WireTimingEstimator::new(&quick_cfg(), 7);
-        let report = est.train_validated(&ds, 4, 5).unwrap();
-        assert!(est.is_trained());
-        assert!(report.best_epoch < report.val_losses.len());
-        // Rejects degenerate splits.
-        let mut est2 = WireTimingEstimator::new(&quick_cfg(), 7);
-        assert!(est2.train_validated(&ds, 1, 5).is_err());
-        assert!(est2.train_validated(&ds, 100, 5).is_err());
     }
 
     #[test]
@@ -1059,7 +961,7 @@ mod tests {
         for ((net, ctx), got) in pairs.iter().zip(&packed) {
             // The packed ops mirror the tape's accumulation order, so
             // the estimates match the tape forward exactly.
-            let batch = est.prepare_batch(net, ctx).unwrap();
+            let (batch, _) = est.prepare_batch(net, ctx).unwrap();
             let tape = est.estimates_from(net, est.model.predict(&batch)).unwrap();
             assert_eq!(got, &tape);
             // And packed predict_many equals the per-net call.
@@ -1114,13 +1016,12 @@ mod tests {
 
     #[test]
     fn plans_have_expected_depths() {
-        assert_eq!(Plan::A.layer_split(), (25, 5));
-        assert_eq!(Plan::B.layer_split(), (20, 10));
-        assert_eq!(Plan::C.layer_split(), (15, 15));
-        assert_eq!(Plan::B.scaled_split(5), (4, 2));
-        let full = EstimatorConfig::plan_b();
-        assert_eq!((full.gnn_layers, full.attn_layers), (20, 10));
-        let small = EstimatorConfig::plan_c_small();
-        assert_eq!((small.gnn_layers, small.attn_layers), (3, 3));
+        let split = |c: EstimatorConfig| (c.gnn_layers, c.attn_layers);
+        assert_eq!(split(EstimatorConfig::plan_a()), (25, 5));
+        assert_eq!(split(EstimatorConfig::plan_b()), (20, 10));
+        assert_eq!(split(EstimatorConfig::plan_c()), (15, 15));
+        assert_eq!(split(EstimatorConfig::plan_a_small()), (5, 1));
+        assert_eq!(split(EstimatorConfig::plan_b_small()), (4, 2));
+        assert_eq!(split(EstimatorConfig::plan_c_small()), (3, 3));
     }
 }

@@ -26,10 +26,11 @@
 //! path's Elmore delay and its D2M delay.
 //!
 //! Raw units here are fF / kΩ / ps so magnitudes are O(1) before the
-//! [`crate::scaler`] standardization.
+//! [`crate::scaler`] standardization. [`extract`] is the one way from a
+//! net to these raw features, for labelling and prediction alike.
 
+use crate::CoreError;
 use elmore::WireAnalysis;
-use rcnet::topology::shortest_paths;
 use rcnet::{RcNet, Seconds, WirePath};
 use tensor::Mat;
 
@@ -108,10 +109,26 @@ impl NetContext {
     }
 }
 
-/// Extracts the `n x NODE_DIM` node feature matrix.
+/// A net's raw features under `ctx`: the [`node_features`] matrix and
+/// the [`all_path_features`] rows, over one [`WireAnalysis`].
+///
+/// # Errors
+///
+/// Propagates [`WireAnalysis::new`] failures.
+pub fn extract(net: &RcNet, ctx: &NetContext) -> Result<(Mat, Vec<Mat>), CoreError> {
+    let wa = WireAnalysis::new(net)?;
+    Ok((
+        node_features(net, &wa, ctx),
+        all_path_features(net, &wa, ctx),
+    ))
+}
+
+/// Extracts the `n x NODE_DIM` node feature matrix. A neighbour is an
+/// input when it is no farther from the source than the node, by the
+/// distances the net keeps ([`RcNet::shortest_path_distances`]).
 pub fn node_features(net: &RcNet, analysis: &WireAnalysis, ctx: &NetContext) -> Mat {
     let n = net.node_count();
-    let sp = shortest_paths(net);
+    let dist = net.shortest_path_distances();
     // "Capacitance value" is the lumped node capacitance: ground plus
     // coupling, as extraction reports it — this is the only channel
     // through which per-node crosstalk exposure reaches the models.
@@ -125,7 +142,7 @@ pub fn node_features(net: &RcNet, analysis: &WireAnalysis, ctx: &NetContext) -> 
     let mut x = Mat::zeros(n, NODE_DIM);
     for (id, _node) in net.iter_nodes() {
         let i = id.index();
-        let my_dist = sp.dist[i].value();
+        let my_dist = dist[i].value();
         let mut n_in = 0.0f32;
         let mut n_out = 0.0f32;
         let mut cap_in = 0.0f64;
@@ -135,7 +152,7 @@ pub fn node_features(net: &RcNet, analysis: &WireAnalysis, ctx: &NetContext) -> 
         for &(nb, e) in net.neighbors(id) {
             let r = net.edge(e).res.value();
             let c = lumped[nb.index()];
-            if sp.dist[nb.index()].value() <= my_dist {
+            if dist[nb.index()].value() <= my_dist {
                 n_in += 1.0;
                 cap_in += c;
                 res_in += r;
@@ -236,6 +253,26 @@ mod tests {
         assert!((x.get(m, 8) - 5.0).abs() < 1e-6);
         // stage delay at m = 100 * 5fF = 0.5 ps.
         assert!((x.get(m, 9) - 0.5).abs() < 1e-5);
+    }
+
+    #[test]
+    fn neighbours_at_equal_distance_are_inputs_of_each_other() {
+        // a and b both sit 100 Ω from the source and share a resistor.
+        let mut bld = RcNetBuilder::new("tie");
+        let s = bld.source("s", Farads::from_ff(1.0));
+        let a = bld.internal("a", Farads::from_ff(1.0));
+        let b = bld.internal("b", Farads::from_ff(1.0));
+        let k = bld.sink("k", Farads::from_ff(1.0));
+        bld.resistor(s, a, Ohms(100.0));
+        bld.resistor(s, b, Ohms(100.0));
+        bld.resistor(a, b, Ohms(50.0));
+        bld.resistor(b, k, Ohms(100.0));
+        let net = bld.build().unwrap();
+        let wa = WireAnalysis::new(&net).unwrap();
+        let x = node_features(&net, &wa, &NetContext::generic(&net));
+        // a: inputs s and b, no output; b: inputs s and a, output k.
+        assert_eq!((x.get(a.index(), 1), x.get(a.index(), 2)), (2.0, 0.0));
+        assert_eq!((x.get(b.index(), 1), x.get(b.index(), 2)), (2.0, 1.0));
     }
 
     #[test]

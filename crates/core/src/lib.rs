@@ -50,7 +50,7 @@ pub mod scaler;
 pub mod timers;
 
 pub use dataset::{Dataset, DatasetBuilder, Sample};
-pub use estimator::{EstimatorConfig, NetPrediction, PathEstimate, Plan, WireTimingEstimator};
+pub use estimator::{EstimatorConfig, NetPrediction, PathEstimate, WireTimingEstimator};
 pub use features::NetContext;
 
 use std::error::Error;

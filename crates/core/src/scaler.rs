@@ -3,9 +3,72 @@
 //! Features and targets are z-scored (`(x - mean) / std`) column by
 //! column; constant columns get unit scale so they pass through centered.
 //! The fitted scalers ride along with the saved model so inference applies
-//! the identical transform.
+//! the identical transform, and [`Scalers::batch`] is the one place raw
+//! features become model input.
 
+use crate::dataset::Sample;
+use crate::CoreError;
+use gnn::GraphBatch;
+use rcnet::RcNet;
 use tensor::Mat;
+
+/// The node-feature, path-feature and target scalers of one training
+/// set, fitted, saved and applied together.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scalers {
+    /// Node-feature scaler.
+    pub node: Scaler,
+    /// Path-feature scaler.
+    pub path: Scaler,
+    /// Target scaler (over the `p x 2` picosecond labels).
+    pub target: Scaler,
+}
+
+impl Scalers {
+    /// Fits each scaler over every row of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples` is empty.
+    pub fn fit(samples: &[Sample]) -> Self {
+        Scalers {
+            node: Scaler::fit(samples.iter().map(|s| &s.node_feats)),
+            path: Scaler::fit(samples.iter().flat_map(|s| &s.path_feats)),
+            target: Scaler::fit(samples.iter().map(|s| &s.targets_ps)),
+        }
+    }
+
+    /// Scales a net's raw features, and its picosecond labels when
+    /// given, into a [`GraphBatch`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates batch-validation failures.
+    pub fn batch(
+        &self,
+        net: &RcNet,
+        node_feats: &Mat,
+        path_feats: &[Mat],
+        targets_ps: Option<&Mat>,
+    ) -> Result<GraphBatch, CoreError> {
+        let x = self.node.transform(node_feats);
+        let pf = path_feats.iter().map(|f| self.path.transform(f)).collect();
+        let t = targets_ps.map(|t| self.target.transform(t));
+        Ok(GraphBatch::build(net, x, pf, t)?)
+    }
+
+    /// One labelled [`Scalers::batch`] per sample.
+    ///
+    /// # Errors
+    ///
+    /// Propagates batch-validation failures.
+    pub fn batches(&self, samples: &[Sample]) -> Result<Vec<GraphBatch>, CoreError> {
+        samples
+            .iter()
+            .map(|s| self.batch(&s.net, &s.node_feats, &s.path_feats, Some(&s.targets_ps)))
+            .collect()
+    }
+}
 
 /// A fitted per-column standardizer.
 #[derive(Debug, Clone, PartialEq)]

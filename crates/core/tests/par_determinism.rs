@@ -33,9 +33,9 @@ fn dataset_fingerprint(ds: &Dataset) -> Vec<Vec<u32>> {
             fp.push(bits(p));
         }
     }
-    fp.push(bits(&ds.node_scaler.to_mat()));
-    fp.push(bits(&ds.path_scaler.to_mat()));
-    fp.push(bits(&ds.target_scaler.to_mat()));
+    fp.push(bits(&ds.scalers.node.to_mat()));
+    fp.push(bits(&ds.scalers.path.to_mat()));
+    fp.push(bits(&ds.scalers.target.to_mat()));
     fp
 }
 

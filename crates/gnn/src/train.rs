@@ -264,91 +264,6 @@ pub fn train<M: GraphModel + ?Sized>(
     })
 }
 
-/// Mean validation loss of `model` over `batches` (forward only).
-///
-/// # Errors
-///
-/// Returns [`GnnError::BadBatch`] when a batch lacks targets.
-pub fn validation_loss<M: GraphModel + ?Sized>(
-    model: &M,
-    batches: &[GraphBatch],
-) -> Result<f32, GnnError> {
-    // Forward-only and independent per batch; the in-order results of
-    // try_par_map keep both the summation order and the
-    // first-missing-target error identical to the serial loop.
-    let idx: Vec<usize> = (0..batches.len()).collect();
-    let losses = par::try_par_map("validate.graph", &idx, |&i| {
-        let batch = &batches[i];
-        let targets = batch
-            .targets
-            .as_ref()
-            .ok_or_else(|| GnnError::BadBatch(format!("validation batch {i} has no targets")))?;
-        let mut tape = Tape::new();
-        let pred = model.forward(&mut tape, batch);
-        let loss = tape.mse_loss(pred, targets);
-        Ok::<f32, GnnError>(tape.value(loss).get(0, 0))
-    })?;
-    let total: f32 = losses.iter().sum();
-    Ok(total / batches.len().max(1) as f32)
-}
-
-/// Result of [`train_with_early_stopping`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidatedReport {
-    /// Per-epoch training losses (up to the stopping epoch).
-    pub train_losses: Vec<f32>,
-    /// Per-epoch validation losses.
-    pub val_losses: Vec<f32>,
-    /// Epoch whose weights were kept (0-based).
-    pub best_epoch: usize,
-}
-
-/// Trains with a held-out validation set, stopping after `patience`
-/// epochs without improvement and restoring the best-epoch weights.
-///
-/// # Errors
-///
-/// Propagates [`train`] and [`validation_loss`] failures.
-pub fn train_with_early_stopping<M: GraphModel + ?Sized>(
-    model: &mut M,
-    train_batches: &[GraphBatch],
-    val_batches: &[GraphBatch],
-    cfg: &TrainConfig,
-    patience: usize,
-) -> Result<ValidatedReport, GnnError> {
-    let mut train_losses = Vec::new();
-    let mut val_losses = Vec::new();
-    let mut best: Option<(usize, f32, tensor::ParamSet)> = None;
-    for epoch in 0..cfg.epochs {
-        // One epoch at a time so validation interleaves; the shuffle seed
-        // advances per epoch to keep visit orders distinct.
-        let one = TrainConfig {
-            epochs: 1,
-            seed: cfg.seed.wrapping_add(epoch as u64),
-            ..cfg.clone()
-        };
-        let r = train(model, train_batches, &one)?;
-        train_losses.push(r.final_loss());
-        let vl = validation_loss(model, val_batches)?;
-        val_losses.push(vl);
-        let improved = best.as_ref().is_none_or(|(_, b, _)| vl < *b);
-        if improved {
-            best = Some((epoch, vl, model.param_set().clone()));
-        } else if let Some((be, _, _)) = best.as_ref() {
-            if epoch - be >= patience {
-                break;
-            }
-        }
-    }
-    let (best_epoch, _, params) = best.ok_or(GnnError::Diverged { epoch: 0 })?;
-    *model.param_set_mut() = params;
-    Ok(ValidatedReport {
-        train_losses,
-        val_losses,
-        best_epoch,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,48 +347,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.epoch_losses.len(), 2);
         assert_eq!(report.epoch_losses[0], 0.0);
-    }
-
-    #[test]
-    fn early_stopping_restores_best_weights() {
-        let train_set = vec![
-            labelled_batch(10.0, 0.1),
-            labelled_batch(50.0, 0.5),
-            labelled_batch(90.0, 0.9),
-        ];
-        let val_set = vec![labelled_batch(30.0, 0.3), labelled_batch(70.0, 0.7)];
-        let mut model = tiny_model();
-        let report = train_with_early_stopping(
-            &mut model,
-            &train_set,
-            &val_set,
-            &TrainConfig {
-                epochs: 40,
-                lr: 5e-3,
-                ..Default::default()
-            },
-            5,
-        )
-        .unwrap();
-        assert_eq!(report.train_losses.len(), report.val_losses.len());
-        assert!(report.best_epoch < report.val_losses.len());
-        // The restored weights reproduce the best validation loss.
-        let restored = validation_loss(&model, &val_set).unwrap();
-        let best = report.val_losses[report.best_epoch];
-        assert!((restored - best).abs() < 1e-6, "restored {restored} vs best {best}");
-        // Best is the minimum of the recorded series.
-        assert!(report
-            .val_losses
-            .iter()
-            .all(|&v| v >= best - 1e-7));
-    }
-
-    #[test]
-    fn validation_loss_requires_targets() {
-        let mut b = labelled_batch(10.0, 0.1);
-        b.targets = None;
-        let model = tiny_model();
-        assert!(validation_loss(&model, &[b]).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use gnn::batch::GraphBatch;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, validation_loss, TrainConfig};
+use gnn::train::{train, TrainConfig};
 use netgen::nets::{NetConfig, NetGenerator};
 use tensor::Mat;
 
@@ -86,12 +86,10 @@ fn packed_epoch_is_bit_identical_across_thread_counts() {
     par::set_threads(1);
     let mut serial = model();
     let rs = train(&mut serial, &batches, &cfg).unwrap();
-    let vs = validation_loss(&serial, &batches).unwrap();
 
     par::set_threads(4);
     let mut parallel = model();
     let rp = train(&mut parallel, &batches, &cfg).unwrap();
-    let vp = validation_loss(&parallel, &batches).unwrap();
     par::set_threads(1);
 
     assert_eq!(rs.epoch_losses, rp.epoch_losses);
@@ -101,5 +99,4 @@ fn packed_epoch_is_bit_identical_across_thread_counts() {
         weight_bits(&parallel),
         "packed pack fan-out diverged across thread counts"
     );
-    assert_eq!(vs.to_bits(), vp.to_bits());
 }

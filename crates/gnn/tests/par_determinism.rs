@@ -8,7 +8,7 @@
 //! process-global, so concurrent test functions flipping it would race.
 
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
-use gnn::train::{train, validation_loss, TrainConfig};
+use gnn::train::{train, TrainConfig};
 use gnn::GraphBatch;
 use rcnet::{Farads, Ohms, RcNetBuilder};
 use tensor::Mat;
@@ -62,12 +62,10 @@ fn accumulated_training_is_bit_identical_across_thread_counts() {
     par::set_threads(1);
     let mut serial = tiny_model();
     let rs = train(&mut serial, &batches, &cfg).unwrap();
-    let vs = validation_loss(&serial, &batches).unwrap();
 
     par::set_threads(4);
     let mut parallel = tiny_model();
     let rp = train(&mut parallel, &batches, &cfg).unwrap();
-    let vp = validation_loss(&parallel, &batches).unwrap();
     par::set_threads(1);
 
     assert_eq!(rs.epoch_losses, rp.epoch_losses);
@@ -77,7 +75,6 @@ fn accumulated_training_is_bit_identical_across_thread_counts() {
         weight_bits(&parallel),
         "parallel accumulation diverged from serial"
     );
-    assert_eq!(vs.to_bits(), vp.to_bits());
 
     // accum = 1 stays bit-identical to the seed per-graph loop
     // semantics regardless of the pool size (chunks of one never fan

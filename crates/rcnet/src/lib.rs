@@ -6,7 +6,8 @@
 //! the sinks. This crate provides:
 //!
 //! * [`RcNet`] / [`RcNetBuilder`] — the network itself, with validation,
-//!   CSR adjacency and the shortest-path tree its wire paths follow;
+//!   CSR adjacency, and the shortest-path tree its wire paths follow with
+//!   each node's distance from the source;
 //! * [`topology`] — resistance-weighted shortest paths (Dijkstra) and
 //!   source-rooted tree orientations (shortest-path or depth-first);
 //! * [`path`] — wire paths (tree traversal, or shortest path on non-tree

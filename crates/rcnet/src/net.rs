@@ -101,7 +101,7 @@ pub struct CouplingCap {
 ///
 /// Construct via [`RcNetBuilder`] or [`crate::spef::parse`]. The structure is
 /// immutable after `build`, so derived data (adjacency, the shortest-path
-/// tree, wire paths) is computed once and shared.
+/// tree and distances, wire paths) is computed once and shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RcNet {
     name: String,
@@ -116,6 +116,8 @@ pub struct RcNet {
     adjacency: Vec<(NodeId, EdgeId)>,
     /// `(parent, edge)` per node on its wire path; `None` for the source.
     parents: Vec<Option<(NodeId, EdgeId)>>,
+    /// Resistance of each node's wire path from the source.
+    dist: Vec<Ohms>,
     paths: Vec<WirePath>,
 }
 
@@ -194,6 +196,13 @@ impl RcNet {
     /// for the source. On a tree net this is the net itself.
     pub fn shortest_path_parents(&self) -> &[Option<(NodeId, EdgeId)>] {
         &self.parents
+    }
+
+    /// Each node's resistance-weighted distance from the source, bit for
+    /// bit what [`crate::topology::shortest_paths`] returns as `dist`:
+    /// infinite where the sum overflows.
+    pub fn shortest_path_distances(&self) -> &[Ohms] {
+        &self.dist
     }
 
     /// Whether the net is a tree (no resistive loops).
@@ -549,14 +558,15 @@ impl RcNetBuilder {
             adj_start,
             adjacency,
             parents: Vec::new(),
+            dist: Vec::new(),
             paths: Vec::new(),
         };
         // Connectivity from the source. On a tree the walk's parent links
-        // are the wire paths. Their resistance sums repeat Dijkstra's
-        // additions, and like Dijkstra the walk leaves a node whose sum
-        // overflows to infinity without a parent.
+        // are the wire paths and its resistance sums the distances. The
+        // sums repeat Dijkstra's additions, and like Dijkstra the walk
+        // leaves a node whose sum overflows to infinity without a parent.
         let mut parents = vec![None; n];
-        let mut dist = vec![0.0f64; n];
+        let mut dist = vec![Ohms(0.0); n];
         let mut seen = vec![false; n];
         let mut stack = vec![source];
         seen[source.index()] = true;
@@ -567,8 +577,8 @@ impl RcNetBuilder {
                     seen[v.index()] = true;
                     reached += 1;
                     stack.push(v);
-                    dist[v.index()] = dist[u.index()] + net.edge(e).res.value();
-                    if dist[v.index()] < f64::INFINITY {
+                    dist[v.index()] = dist[u.index()] + net.edge(e).res;
+                    if dist[v.index()].value() < f64::INFINITY {
                         parents[v.index()] = Some((u, e));
                     }
                 }
@@ -580,10 +590,11 @@ impl RcNetBuilder {
                 net.name
             )));
         }
-        net.parents = if net.is_tree() {
-            parents
+        (net.parents, net.dist) = if net.is_tree() {
+            (parents, dist)
         } else {
-            crate::topology::shortest_paths(&net).parent
+            let sp = crate::topology::shortest_paths(&net);
+            (sp.parent, sp.dist)
         };
         net.paths = crate::path::extract_paths(&net);
         Ok(net)
@@ -757,6 +768,11 @@ mod tests {
         let net = b.build().unwrap();
         let sp = crate::topology::shortest_paths(&net);
         assert_eq!(net.shortest_path_parents(), &sp.parent[..]);
+        assert_eq!(net.shortest_path_distances(), &sp.dist[..]);
+        assert_eq!(
+            net.shortest_path_distances()[k.index()],
+            Ohms(f64::INFINITY)
+        );
         assert_eq!(net.shortest_path_parents()[a.index()], Some((s, EdgeId(0))));
         assert_eq!(net.shortest_path_parents()[k.index()], None);
         assert_eq!(net.paths()[0].nodes, vec![k]);

@@ -51,7 +51,8 @@ pub(crate) fn trace(
 /// Defines wire paths on non-tree nets ("the wire path is the shortest
 /// path from the source to the target sink", paper §II-B).
 /// [`crate::RcNetBuilder::build`] runs it once per non-tree net and keeps
-/// the parents as [`RcNet::shortest_path_parents`].
+/// the parents and distances as [`RcNet::shortest_path_parents`] and
+/// [`RcNet::shortest_path_distances`].
 pub fn shortest_paths(net: &RcNet) -> ShortestPaths {
     let n = net.node_count();
     let mut dist = vec![Ohms(f64::INFINITY); n];

@@ -127,8 +127,8 @@ fn assert_total(text: &str) -> Option<SpefDocument> {
 }
 
 /// The net's derived structure equals what its edge list defines: each
-/// node's neighbours in edge order, and each wire path the one Dijkstra
-/// finds.
+/// node's neighbours in edge order, each wire path the one Dijkstra
+/// finds, and each kept source distance Dijkstra's, bit for bit.
 fn assert_structure(net: &RcNet) {
     let mut lists = vec![Vec::new(); net.node_count()];
     for (id, e) in net.iter_edges() {
@@ -140,6 +140,13 @@ fn assert_structure(net: &RcNet) {
     }
     let sp = shortest_paths(net);
     assert_eq!(net.shortest_path_parents(), &sp.parent[..]);
+    let bits = |d: &[rcnet::Ohms]| d.iter().map(|r| r.value().to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(net.shortest_path_distances()),
+        bits(&sp.dist),
+        "net `{}`",
+        net.name()
+    );
     for p in net.paths() {
         let (nodes, edges) = sp.path_to(p.sink);
         assert_eq!(

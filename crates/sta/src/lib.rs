@@ -15,9 +15,7 @@
 //! * [`path`] — multi-stage timing paths (gate → wire → gate → …) and the
 //!   arrival-time engine with a per-stage breakdown;
 //! * [`netlist`] — a combinational gate netlist with topological
-//!   arrival-time propagation and exact path counting;
-//! * [`report`] — endpoint slack against a clock period and critical-path
-//!   extraction.
+//!   arrival-time propagation.
 //!
 //! # Examples
 //!
@@ -35,13 +33,11 @@ pub mod cells;
 pub mod liberty;
 pub mod netlist;
 pub mod path;
-pub mod report;
 pub mod wire;
 
 pub use cells::{Cell, CellLibrary};
 pub use liberty::{Nldm2d, TimingArc};
 pub use path::{Stage, TimingPath};
-pub use report::{critical_path, slack_report, SlackReport};
 pub use wire::WireTimer;
 
 use std::error::Error;

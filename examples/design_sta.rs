@@ -74,10 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         generator.net("net_out", false),
     )?;
     println!(
-        "netlist: {} gates, {} nets, {} pin-to-pin paths",
+        "netlist: {} gates, {} nets",
         nl.gates().len(),
-        nl.nets().len(),
-        nl.count_paths()?
+        nl.nets().len()
     );
 
     // Propagate with the estimator, then with the golden wire timer.

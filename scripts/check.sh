@@ -101,6 +101,19 @@ cargo run -q -p bench --release --bin rcsim -- --smoke \
 # error. About 12 s on two cores.
 ./target/release/table5_arrival --quick
 
+# Accuracy-table smoke: TABLE IV at quick scale fits the DAC'20 GBDT
+# and scores it through `bench::accuracy`'s DAC'20 evaluation, and
+# scores the four graph-learning baselines through
+# `bench::harness::eval_baseline` and GNNTrans through
+# `evaluate_estimator`; fails on any error. No other step runs the
+# DAC'20 evaluation or `eval_baseline`. About 11 s on two cores.
+./target/release/table4_allnets --quick
+
+# Ablation smoke: five GNNTrans variants trained and scored through
+# `eval_baseline`, the only run of the ablation loop; fails on any
+# error. About 8 s on two cores.
+./target/release/ablation --quick
+
 # Loopback smoke test of the inference server: ephemeral port, one SPEF
 # predict (200 + finite slew/delay), /healthz + /metrics, the tracing
 # round-trip (predict's x-trace-id findable in /v1/traces with all six
