@@ -23,15 +23,16 @@
 //! ```
 //!
 //! `--steps` scales every workload (rounds, up to 7; net counts); the
-//! check-script smoke uses `--steps 2`. Like the serve loadgen, the
+//! check-script smoke uses `--steps 2`. Like every `BENCH_*.json`, the
 //! report records `host_cores`: on a single-core host the 1-vs-N runs
 //! validate determinism under concurrency, not parallel speedup, and a
 //! caveat is printed.
 
+use bench::flags::Flags;
+use bench::report::{report, Obj};
 use bench::timing;
 use gnntrans::dataset::DatasetBuilder;
 use netgen::nets::{NetConfig, NetGenerator};
-use std::fmt::Write as _;
 use tensor::{kernels, Mat};
 
 struct Args {
@@ -42,63 +43,27 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        steps: 30,
-        threads: par::resolve_threads(None).max(2),
-        seed: 2023,
-        out: "BENCH_compute.json".into(),
+    let mut flags = Flags::from_env("matmul kernels, attention softmax and pool scaling");
+    let args = Args {
+        steps: flags
+            .value(
+                "--steps",
+                30,
+                "workload scale; the check-script smoke uses 2",
+            )
+            .max(1),
+        threads: flags
+            .value(
+                "--threads",
+                par::resolve_threads(None).max(2),
+                "lane count of the 1-vs-N runs",
+            )
+            .max(2),
+        seed: flags.value("--seed", 2023, "net-generation seed"),
+        out: flags.value("--out", "BENCH_compute.json".to_string(), "result file"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = argv.get(i + 1);
-        match argv[i].as_str() {
-            "--steps" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.steps = v;
-                    i += 1;
-                }
-            }
-            "--threads" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.threads = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = value {
-                    args.out = v.clone();
-                    i += 1;
-                }
-            }
-            other => {
-                eprintln!(
-                    "compute: unknown flag `{other}`\
-                     \n  --steps N     workload scale (default 30; smoke: 2)\
-                     \n  --threads T   parallel lane count for the 1-vs-N runs\
-                     \n  --seed S      net-generation seed\
-                     \n  --out PATH    result file (default BENCH_compute.json)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args.steps = args.steps.max(1);
-    args.threads = args.threads.max(2);
+    flags.finish();
     args
-}
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn fill(rows: usize, cols: usize, seed: f32) -> Mat {
@@ -138,35 +103,6 @@ fn on_copy<'a>(src: &'a [f32], f: impl Fn(&mut [f32]) + 'a) -> impl FnMut() -> f
     }
 }
 
-/// One `n x n` attention score matrix through both softmax layouts.
-struct SoftmaxRow {
-    n: usize,
-    ns_cols: f64,
-    ns_rows_libm: f64,
-    ns_exp: f64,
-    ns_exp_libm: f64,
-    /// Libm row time over column time, the median of per-round ratios.
-    speedup: f64,
-    bit_identical: bool,
-}
-
-struct MatmulRow {
-    shape: (usize, usize, usize),
-    gflops_blocked: f64,
-    gflops_set: f64,
-    gflops_seed: f64,
-    /// Seed time over blocked time, the median of per-round ratios.
-    speedup: f64,
-}
-
-/// 1-vs-N timing of one closure.
-struct Scaling {
-    serial_s: f64,
-    parallel_s: f64,
-    /// Serial time over parallel time, the median of per-round ratios.
-    speedup: f64,
-}
-
 fn main() {
     let args = parse_args();
 
@@ -198,7 +134,7 @@ fn main() {
         (6, 1000, 1000),
         (1000, 6, 1000),
     ];
-    let matmul: Vec<MatmulRow> = shapes
+    let matmul: Vec<Obj> = shapes
         .iter()
         .map(|&(m, k, n)| {
             let a = fill(m, k, 1.0);
@@ -213,22 +149,21 @@ fn main() {
                 ],
             );
             assert!(c.get(0, 0).is_finite());
-            let gflops = |s: f64| 2.0 * (m * k * n) as f64 / s / 1e9;
-            let row = MatmulRow {
-                shape: (m, k, n),
-                gflops_blocked: gflops(t.secs(0)),
-                gflops_set: gflops(t.secs(1)),
-                gflops_seed: gflops(t.secs(2)),
-                speedup: t.ratio(2, 0),
-            };
+            let gflops = |v: usize| 2.0 * (m * k * n) as f64 / t.secs(v) / 1e9;
+            // Seed time over blocked time, the median of per-round ratios.
+            let speedup = t.ratio(2, 0);
             eprintln!(
-                "compute: {m}x{k}x{n}: blocked {:.2} GF/s, set {:.2} GF/s, seed {:.2} GF/s ({:.2}x)",
-                row.gflops_blocked,
-                row.gflops_set,
-                row.gflops_seed,
-                row.speedup,
+                "compute: {m}x{k}x{n}: blocked {:.2} GF/s, set {:.2} GF/s, seed {:.2} GF/s ({speedup:.2}x)",
+                gflops(0),
+                gflops(1),
+                gflops(2),
             );
-            row
+            Obj::new()
+                .put("shape", format!("{m}x{k}x{n}"))
+                .put("gflops_blocked", gflops(0))
+                .put("gflops_set", gflops(1))
+                .put("gflops_seed", gflops(2))
+                .put("speedup", speedup)
         })
         .collect();
 
@@ -237,7 +172,7 @@ fn main() {
     // S, and the exp alone, vectorized against libm.
     eprintln!("compute: attention softmax ({rounds} interleaved rounds)...");
     let scale = 1.0 / 6f32.sqrt();
-    let softmax: Vec<SoftmaxRow> = [100usize, 1000]
+    let softmax: Vec<Obj> = [100usize, 1000]
         .iter()
         .map(|&n| {
             let st = fill(n, n, 3.0);
@@ -252,32 +187,31 @@ fn main() {
                 ],
             );
             let ns = |i: usize| t.secs(i) * 1e9 / (n * n) as f64;
-            let row = SoftmaxRow {
-                n,
-                ns_cols: ns(0),
-                ns_rows_libm: ns(1),
-                ns_exp: ns(2),
-                ns_exp_libm: ns(3),
-                speedup: t.ratio(1, 0),
-                bit_identical: {
-                    let mut pt = st.as_slice().to_vec();
-                    kernels::softmax_cols(n, n, scale, &mut pt);
-                    let mut p = s.as_slice().to_vec();
-                    softmax_rows_libm(n, scale, &mut p);
-                    (0..n * n).all(|e| pt[e].to_bits() == p[(e % n) * n + e / n].to_bits())
-                },
+            // Libm row time over column time, the median of per-round ratios.
+            let speedup = t.ratio(1, 0);
+            let bit_identical = {
+                let mut pt = st.as_slice().to_vec();
+                kernels::softmax_cols(n, n, scale, &mut pt);
+                let mut p = s.as_slice().to_vec();
+                softmax_rows_libm(n, scale, &mut p);
+                (0..n * n).all(|e| pt[e].to_bits() == p[(e % n) * n + e / n].to_bits())
             };
             eprintln!(
                 "compute: softmax {n}x{n}: columns {:.2} ns/score, libm rows {:.2} ns/score \
-                 ({:.2}x); exp {:.2} ns, libm {:.2} ns; bit-identical: {}",
-                row.ns_cols,
-                row.ns_rows_libm,
-                row.speedup,
-                row.ns_exp,
-                row.ns_exp_libm,
-                row.bit_identical,
+                 ({speedup:.2}x); exp {:.2} ns, libm {:.2} ns; bit-identical: {bit_identical}",
+                ns(0),
+                ns(1),
+                ns(2),
+                ns(3),
             );
-            row
+            Obj::new()
+                .put("n", n)
+                .put("ns_per_score_cols", ns(0))
+                .put("ns_per_score_rows_libm", ns(1))
+                .put("speedup", speedup)
+                .put("ns_per_exp", ns(2))
+                .put("ns_per_exp_libm", ns(3))
+                .put("bit_identical", bit_identical)
         })
         .collect();
 
@@ -312,86 +246,37 @@ fn main() {
         &mut [&mut || build_at(1), &mut || build_at(args.threads)],
     );
     par::set_threads(1);
-    let dataset_scaling = Scaling {
-        serial_s: t.secs(0),
-        parallel_s: t.secs(1),
-        speedup: t.ratio(0, 1),
-    };
+    let (serial_s, parallel_s) = (t.secs(0), t.secs(1));
+    // Serial time over parallel time, the median of per-round ratios.
+    let speedup = t.ratio(0, 1);
     eprintln!(
-        "compute: dataset build: {:.1} ms serial, {:.1} ms at {} threads ({:.2}x)",
-        dataset_scaling.serial_s * 1e3,
-        dataset_scaling.parallel_s * 1e3,
+        "compute: dataset build: {:.1} ms serial, {:.1} ms at {} threads ({speedup:.2}x)",
+        serial_s * 1e3,
+        parallel_s * 1e3,
         args.threads,
-        dataset_scaling.speedup,
     );
+    let dataset_build = Obj::new()
+        .put("serial_s", serial_s)
+        .put("parallel_s", parallel_s)
+        .put("speedup", speedup)
+        .put("serial_nets_per_s", net_count as f64 / serial_s.max(1e-12))
+        .put(
+            "parallel_nets_per_s",
+            net_count as f64 / parallel_s.max(1e-12),
+        );
 
-    // --- report.
-    let cores = host_cores();
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"schema\":\"bench.compute.v1\"");
-    let _ = write!(out, ",\"host_cores\":{cores}");
-    let _ = write!(out, ",\"kernel_tier\":\"{}\"", tier.name());
-    let _ = write!(out, ",\"steps\":{}", args.steps);
-    let _ = write!(out, ",\"rounds\":{rounds}");
-    let _ = write!(out, ",\"min_span_ms\":{}", timing::MIN_SPAN.as_millis());
-    let _ = write!(out, ",\"threads_n\":{}", args.threads);
-    let _ = write!(out, ",\"pool_workers\":{}", par::workers());
-    out.push_str(",\"matmul\":[");
-    for (i, row) in matmul.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (m, k, n) = row.shape;
-        let _ = write!(out, "{{\"shape\":\"{m}x{k}x{n}\",\"gflops_blocked\":");
-        obs::json::push_f64(&mut out, row.gflops_blocked);
-        out.push_str(",\"gflops_set\":");
-        obs::json::push_f64(&mut out, row.gflops_set);
-        out.push_str(",\"gflops_seed\":");
-        obs::json::push_f64(&mut out, row.gflops_seed);
-        out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, row.speedup);
-        out.push('}');
-    }
-    out.push(']');
-    out.push_str(",\"softmax\":[");
-    for (i, row) in softmax.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"n\":{},\"ns_per_score_cols\":", row.n);
-        obs::json::push_f64(&mut out, row.ns_cols);
-        out.push_str(",\"ns_per_score_rows_libm\":");
-        obs::json::push_f64(&mut out, row.ns_rows_libm);
-        out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, row.speedup);
-        out.push_str(",\"ns_per_exp\":");
-        obs::json::push_f64(&mut out, row.ns_exp);
-        out.push_str(",\"ns_per_exp_libm\":");
-        obs::json::push_f64(&mut out, row.ns_exp_libm);
-        let _ = write!(out, ",\"bit_identical\":{}}}", row.bit_identical);
-    }
-    out.push(']');
-    let push_scaling = |out: &mut String, name: &str, s: &Scaling, unit_per_s: Option<f64>| {
-        let _ = write!(out, ",\"{name}\":{{\"serial_s\":");
-        obs::json::push_f64(out, s.serial_s);
-        out.push_str(",\"parallel_s\":");
-        obs::json::push_f64(out, s.parallel_s);
-        out.push_str(",\"speedup\":");
-        obs::json::push_f64(out, s.speedup);
-        if let Some(units) = unit_per_s {
-            out.push_str(",\"serial_nets_per_s\":");
-            obs::json::push_f64(out, units / s.serial_s.max(1e-12));
-            out.push_str(",\"parallel_nets_per_s\":");
-            obs::json::push_f64(out, units / s.parallel_s.max(1e-12));
-        }
-        out.push('}');
-    };
-    push_scaling(&mut out, "dataset_build", &dataset_scaling, Some(net_count as f64));
-    out.push('}');
+    report("bench.compute.v1", false)
+        .put("steps", args.steps)
+        .put("rounds", rounds)
+        .put("min_span_ms", timing::MIN_SPAN.as_millis())
+        .put("threads_n", args.threads)
+        .put("pool_workers", par::workers())
+        .put("matmul", matmul)
+        .put("softmax", softmax)
+        .put("dataset_build", dataset_build)
+        .write_to(&args.out);
 
-    std::fs::write(&args.out, format!("{out}\n")).expect("write report");
-    eprintln!("compute: wrote {}", args.out);
-
+    let cores = par::host_parallelism();
     if cores < args.threads {
         eprintln!(
             "compute: note: host has {cores} core(s) — the par pool is \

@@ -22,12 +22,14 @@
 //! speedup must be ≥5x — the acceptance bar for an optimizer-in-the-loop
 //! workload.
 
+use bench::flags::Flags;
+use bench::report::{report, Obj};
+use bench::timing::{median, percentile};
 use eco::design::from_netgen;
 use eco::{DesignSession, EcoEdit, PredictionCache};
 use rcnet::Seconds;
 use sta::netlist::{NetTiming, Netlist};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Args {
@@ -38,57 +40,17 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        edits: 64,
-        seed: 2023,
-        out: "BENCH_eco.json".into(),
-        smoke: false,
+    let mut flags = Flags::from_env("incremental ECO sessions vs cold re-times");
+    let args = Args {
+        edits: flags
+            .value("--edits", 64, "single-edit ECO batches per size")
+            .max(4),
+        seed: flags.value("--seed", 2023, "design + edit-stream seed"),
+        out: flags.value("--out", "BENCH_eco.json".to_string(), "result file"),
+        smoke: flags.switch("--smoke", "small sizes + agreement gate only, for CI"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = argv.get(i + 1);
-        match argv[i].as_str() {
-            "--edits" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.edits = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = value {
-                    args.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--smoke" => args.smoke = true,
-            other => {
-                eprintln!(
-                    "eco: unknown flag `{other}`\
-                     \n  --edits N   single-edit ECO batches per size (default 64)\
-                     \n  --seed S    design + edit-stream seed\
-                     \n  --out PATH  result file (default BENCH_eco.json)\
-                     \n  --smoke     small sizes + agreement gate only, for CI"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args.edits = args.edits.max(4);
+    flags.finish();
     args
-}
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Splitmix64 so the bench owns its randomness.
@@ -158,21 +120,6 @@ fn random_edit(nl: &Netlist, rng: &mut u64) -> EcoEdit {
     }
 }
 
-fn median(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[sorted.len() / 2]
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).saturating_sub(1);
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Largest |a - b| over every sink's arrival and slew, seconds.
 fn max_abs_diff(a: &DesignSession, b: &DesignSession) -> f64 {
     let (ta, tb) = (a.all_timing(), b.all_timing());
@@ -240,20 +187,11 @@ fn newest_net(s: &DesignSession) -> String {
     nets[nets.len() - 1].rc.name().to_string()
 }
 
+/// One design size's report row, with the figures the gates read.
 struct Row {
     label: &'static str,
-    design: &'static str,
-    scale: f64,
-    nets: usize,
-    gates: usize,
-    cold_full_s: f64,
-    incr_median_s: f64,
-    incr_p95_s: f64,
-    rollback_median_s: f64,
-    edits_per_s: f64,
+    json: Obj,
     speedup: f64,
-    cache_hit_rate: f64,
-    dirty_nets_mean: f64,
     agreement_s: f64,
 }
 
@@ -269,7 +207,7 @@ fn bench_size(
     let nl = from_netgen(design, scale, args.seed).expect("build design");
 
     // Cold baseline: fresh session, fresh cache, full re-time.
-    let mut cold_times: Vec<f64> = (0..cold_reps)
+    let cold_times: Vec<f64> = (0..cold_reps)
         .map(|_| {
             let cache = PredictionCache::new(8, 32 << 20);
             let mut s = DesignSession::new("cold", nl.clone(), slew);
@@ -278,7 +216,6 @@ fn bench_size(
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    cold_times.sort_by(f64::total_cmp);
     let cold_full_s = median(&cold_times);
 
     // Warm session: one full re-time seeds the prediction cache, then
@@ -328,8 +265,6 @@ fn bench_size(
             }
         }
     }
-    incr_times.sort_by(f64::total_cmp);
-    rollback_times.sort_by(f64::total_cmp);
     let stats = cache.stats();
 
     // Oracle: replay only the kept edits on a fresh session (design
@@ -354,36 +289,40 @@ fn bench_size(
 
     let summary = warm.timing_summary();
     let incr_median_s = median(&incr_times);
-    let row = Row {
-        label,
-        design,
-        scale,
-        nets: summary.nets,
-        gates: summary.gates,
-        cold_full_s,
-        incr_median_s,
-        incr_p95_s: percentile(&incr_times, 0.95),
-        rollback_median_s: median(&rollback_times),
-        edits_per_s: args.edits as f64 / stream_s.max(1e-12),
-        speedup: cold_full_s / incr_median_s.max(1e-12),
-        cache_hit_rate: stats.hit_rate(),
-        dirty_nets_mean: dirty_total as f64 / args.edits as f64,
-        agreement_s,
-    };
+    let rollback_median_s = median(&rollback_times);
+    let edits_per_s = args.edits as f64 / stream_s.max(1e-12);
+    let speedup = cold_full_s / incr_median_s.max(1e-12);
     eprintln!(
         "eco: {label} ({design} x{scale}, {} nets): cold {:.1} ms, incr median {:.2} ms, \
-         rollback median {:.3} ms, {:.0} edits/s, {:.1}x speedup, hit rate {:.1}%, \
-         agree {:.2e} s",
-        row.nets,
-        row.cold_full_s * 1e3,
-        row.incr_median_s * 1e3,
-        row.rollback_median_s * 1e3,
-        row.edits_per_s,
-        row.speedup,
-        row.cache_hit_rate * 100.0,
-        row.agreement_s,
+         rollback median {:.3} ms, {edits_per_s:.0} edits/s, {speedup:.1}x speedup, \
+         hit rate {:.1}%, agree {agreement_s:.2e} s",
+        summary.nets,
+        cold_full_s * 1e3,
+        incr_median_s * 1e3,
+        rollback_median_s * 1e3,
+        stats.hit_rate() * 100.0,
     );
-    row
+    let json = Obj::new()
+        .put("label", label)
+        .put("design", design)
+        .put("scale", scale)
+        .put("nets", summary.nets)
+        .put("gates", summary.gates)
+        .put("cold_full_s", cold_full_s)
+        .put("incr_median_s", incr_median_s)
+        .put("incr_p95_s", percentile(&incr_times, 0.95))
+        .put("rollback_median_s", rollback_median_s)
+        .put("edits_per_s", edits_per_s)
+        .put("speedup", speedup)
+        .put("cache_hit_rate", stats.hit_rate())
+        .put("dirty_nets_mean", dirty_total as f64 / args.edits as f64)
+        .put("agreement_max_abs_s", agreement_s);
+    Row {
+        label,
+        json,
+        speedup,
+        agreement_s,
+    }
 }
 
 fn main() {
@@ -404,49 +343,11 @@ fn main() {
         .map(|&(label, design, scale)| bench_size(label, design, scale, &est, &args, cold_reps))
         .collect();
 
-    let cores = host_cores();
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"schema\":\"bench.eco.v1\"");
-    let _ = write!(out, ",\"host_cores\":{cores}");
-    let _ = write!(out, ",\"edits_per_size\":{}", args.edits);
-    let _ = write!(out, ",\"cold_reps\":{cold_reps}");
-    let _ = write!(out, ",\"smoke\":{}", args.smoke);
-    out.push_str(",\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"design\":\"{}\",\"scale\":",
-            row.label, row.design
-        );
-        obs::json::push_f64(&mut out, row.scale);
-        let _ = write!(out, ",\"nets\":{},\"gates\":{}", row.nets, row.gates);
-        out.push_str(",\"cold_full_s\":");
-        obs::json::push_f64(&mut out, row.cold_full_s);
-        out.push_str(",\"incr_median_s\":");
-        obs::json::push_f64(&mut out, row.incr_median_s);
-        out.push_str(",\"incr_p95_s\":");
-        obs::json::push_f64(&mut out, row.incr_p95_s);
-        out.push_str(",\"rollback_median_s\":");
-        obs::json::push_f64(&mut out, row.rollback_median_s);
-        out.push_str(",\"edits_per_s\":");
-        obs::json::push_f64(&mut out, row.edits_per_s);
-        out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, row.speedup);
-        out.push_str(",\"cache_hit_rate\":");
-        obs::json::push_f64(&mut out, row.cache_hit_rate);
-        out.push_str(",\"dirty_nets_mean\":");
-        obs::json::push_f64(&mut out, row.dirty_nets_mean);
-        out.push_str(",\"agreement_max_abs_s\":");
-        obs::json::push_f64(&mut out, row.agreement_s);
-        out.push('}');
-    }
-    out.push_str("]}");
-
-    std::fs::write(&args.out, format!("{out}\n")).expect("write report");
-    eprintln!("eco: wrote {}", args.out);
+    report("bench.eco.v1", args.smoke)
+        .put("edits_per_size", args.edits)
+        .put("cold_reps", cold_reps)
+        .put("rows", rows.iter().map(|r| &r.json).collect::<Vec<_>>())
+        .write_to(&args.out);
 
     // Gate on correctness everywhere: the incremental solution must
     // match a cold full re-time of the same final design exactly.

@@ -21,13 +21,14 @@
 //! packed tape-free output must match the tape forward within 1e-6
 //! relative error on every path (the check script runs this gate).
 
+use bench::flags::Flags;
+use bench::report::{report, Obj};
 use bench::timing;
 use gnn::batch::GraphBatch;
 use gnn::infer::{Arena, InferenceModel, PackedBatch};
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
 use gnntrans::features::{NODE_DIM, PATH_DIM};
 use netgen::nets::{NetConfig, NetGenerator};
-use std::fmt::Write as _;
 use tensor::{kernels, Mat};
 
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
@@ -41,57 +42,15 @@ struct Args {
 }
 
 fn parse_args() -> Args {
+    let mut flags = Flags::from_env("tape vs tape-free forward, packed vs per-graph batching");
     let mut args = Args {
-        nets: 256,
-        reps: 5,
-        seed: 2023,
-        out: "BENCH_infer.json".into(),
-        smoke: false,
+        nets: flags.value("--nets", 256, "net pool size"),
+        reps: flags.value("--reps", 5, "interleaved timing rounds"),
+        seed: flags.value("--seed", 2023, "net-generation seed"),
+        out: flags.value("--out", "BENCH_infer.json".to_string(), "result file"),
+        smoke: flags.switch("--smoke", "small workload + parity assertion"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = argv.get(i + 1);
-        match argv[i].as_str() {
-            "--nets" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.nets = v;
-                    i += 1;
-                }
-            }
-            "--reps" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.reps = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = value {
-                    args.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--smoke" => args.smoke = true,
-            other => {
-                eprintln!(
-                    "infer: unknown flag `{other}`\
-                     \n  --nets N    net pool size (default 256)\
-                     \n  --reps R    interleaved timing rounds (default 5)\
-                     \n  --seed S    net-generation seed\
-                     \n  --out PATH  result file (default BENCH_infer.json)\
-                     \n  --smoke     small workload + parity assertion"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    flags.finish();
     if args.smoke {
         args.nets = args.nets.min(32);
         args.reps = args.reps.min(2);
@@ -220,26 +179,23 @@ fn main() {
         args.reps,
         &mut [&mut tape_pass, &mut || solo_pass(&mut solo_arena)],
     );
-    let (tape_s, free_s, single_speedup) = (t.secs(0), t.secs(1), t.ratio(0, 1));
+    let (tape_s, free_s, speedup) = (t.secs(0), t.secs(1), t.ratio(0, 1));
     let n = batches.len() as f64;
+    let per_s = |secs: f64| n / secs.max(1e-12);
     eprintln!(
-        "infer: tape {:.1} nets/s, tape-free {:.1} nets/s ({single_speedup:.2}x)",
-        n / tape_s,
-        n / free_s,
+        "infer: tape {:.1} nets/s, tape-free {:.1} nets/s ({speedup:.2}x)",
+        per_s(tape_s),
+        per_s(free_s),
     );
+    let single_net = Obj::new()
+        .put("tape_nets_per_s", per_s(tape_s))
+        .put("tape_free_nets_per_s", per_s(free_s))
+        .put("tape_free_us_per_net", free_s / n * 1e6)
+        .put("speedup", speedup);
 
     // --- batched throughput: packed tape-free vs per-graph tape-free
     // vs per-graph tape, at each batch size.
-    /// Median seconds per pass, and per-round time ratios.
-    struct BatchRow {
-        batch: usize,
-        packed_s: f64,
-        unpacked_s: f64,
-        tape_s: f64,
-        packed_vs_tape: f64,
-        packed_vs_unpacked: f64,
-    }
-    let rows: Vec<BatchRow> = BATCH_SIZES
+    let batched: Vec<Obj> = BATCH_SIZES
         .iter()
         .filter(|&&bs| bs <= batches.len())
         .map(|&bs| {
@@ -267,68 +223,34 @@ fn main() {
                     &mut tape_pass,
                 ],
             );
-            let row = BatchRow {
-                batch: bs,
-                packed_s: t.secs(0),
-                unpacked_s: t.secs(1),
-                tape_s: t.secs(2),
-                packed_vs_tape: t.ratio(2, 0),
-                packed_vs_unpacked: t.ratio(1, 0),
-            };
+            let (packed_s, packed_vs_tape) = (t.secs(0), t.ratio(2, 0));
             eprintln!(
                 "infer: batch {bs}: packed {:.1} nets/s ({:.1} us/net), \
-                 unpacked {:.1} nets/s, tape {:.1} nets/s ({:.2}x packed vs tape)",
-                n / row.packed_s,
-                row.packed_s / n * 1e6,
-                n / row.unpacked_s,
-                n / row.tape_s,
-                row.packed_vs_tape,
+                 unpacked {:.1} nets/s, tape {:.1} nets/s ({packed_vs_tape:.2}x packed vs tape)",
+                per_s(packed_s),
+                packed_s / n * 1e6,
+                per_s(t.secs(1)),
+                per_s(t.secs(2)),
             );
-            row
+            Obj::new()
+                .put("batch", bs)
+                .put("packed_nets_per_s", per_s(packed_s))
+                .put("packed_us_per_net", packed_s / n * 1e6)
+                .put("unpacked_nets_per_s", per_s(t.secs(1)))
+                .put("tape_nets_per_s", per_s(t.secs(2)))
+                .put("packed_vs_tape", packed_vs_tape)
+                .put("packed_vs_unpacked", t.ratio(1, 0))
         })
         .collect();
 
-    // --- report.
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"schema\":\"bench.infer.v1\"");
-    let _ = write!(out, ",\"kernel_tier\":\"{}\"", tier.name());
-    let _ = write!(out, ",\"min_span_ms\":{}", timing::MIN_SPAN.as_millis());
-    let _ = write!(out, ",\"nets\":{}", args.nets);
-    let _ = write!(out, ",\"total_paths\":{total_paths}");
-    let _ = write!(out, ",\"reps\":{}", args.reps);
-    out.push_str(",\"parity_max_rel_err\":");
-    obs::json::push_f64(&mut out, worst as f64);
-    out.push_str(",\"arena_bytes\":");
-    obs::json::push_f64(&mut out, arena.bytes() as f64);
-    out.push_str(",\"single_net\":{\"tape_nets_per_s\":");
-    obs::json::push_f64(&mut out, n / tape_s.max(1e-12));
-    out.push_str(",\"tape_free_nets_per_s\":");
-    obs::json::push_f64(&mut out, n / free_s.max(1e-12));
-    out.push_str(",\"tape_free_us_per_net\":");
-    obs::json::push_f64(&mut out, free_s / n * 1e6);
-    out.push_str(",\"speedup\":");
-    obs::json::push_f64(&mut out, single_speedup);
-    out.push_str("},\"batched\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"batch\":{},\"packed_nets_per_s\":", r.batch);
-        obs::json::push_f64(&mut out, n / r.packed_s.max(1e-12));
-        out.push_str(",\"packed_us_per_net\":");
-        obs::json::push_f64(&mut out, r.packed_s / n * 1e6);
-        out.push_str(",\"unpacked_nets_per_s\":");
-        obs::json::push_f64(&mut out, n / r.unpacked_s.max(1e-12));
-        out.push_str(",\"tape_nets_per_s\":");
-        obs::json::push_f64(&mut out, n / r.tape_s.max(1e-12));
-        out.push_str(",\"packed_vs_tape\":");
-        obs::json::push_f64(&mut out, r.packed_vs_tape);
-        out.push_str(",\"packed_vs_unpacked\":");
-        obs::json::push_f64(&mut out, r.packed_vs_unpacked);
-        out.push('}');
-    }
-    out.push_str("]}");
-
-    std::fs::write(&args.out, format!("{out}\n")).expect("write report");
-    eprintln!("infer: wrote {}", args.out);
+    report("bench.infer.v1", args.smoke)
+        .put("min_span_ms", timing::MIN_SPAN.as_millis())
+        .put("nets", args.nets)
+        .put("total_paths", total_paths)
+        .put("reps", args.reps)
+        .put("parity_max_rel_err", f64::from(worst))
+        .put("arena_bytes", arena.bytes())
+        .put("single_net", single_net)
+        .put("batched", batched)
+        .write_to(&args.out);
 }

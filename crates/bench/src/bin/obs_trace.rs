@@ -18,142 +18,47 @@
 //! cargo run -p bench --release --bin obs-trace -- --smoke
 //! ```
 
+use bench::flags::Flags;
+use bench::timing::percentile;
+use bench::traces;
 use obs::{Stage, TraceRecord};
-use serve::json::Json;
+use std::net::SocketAddr;
 
 struct Args {
     input: Option<String>,
-    url: Option<String>,
+    url: Option<SocketAddr>,
     n: usize,
     min_ms: f64,
     slowest: usize,
     smoke: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            input: None,
-            url: None,
-            n: 512,
-            min_ms: 0.0,
-            slowest: 5,
-            smoke: false,
-        }
-    }
-}
-
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let need = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
-        argv.next().ok_or(format!("{flag} needs a value"))
+fn parse_args() -> Args {
+    let mut flags = Flags::from_env("stage-attribution report for serve request traces");
+    let args = Args {
+        input: flags.optional("--input", "trace JSONL dump (from `loadgen --traces-out`)"),
+        url: flags.optional("--url", "fetch live traces from HOST:PORT instead"),
+        n: flags
+            .value("--n", 512, "traces to fetch in --url mode")
+            .max(1),
+        min_ms: flags
+            .value(
+                "--min-ms",
+                0.0_f64,
+                "ignore traces faster than this many ms",
+            )
+            .max(0.0),
+        slowest: flags.value("--slowest", 5, "slowest traces to list"),
+        smoke: flags.switch("--smoke", "run the self-contained smoke test and exit"),
     };
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--input" => args.input = Some(need(&mut argv, "--input")?),
-            "--url" => args.url = Some(need(&mut argv, "--url")?),
-            "--n" => {
-                args.n = need(&mut argv, "--n")?
-                    .parse::<usize>()
-                    .map_err(|_| "--n needs an integer".to_string())?
-                    .max(1);
-            }
-            "--min-ms" => {
-                args.min_ms = need(&mut argv, "--min-ms")?
-                    .parse::<f64>()
-                    .map_err(|_| "--min-ms needs a number".to_string())?
-                    .max(0.0);
-            }
-            "--slowest" => {
-                args.slowest = need(&mut argv, "--slowest")?
-                    .parse::<usize>()
-                    .map_err(|_| "--slowest needs an integer".to_string())?;
-            }
-            "--smoke" => args.smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "obs-trace: stage-attribution report for serve request traces\n\
-                     \n  --input PATH   trace JSONL dump (from `loadgen --traces-out`)\
-                     \n  --url ADDR     fetch live traces from HOST:PORT instead\
-                     \n  --n K          traces to fetch in --url mode (default 512)\
-                     \n  --min-ms X     ignore traces faster than X ms total (default 0)\
-                     \n  --slowest K    slowest traces to list (default 5)\
-                     \n  --smoke        run the self-contained smoke test and exit"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if !args.smoke && args.input.is_none() && args.url.is_none() {
-        return Err("supply --input PATH or --url HOST:PORT (see --help)".into());
-    }
-    if args.input.is_some() && args.url.is_some() {
-        return Err("--input and --url are mutually exclusive".into());
-    }
-    Ok(args)
-}
-
-/// Rebuilds a [`TraceRecord`] from one parsed JSON object (the wire
-/// format of both `/v1/traces` entries and JSONL dump lines).
-fn trace_from_json(t: &Json) -> Option<TraceRecord> {
-    let trace_id = obs::TraceId::parse(t.get("trace_id")?.as_str()?)?;
-    let stages_obj = t.get("stages")?;
-    let mut stages = [0.0f64; obs::trace::STAGE_COUNT];
-    for stage in Stage::ALL {
-        stages[stage.index()] = stages_obj.get(stage.name())?.as_f64()? / 1e3;
-    }
-    Some(TraceRecord {
-        trace_id,
-        started_unix_ms: t.get("started_unix_ms")?.as_u64()?,
-        total_s: t.get("total_ms")?.as_f64()? / 1e3,
-        status: t.get("status")?.as_u64()? as u16,
-        nets: t.get("nets")?.as_u64()? as u32,
-        stages,
-    })
-}
-
-fn load_jsonl(path: &str) -> Result<Vec<TraceRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut traces = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parsed =
-            serve::json::parse(line).map_err(|e| format!("{path}:{}: bad JSON: {e}", i + 1))?;
-        let rec = trace_from_json(&parsed)
-            .ok_or_else(|| format!("{path}:{}: not a trace record", i + 1))?;
-        traces.push(rec);
-    }
-    Ok(traces)
-}
-
-fn fetch_live(url: &str, n: usize) -> Result<Vec<TraceRecord>, String> {
-    let addr: std::net::SocketAddr = url
-        .parse()
-        .map_err(|_| format!("--url must be HOST:PORT, got `{url}`"))?;
-    let mut client = serve::Client::new(addr);
-    let r = client
-        .request("GET", &format!("/v1/traces?n={n}"), None)
-        .map_err(|e| format!("GET /v1/traces failed: {e}"))?;
-    if r.status != 200 {
-        return Err(format!("GET /v1/traces returned {}", r.status));
-    }
-    let parsed = serve::json::parse(&r.body).map_err(|e| format!("traces body: {e}"))?;
-    match parsed.get("traces") {
-        Some(Json::Arr(items)) => Ok(items.iter().filter_map(trace_from_json).collect()),
-        _ => Err("traces body missing `traces` array".into()),
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    let sources = usize::from(args.input.is_some()) + usize::from(args.url.is_some());
+    flags.require(
+        args.smoke || sources > 0,
+        "supply --input PATH or --url HOST:PORT",
+    );
+    flags.require(sources < 2, "--input and --url are mutually exclusive");
+    flags.finish();
+    args
 }
 
 /// The stage holding the largest share of a trace's wall time.
@@ -180,16 +85,15 @@ fn report(traces: &[TraceRecord], slowest: usize) -> f64 {
     println!("{:<12} {:>10} {:>10} {:>10} {:>10} {:>8}", "stage", "p50 ms", "p95 ms", "p99 ms", "mean ms", "share");
     let mut attributed_s = 0.0;
     for stage in Stage::ALL {
-        let mut v: Vec<f64> = traces.iter().map(|t| t.stage(stage)).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite stage times"));
+        let v: Vec<f64> = traces.iter().map(|t| t.stage(stage)).collect();
         let sum: f64 = v.iter().sum();
         attributed_s += sum;
         println!(
             "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>7.1}%",
             stage.name(),
-            percentile(&v, 50.0) * 1e3,
-            percentile(&v, 95.0) * 1e3,
-            percentile(&v, 99.0) * 1e3,
+            percentile(&v, 0.50) * 1e3,
+            percentile(&v, 0.95) * 1e3,
+            percentile(&v, 0.99) * 1e3,
             sum / n as f64 * 1e3,
             if total_s > 0.0 { sum / total_s * 100.0 } else { 0.0 },
         );
@@ -273,7 +177,7 @@ fn smoke() -> i32 {
             }
         }
     }
-    let traces = match fetch_live(&addr.to_string(), 64) {
+    let traces = match traces::fetch(addr, 64) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("obs-trace: SMOKE FAIL: {e}");
@@ -300,20 +204,16 @@ fn smoke() -> i32 {
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(m) => {
-            eprintln!("obs-trace: {m}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args();
     if args.smoke {
         std::process::exit(smoke());
     }
-    let loaded = match (&args.input, &args.url) {
-        (Some(path), None) => load_jsonl(path),
-        (None, Some(url)) => fetch_live(url, args.n),
-        _ => unreachable!("parse_args enforces exactly one source"),
+    let loaded = match (&args.input, args.url) {
+        (Some(path), _) => std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| traces::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))),
+        (None, Some(addr)) => traces::fetch(addr, args.n),
+        (None, None) => unreachable!("parse_args requires a source"),
     };
     let mut traces = match loaded {
         Ok(t) => t,

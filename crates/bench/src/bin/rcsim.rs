@@ -12,17 +12,24 @@
 //!     --seed S --out PATH --smoke]
 //! ```
 //!
-//! The factor/solve split is read from the `rcsim.factor_seconds` /
-//! `rcsim.solve_seconds` histogram deltas around each run. Like the
-//! other benches, the report records `host_cores`; every measurement
-//! here is single-threaded, so the caveat only matters for comparing
-//! absolute numbers across hosts.
+//! Each row's backends are timed in interleaved rounds (five, one in
+//! `--smoke`), each measurement spanning at least 100 ms of passes over
+//! the row's nets ([`bench::timing`]): `total_s` is a pass's median
+//! seconds and the speedup the median of per-round ratios. The
+//! factor/solve split is the mean per pass of the `rcsim.factor_seconds`
+//! / `rcsim.solve_seconds` histogram deltas around each pass. Every
+//! measurement is single-threaded, so the report's `host_cores` only
+//! matters for comparing absolute numbers across hosts.
 
+use bench::flags::Flags;
+use bench::report::{report, Obj};
+use bench::timing;
 use netgen::nets::{NetConfig, NetGenerator};
 use rcnet::{RcNet, Seconds};
 use rcsim::{GoldenTimer, PathTiming, SiMode, SolverKind};
-use std::fmt::Write as _;
-use std::time::Instant;
+
+/// Interleaved timing rounds per row (one in `--smoke`).
+const ROUNDS: usize = 5;
 
 struct Args {
     reps: usize,
@@ -34,74 +41,19 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        reps: 3,
-        steps: 1000,
-        seed: 2023,
-        dense_max: 500,
-        out: "BENCH_rcsim.json".into(),
-        smoke: false,
+    let mut flags = Flags::from_env("golden timing, sparse LDLT vs the dense LU oracle");
+    let args = Args {
+        reps: flags.value("--reps", 3, "nets per configuration").max(1),
+        steps: flags
+            .value("--steps", 1000, "integration steps per net")
+            .max(50),
+        seed: flags.value("--seed", 2023, "net-generation seed"),
+        dense_max: flags.value("--dense-max", 500, "largest size the dense oracle runs at"),
+        out: flags.value("--out", "BENCH_rcsim.json".to_string(), "result file"),
+        smoke: flags.switch("--smoke", "tiny sizes for CI"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = argv.get(i + 1);
-        match argv[i].as_str() {
-            "--reps" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.reps = v;
-                    i += 1;
-                }
-            }
-            "--steps" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.steps = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--dense-max" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.dense_max = v;
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = value {
-                    args.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--smoke" => args.smoke = true,
-            other => {
-                eprintln!(
-                    "rcsim: unknown flag `{other}`\
-                     \n  --reps N       nets per configuration (default 3)\
-                     \n  --steps N      integration steps per net (default 1000)\
-                     \n  --seed S       net-generation seed\
-                     \n  --dense-max N  largest size the dense oracle runs at (default 500)\
-                     \n  --out PATH     result file (default BENCH_rcsim.json)\
-                     \n  --smoke        tiny sizes for CI"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args.reps = args.reps.max(1);
-    args.steps = args.steps.max(50);
+    flags.finish();
     args
-}
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// One (size, topology, SI) configuration's nets.
@@ -120,46 +72,68 @@ fn nets_for(seed: u64, nodes: usize, nontree: bool, si_on: bool, count: usize) -
         .collect()
 }
 
-struct SolverRun {
-    total_s: f64,
+/// One backend's timed passes over a row's nets: the factor and solve
+/// seconds summed from the `rcsim.*_seconds` histogram deltas, and the
+/// last pass's timings for the agreement check.
+struct Backend {
+    solver: SolverKind,
+    passes: u32,
     factor_s: f64,
     solve_s: f64,
     timings: Vec<Vec<PathTiming>>,
 }
 
-/// Times one backend over a set of nets, reading the factor/solve split
-/// from the obs histogram deltas around the run.
-fn run_solver(
-    nets: &[RcNet],
-    solver: SolverKind,
-    steps: usize,
-    si_on: bool,
-) -> SolverRun {
-    let factor_h = obs::histogram("rcsim.factor_seconds");
-    let solve_h = obs::histogram("rcsim.solve_seconds");
-    let (f0, s0) = (factor_h.sum(), solve_h.sum());
-    let timer = GoldenTimer::default().with_steps(steps).with_solver(solver);
-    let t0 = Instant::now();
-    let timings = nets
-        .iter()
-        .map(|net| {
-            let si = if si_on && !net.couplings().is_empty() {
-                SiMode::WorstCase {
-                    aggressor_ramp: Seconds::from_ps(20.0),
-                }
-            } else {
-                SiMode::Off
-            };
-            timer
-                .time_net(net, Seconds::from_ps(20.0), si)
-                .expect("golden timing")
-        })
-        .collect();
-    SolverRun {
-        total_s: t0.elapsed().as_secs_f64(),
-        factor_s: factor_h.sum() - f0,
-        solve_s: solve_h.sum() - s0,
-        timings,
+impl Backend {
+    fn new(solver: SolverKind) -> Backend {
+        Backend {
+            solver,
+            passes: 0,
+            factor_s: 0.0,
+            solve_s: 0.0,
+            timings: Vec::new(),
+        }
+    }
+
+    /// Golden-times every net once; returns the pass's seconds.
+    fn pass(&mut self, nets: &[RcNet], steps: usize, si_on: bool) -> f64 {
+        let factor_h = obs::histogram("rcsim.factor_seconds");
+        let solve_h = obs::histogram("rcsim.solve_seconds");
+        let (f0, s0) = (factor_h.sum(), solve_h.sum());
+        let timer = GoldenTimer::default()
+            .with_steps(steps)
+            .with_solver(self.solver);
+        let secs = timing::time(|| {
+            self.timings = nets
+                .iter()
+                .map(|net| {
+                    let si = if si_on && !net.couplings().is_empty() {
+                        SiMode::WorstCase {
+                            aggressor_ramp: Seconds::from_ps(20.0),
+                        }
+                    } else {
+                        SiMode::Off
+                    };
+                    timer
+                        .time_net(net, Seconds::from_ps(20.0), si)
+                        .expect("golden timing")
+                })
+                .collect();
+        });
+        self.passes += 1;
+        self.factor_s += factor_h.sum() - f0;
+        self.solve_s += solve_h.sum() - s0;
+        secs
+    }
+
+    /// The row entry: `total_s`, a pass's median seconds, beside the
+    /// mean factor and solve seconds per pass.
+    fn json(&self, nets: usize, total_s: f64) -> Obj {
+        let passes = f64::from(self.passes.max(1));
+        Obj::new()
+            .put("total_s", total_s)
+            .put("nets_per_s", nets as f64 / total_s.max(1e-12))
+            .put("factor_s", self.factor_s / passes)
+            .put("solve_s", self.solve_s / passes)
     }
 }
 
@@ -176,125 +150,84 @@ fn max_abs_diff(a: &[Vec<PathTiming>], b: &[Vec<PathTiming>]) -> f64 {
     worst
 }
 
-struct Row {
-    nodes: usize,
-    nontree: bool,
-    si_on: bool,
-    nets: usize,
-    sparse: SolverRun,
-    dense: Option<SolverRun>,
-    agreement_s: Option<f64>,
-}
-
 fn main() {
     let args = parse_args();
     let sizes: &[usize] = if args.smoke { &[20, 100] } else { &[20, 100, 500, 2000] };
     let steps = if args.smoke { 300 } else { args.steps };
     let dense_max = if args.smoke { 100 } else { args.dense_max };
+    let rounds = if args.smoke { 1 } else { ROUNDS };
 
     // Warm-up so the first measured row doesn't absorb one-time costs
     // (lazy metric registration, allocator growth, page faults).
     let warmup = nets_for(args.seed ^ 0xdead, 20, true, true, 1);
-    run_solver(&warmup, SolverKind::SparseLdl, 200, true);
-    run_solver(&warmup, SolverKind::DenseLu, 200, true);
+    Backend::new(SolverKind::SparseLdl).pass(&warmup, 200, true);
+    Backend::new(SolverKind::DenseLu).pass(&warmup, 200, true);
 
     let mut rows = Vec::new();
+    // (nodes, agreement) of every row where both backends ran.
+    let mut agreements = Vec::new();
     for &nodes in sizes {
         for nontree in [false, true] {
             for si_on in [false, true] {
                 let nets = nets_for(args.seed, nodes, nontree, si_on, args.reps);
-                let sparse = run_solver(&nets, SolverKind::SparseLdl, steps, si_on);
-                let dense = (nodes <= dense_max)
-                    .then(|| run_solver(&nets, SolverKind::DenseLu, steps, si_on));
-                let agreement_s = dense
-                    .as_ref()
-                    .map(|d| max_abs_diff(&sparse.timings, &d.timings));
-                let speedup = dense
-                    .as_ref()
-                    .map(|d| d.total_s / sparse.total_s.max(1e-12));
+                let mut sparse = Backend::new(SolverKind::SparseLdl);
+                let mut dense = (nodes <= dense_max).then(|| Backend::new(SolverKind::DenseLu));
+                let t = match &mut dense {
+                    Some(dense) => timing::interleaved(
+                        rounds,
+                        &mut [&mut || sparse.pass(&nets, steps, si_on), &mut || {
+                            dense.pass(&nets, steps, si_on)
+                        }],
+                    ),
+                    None => {
+                        timing::interleaved(rounds, &mut [&mut || sparse.pass(&nets, steps, si_on)])
+                    }
+                };
+                let n = nets.len();
+                let mut row = Obj::new()
+                    .put("nodes", nodes)
+                    .put("topology", if nontree { "loops" } else { "tree" })
+                    .put("si", si_on)
+                    .put("nets", n)
+                    .put("sparse", sparse.json(n, t.secs(0)));
+                let mut note = String::new();
+                if let Some(dense) = &dense {
+                    // Dense time over sparse time, the median of per-round ratios.
+                    let speedup = t.ratio(1, 0);
+                    let agreement = max_abs_diff(&sparse.timings, &dense.timings);
+                    agreements.push((nodes, agreement));
+                    note = format!(", {speedup:.1}x vs dense, agree {agreement:.2e} s");
+                    row = row
+                        .put("dense", dense.json(n, t.secs(1)))
+                        .put("speedup", speedup)
+                        .put("agreement_max_abs_s", agreement);
+                }
                 eprintln!(
-                    "rcsim: n={nodes} {} si={}: sparse {:.1} nets/s{}{}",
+                    "rcsim: n={nodes} {} si={}: sparse {:.1} nets/s{note}",
                     if nontree { "loops" } else { "tree " },
                     u8::from(si_on),
-                    nets.len() as f64 / sparse.total_s.max(1e-12),
-                    speedup
-                        .map(|s| format!(", {s:.1}x vs dense"))
-                        .unwrap_or_default(),
-                    agreement_s
-                        .map(|d| format!(", agree {d:.2e} s"))
-                        .unwrap_or_default(),
+                    n as f64 / t.secs(0).max(1e-12),
                 );
-                rows.push(Row {
-                    nodes,
-                    nontree,
-                    si_on,
-                    nets: nets.len(),
-                    sparse,
-                    dense,
-                    agreement_s,
-                });
+                rows.push(row);
             }
         }
     }
 
-    let cores = host_cores();
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"schema\":\"bench.rcsim.v1\"");
-    let _ = write!(out, ",\"host_cores\":{cores}");
-    let _ = write!(out, ",\"reps\":{}", args.reps);
-    let _ = write!(out, ",\"steps\":{steps}");
-    let _ = write!(out, ",\"dense_max_nodes\":{dense_max}");
-    let _ = write!(out, ",\"smoke\":{}", args.smoke);
-    out.push_str(",\"rows\":[");
-    let push_run = |out: &mut String, name: &str, nets: usize, run: &SolverRun| {
-        let _ = write!(out, ",\"{name}\":{{\"total_s\":");
-        obs::json::push_f64(out, run.total_s);
-        out.push_str(",\"nets_per_s\":");
-        obs::json::push_f64(out, nets as f64 / run.total_s.max(1e-12));
-        out.push_str(",\"factor_s\":");
-        obs::json::push_f64(out, run.factor_s);
-        out.push_str(",\"solve_s\":");
-        obs::json::push_f64(out, run.solve_s);
-        out.push('}');
-    };
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"nodes\":{},\"topology\":\"{}\",\"si\":{},\"nets\":{}",
-            row.nodes,
-            if row.nontree { "loops" } else { "tree" },
-            row.si_on,
-            row.nets,
-        );
-        push_run(&mut out, "sparse", row.nets, &row.sparse);
-        if let Some(dense) = &row.dense {
-            push_run(&mut out, "dense", row.nets, dense);
-            out.push_str(",\"speedup\":");
-            obs::json::push_f64(&mut out, dense.total_s / row.sparse.total_s.max(1e-12));
-        }
-        if let Some(d) = row.agreement_s {
-            out.push_str(",\"agreement_max_abs_s\":");
-            obs::json::push_f64(&mut out, d);
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-
-    std::fs::write(&args.out, format!("{out}\n")).expect("write report");
-    eprintln!("rcsim: wrote {}", args.out);
+    report("bench.rcsim.v1", args.smoke)
+        .put("reps", args.reps)
+        .put("steps", steps)
+        .put("dense_max_nodes", dense_max)
+        .put("rounds", rounds)
+        .put("min_span_ms", timing::MIN_SPAN.as_millis())
+        .put("rows", rows)
+        .write_to(&args.out);
 
     // Gate on physics, not just speed: where both backends ran they
     // must agree to sub-nanosecond-in-seconds precision.
-    for row in &rows {
-        if let Some(d) = row.agreement_s {
-            assert!(
-                d <= 1e-9,
-                "solver disagreement {d:.3e} s at n={} (tolerance 1e-9 s)",
-                row.nodes
-            );
-        }
+    for (nodes, d) in agreements {
+        assert!(
+            d <= 1e-9,
+            "solver disagreement {d:.3e} s at n={nodes} (tolerance 1e-9 s)"
+        );
     }
 }

@@ -5,7 +5,11 @@
 //! at accumulation 1/8/32 — plus packed-vs-tape gradient
 //! parity, and writes `BENCH_train.json`. All timing is single-thread
 //! (`PAR` pool sized 1): the engine's win must come from the backward
-//! itself, not lane count.
+//! itself, not lane count. At each accumulation size the two trainers
+//! are timed in `--reps` interleaved rounds, each measurement spanning
+//! at least 100 ms of training runs ([`bench::timing`]); a run trains a
+//! fresh identically-seeded model, built outside the timed part, and
+//! the speedup is the median of per-round ratios.
 //!
 //! ```text
 //! cargo run -p bench --release --bin train [-- --nets N --epochs E \
@@ -17,14 +21,15 @@
 //! every parameter, both for a single-graph pack and a full
 //! multi-graph pack (the check script runs this gate).
 
+use bench::flags::Flags;
+use bench::report::{report, Obj};
+use bench::timing;
 use gnn::batch::GraphBatch;
 use gnn::infer::Arena;
 use gnn::models::{GnnTrans, GnnTransConfig, GraphModel};
 use gnn::train::{train, TrainConfig};
 use gnntrans::features::{NODE_DIM, PATH_DIM};
 use netgen::nets::{NetConfig, NetGenerator};
-use std::fmt::Write as _;
-use std::time::Instant;
 use tensor::{Mat, ParamSet, Tape, Var};
 
 const ACCUM_SIZES: [usize; 3] = [1, 8, 32];
@@ -39,65 +44,16 @@ struct Args {
 }
 
 fn parse_args() -> Args {
+    let mut flags = Flags::from_env("tape vs packed-batch training");
     let mut args = Args {
-        nets: 128,
-        epochs: 2,
-        reps: 3,
-        seed: 2023,
-        out: "BENCH_train.json".into(),
-        smoke: false,
+        nets: flags.value("--nets", 128, "training-set size"),
+        epochs: flags.value("--epochs", 2, "epochs per timed run"),
+        reps: flags.value("--reps", 3, "interleaved timing rounds"),
+        seed: flags.value("--seed", 2023, "net-generation seed"),
+        out: flags.value("--out", "BENCH_train.json".to_string(), "result file"),
+        smoke: flags.switch("--smoke", "small workload + gradient-parity assertion"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = argv.get(i + 1);
-        match argv[i].as_str() {
-            "--nets" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.nets = v;
-                    i += 1;
-                }
-            }
-            "--epochs" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.epochs = v;
-                    i += 1;
-                }
-            }
-            "--reps" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.reps = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = value {
-                    args.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--smoke" => args.smoke = true,
-            other => {
-                eprintln!(
-                    "train: unknown flag `{other}`\
-                     \n  --nets N     training-set size (default 128)\
-                     \n  --epochs E   epochs per timed run (default 2)\
-                     \n  --reps R     best-of repetitions (default 3)\
-                     \n  --seed S     net-generation seed\
-                     \n  --out PATH   result file (default BENCH_train.json)\
-                     \n  --smoke      small workload + gradient-parity assertion"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    flags.finish();
     if args.smoke {
         args.nets = args.nets.min(32);
         args.epochs = args.epochs.min(1);
@@ -154,17 +110,6 @@ fn make_batches(seed: u64, count: usize) -> Vec<GraphBatch> {
             GraphBatch::build(&net, x, pf, Some(t)).expect("batch")
         })
         .collect()
-}
-
-/// Best-of-reps seconds for one full pass over the workload.
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// GNNTrans without its packed layout, so `train` runs the tape.
@@ -273,16 +218,10 @@ fn main() {
     );
 
     // --- epoch throughput: tape vs packed training at each accumulation
-    // size, fresh identically-seeded model per timed run.
-    struct Row {
-        accum: usize,
-        tape_s: f64,
-        packed_s: f64,
-        arena_bytes_peak: usize,
-        fallbacks: u64,
-    }
+    // size, a fresh identically-seeded model per timed run.
     let graphs_per_run = (args.epochs * batches.len()) as f64;
-    let rows: Vec<Row> = ACCUM_SIZES
+    let per_s = |secs: f64| graphs_per_run / secs.max(1e-12);
+    let batched: Vec<Obj> = ACCUM_SIZES
         .iter()
         .map(|&accum| {
             let cfg = TrainConfig {
@@ -291,58 +230,53 @@ fn main() {
                 accum,
                 ..TrainConfig::default()
             };
-            let tape_s = best_of(args.reps, || {
-                let mut m = TapeOnly(GnnTrans::new(&model_cfg, args.seed));
-                train(&mut m, &batches, &cfg).expect("tape training");
-            });
             let mut arena_bytes_peak = 0usize;
-            let mut fallbacks = 0u64;
-            let packed_s = best_of(args.reps, || {
-                let mut m = GnnTrans::new(&model_cfg, args.seed);
-                let report = train(&mut m, &batches, &cfg).expect("packed training");
-                arena_bytes_peak = arena_bytes_peak.max(report.arena_bytes_peak);
-                fallbacks = report.fallbacks;
-            });
-            eprintln!(
-                "train: accum {accum}: tape {:.1} graphs/s, packed {:.1} graphs/s ({:.2}x)",
-                graphs_per_run / tape_s,
-                graphs_per_run / packed_s,
-                tape_s / packed_s.max(1e-12),
+            let t = timing::interleaved(
+                args.reps,
+                &mut [
+                    &mut || {
+                        let mut m = TapeOnly(GnnTrans::new(&model_cfg, args.seed));
+                        timing::time(|| {
+                            train(&mut m, &batches, &cfg).expect("tape training");
+                        })
+                    },
+                    &mut || {
+                        let mut m = GnnTrans::new(&model_cfg, args.seed);
+                        let mut peak = 0;
+                        let secs = timing::time(|| {
+                            peak = train(&mut m, &batches, &cfg)
+                                .expect("packed training")
+                                .arena_bytes_peak;
+                        });
+                        arena_bytes_peak = arena_bytes_peak.max(peak);
+                        secs
+                    },
+                ],
             );
-            Row { accum, tape_s, packed_s, arena_bytes_peak, fallbacks }
+            let (tape_s, packed_s, speedup) = (t.secs(0), t.secs(1), t.ratio(0, 1));
+            eprintln!(
+                "train: accum {accum}: tape {:.1} graphs/s, packed {:.1} graphs/s ({speedup:.2}x)",
+                per_s(tape_s),
+                per_s(packed_s),
+            );
+            Obj::new()
+                .put("accum", accum)
+                .put("tape_graphs_per_s", per_s(tape_s))
+                .put("packed_graphs_per_s", per_s(packed_s))
+                .put("packed_us_per_graph", packed_s / graphs_per_run * 1e6)
+                .put("speedup", speedup)
+                .put("arena_bytes_peak", arena_bytes_peak)
         })
         .collect();
 
-    // --- report.
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"schema\":\"bench.train.v1\"");
-    let _ = write!(out, ",\"nets\":{}", args.nets);
-    let _ = write!(out, ",\"total_paths\":{total_paths}");
-    let _ = write!(out, ",\"epochs\":{}", args.epochs);
-    let _ = write!(out, ",\"reps\":{}", args.reps);
-    out.push_str(",\"grad_parity_single\":");
-    obs::json::push_f64(&mut out, worst_single as f64);
-    out.push_str(",\"grad_parity_pack\":");
-    obs::json::push_f64(&mut out, worst_pack as f64);
-    out.push_str(",\"batched\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"accum\":{},\"tape_graphs_per_s\":", r.accum);
-        obs::json::push_f64(&mut out, graphs_per_run / r.tape_s.max(1e-12));
-        out.push_str(",\"packed_graphs_per_s\":");
-        obs::json::push_f64(&mut out, graphs_per_run / r.packed_s.max(1e-12));
-        out.push_str(",\"packed_us_per_graph\":");
-        obs::json::push_f64(&mut out, r.packed_s / graphs_per_run * 1e6);
-        out.push_str(",\"speedup\":");
-        obs::json::push_f64(&mut out, r.tape_s / r.packed_s.max(1e-12));
-        let _ = write!(out, ",\"arena_bytes_peak\":{}", r.arena_bytes_peak);
-        let _ = write!(out, ",\"fallbacks\":{}", r.fallbacks);
-        out.push('}');
-    }
-    out.push_str("]}");
-
-    std::fs::write(&args.out, format!("{out}\n")).expect("write report");
-    eprintln!("train: wrote {}", args.out);
+    report("bench.train.v1", args.smoke)
+        .put("min_span_ms", timing::MIN_SPAN.as_millis())
+        .put("nets", args.nets)
+        .put("total_paths", total_paths)
+        .put("epochs", args.epochs)
+        .put("reps", args.reps)
+        .put("grad_parity_single", f64::from(worst_single))
+        .put("grad_parity_pack", f64::from(worst_pack))
+        .put("batched", batched)
+        .write_to(&args.out);
 }

@@ -8,8 +8,11 @@ use gnntrans::CoreError;
 use netgen::designs::{generate_design, paper_roster, DesignSpec};
 use netgen::nets::NetConfig;
 
+use crate::flags::Flags;
+
 /// Knobs shared by every experiment binary, overridable from the command
-/// line (`--scale`, `--seed`, `--epochs`, `--quick`, `--obs-json`).
+/// line (`--scale`, `--seed`, `--epochs`, `--layers`, `--quick`,
+/// `--obs-json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Fraction of each paper design's net count to generate.
@@ -37,85 +40,32 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Parses one flag value, warning (and leaving the default in place)
-/// when the value is missing or malformed.
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Option<T> {
-    let Some(raw) = value else {
-        obs::event!(
-            obs::Level::Warn,
-            "bench.harness",
-            "flag is missing its value; keeping default",
-            flag = flag,
-        );
-        return None;
-    };
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            obs::event!(
-                obs::Level::Warn,
-                "bench.harness",
-                "rejecting malformed flag value; keeping default",
-                flag = flag,
-                value = raw,
-            );
-            None
-        }
-    }
-}
-
 impl ExperimentConfig {
-    /// Parses `--scale X --seed N --epochs N --quick` style arguments;
-    /// unknown arguments are ignored so binaries can add their own.
-    /// Malformed values (e.g. `--epochs abc`) emit a warn-level obs event
-    /// naming the flag and the rejected value, and keep the default.
+    /// Parses the shared experiment flags (see [`crate::flags`]).
+    /// `--quick` lowers the defaults of `--scale`, `--epochs` and
+    /// `--layers`, so a value given for one of them wins in either
+    /// order. An unknown flag or a malformed value prints the usage and
+    /// exits 2.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut cfg = ExperimentConfig::default();
-        let argv: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i].as_str();
-            let value = argv.get(i + 1);
-            match flag {
-                "--scale" => {
-                    if let Some(v) = parse_flag(flag, value) {
-                        cfg.scale = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = parse_flag(flag, value) {
-                        cfg.seed = v;
-                        i += 1;
-                    }
-                }
-                "--epochs" => {
-                    if let Some(v) = parse_flag(flag, value) {
-                        cfg.epochs = v;
-                        i += 1;
-                    }
-                }
-                "--layers" => {
-                    if let Some(v) = parse_flag(flag, value) {
-                        cfg.baseline_layers = v;
-                        i += 1;
-                    }
-                }
-                "--obs-json" => {
-                    if let Some(v) = parse_flag::<String>(flag, value) {
-                        cfg.obs_json = Some(v);
-                        i += 1;
-                    }
-                }
-                "--quick" => {
-                    cfg.scale = 2e-4;
-                    cfg.epochs = 10;
-                    cfg.baseline_layers = 3;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
+        let mut flags = Flags::new("regenerates one table or figure of the paper", args);
+        let quick = flags.switch(
+            "--quick",
+            "small, fast run: scale 2e-4, 10 epochs, 3 layers",
+        );
+        let d = ExperimentConfig::default();
+        let (scale, epochs, layers) = if quick {
+            (2e-4, 10, 3)
+        } else {
+            (d.scale, d.epochs, d.baseline_layers)
+        };
+        let cfg = ExperimentConfig {
+            scale: flags.value("--scale", scale, "fraction of each paper design's nets"),
+            seed: flags.value("--seed", d.seed, "global seed"),
+            epochs: flags.value("--epochs", epochs, "training epochs of every neural model"),
+            baseline_layers: flags.value("--layers", layers, "baseline search depth L"),
+            obs_json: flags.optional("--obs-json", "write the obs run report to this path"),
+        };
+        flags.finish();
         cfg
     }
 
@@ -302,12 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_args_ignored() {
-        let cfg = ExperimentConfig::from_args(["--bogus".to_string(), "7".to_string()]);
-        assert_eq!(cfg, ExperimentConfig::default());
-    }
-
-    #[test]
     fn obs_json_flag_parses() {
         let cfg = ExperimentConfig::from_args(
             ["--obs-json", "/tmp/report.json", "--quick"]
@@ -318,36 +262,17 @@ mod tests {
     }
 
     #[test]
-    fn malformed_value_warns_and_keeps_default() {
-        use std::sync::{Arc, Mutex};
-
-        struct Capture(Mutex<Vec<String>>);
-        impl obs::Sink for Capture {
-            fn emit(&self, e: &obs::Event<'_>) {
-                self.0.lock().unwrap().push(obs::JsonlSink::render(e));
-            }
+    fn an_explicit_flag_wins_over_quick_in_either_order() {
+        let parse = |args: &[&str]| ExperimentConfig::from_args(args.iter().map(|s| s.to_string()));
+        for args in [
+            ["--scale", "0.001", "--quick"],
+            ["--quick", "--scale", "0.001"],
+        ] {
+            let cfg = parse(&args);
+            assert_eq!(cfg.scale, 0.001, "{args:?}");
+            assert_eq!((cfg.epochs, cfg.baseline_layers), (10, 3), "{args:?}");
         }
-        let cap = Arc::new(Capture(Mutex::new(Vec::new())));
-        obs::set_sinks(vec![cap.clone()]);
-        obs::set_level(obs::Level::Warn);
-
-        let cfg = ExperimentConfig::from_args(
-            ["--epochs", "abc", "--scale", "0.001"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        obs::set_sinks(vec![Arc::new(obs::StderrSink)]);
-
-        // The malformed value left the default in place; later flags
-        // still applied.
-        assert_eq!(cfg.epochs, ExperimentConfig::default().epochs);
-        assert_eq!(cfg.scale, 0.001);
-        let lines = cap.0.lock().unwrap();
-        let warn = lines
-            .iter()
-            .find(|l| l.contains("--epochs"))
-            .expect("a warning naming the flag");
-        assert!(warn.contains("\"value\":\"abc\""), "{warn}");
-        assert!(warn.contains("\"level\":\"warn\""), "{warn}");
+        assert_eq!(parse(&["--quick"]).scale, 2e-4);
+        assert_eq!(parse(&["--epochs", "7", "--quick"]).epochs, 7);
     }
 }

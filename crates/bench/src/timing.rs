@@ -1,11 +1,20 @@
-//! Interleaved timing for the micro-benchmark bins (`compute`, `infer`).
+//! The one timing rule and the one set of order statistics of the
+//! bench bins.
 //!
-//! The reference host's speed changes in phases of 15–25 ms and drifts
-//! over seconds, so a best-of over reps shorter than a phase reads
-//! whichever phase each variant happened to land in. Here every round
-//! times each variant once, each over at least [`MIN_SPAN`] of calls,
-//! and a comparison of two variants is the median of their ratios
-//! within a round, which a drift between rounds does not move.
+//! Every comparison of variants runs through [`interleaved`]: the
+//! kernel, softmax and pool rows of `compute`, tape vs tape-free and
+//! packed vs per-graph in `infer`, tape vs packed training in `train`,
+//! and sparse vs dense golden timing in `rcsim`. The reference host's
+//! speed changes in phases of 15–25 ms and drifts over seconds, so a
+//! best-of over reps shorter than a phase reads whichever phase each
+//! variant happened to land in. Here every round times each variant
+//! once, each over at least [`MIN_SPAN`] of calls, and a comparison of
+//! two variants is the median of their ratios within a round, which a
+//! drift between rounds does not move.
+//!
+//! [`median`] and [`percentile`] summarize latency samples: `eco`'s
+//! per-edit applies and rollbacks, `loadgen`'s requests and stage
+//! times, and `obs-trace`'s per-stage tables.
 
 use std::time::{Duration, Instant};
 
@@ -26,19 +35,18 @@ pub struct Rounds(Vec<Vec<f64>>);
 impl Rounds {
     /// Variant `v`'s median seconds per call.
     pub fn secs(&self, v: usize) -> f64 {
-        median(self.0[v].clone())
+        median(&self.0[v])
     }
 
     /// The median over the rounds of variant `a`'s seconds over
     /// variant `b`'s in the same round.
     pub fn ratio(&self, a: usize, b: usize) -> f64 {
-        median(
-            self.0[a]
-                .iter()
-                .zip(&self.0[b])
-                .map(|(x, y)| x / y)
-                .collect(),
-        )
+        let ratios: Vec<f64> = self.0[a]
+            .iter()
+            .zip(&self.0[b])
+            .map(|(x, y)| x / y)
+            .collect();
+        median(&ratios)
     }
 }
 
@@ -64,14 +72,34 @@ pub fn interleaved(rounds: usize, variants: &mut [&mut dyn FnMut() -> f64]) -> R
     Rounds(per_round)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
+/// The median of `xs`, the mean of the middle pair for an even count;
+/// NaN when empty.
+pub fn median(xs: &[f64]) -> f64 {
+    let v = sorted(xs);
+    let mid = v.len() / 2;
+    match v.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => v[mid],
+        _ => (v[mid - 1] + v[mid]) / 2.0,
     }
+}
+
+/// The nearest-rank `p` quantile of `xs` (`p` in 0..=1): the smallest
+/// sample with at least a share `p` of the samples at or below it; NaN
+/// when empty.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    let v = sorted(xs);
+    let rank = (p * v.len() as f64).ceil() as usize;
+    match v.len() {
+        0 => f64::NAN,
+        n => v[rank.clamp(1, n) - 1],
+    }
+}
+
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
 }
 
 #[cfg(test)]
@@ -80,8 +108,20 @@ mod tests {
 
     #[test]
     fn median_of_odd_and_even_counts() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert!(median(&[]).is_nan());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v: Vec<f64> = (1..=200).rev().map(f64::from).collect();
+        assert_eq!(percentile(&v, 0.5), 100.0);
+        assert_eq!(percentile(&v, 0.95), 190.0);
+        assert_eq!(percentile(&v, 1.0), 200.0);
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v[..10], 0.99), 200.0);
+        assert!(percentile(&[], 0.5).is_nan());
     }
 
     #[test]

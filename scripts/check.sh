@@ -127,6 +127,18 @@ cargo run -q -p bench --release --bin rcsim -- --smoke \
 # request wall time is unattributed to a stage.
 ./target/release/obs-trace --smoke
 
+# Serving-benchmark smoke: a 1 s closed-loop window at one worker, the
+# ECO session drive and the JSONL trace dump; fails when no request or
+# no ECO edit succeeds. No other step runs loadgen. About 2.5 s on two
+# cores.
+./target/release/loadgen --duration-s 1 --workers-sweep 1 --eco \
+    --traces-out target/traces_smoke.jsonl --out target/BENCH_serve_smoke.json
+
+# Trace-file smoke: the stage-attribution report over that dump, read
+# through the decoder the live `/v1/traces` fetch shares; fails on a
+# line that is not a trace record.
+./target/release/obs-trace --input target/traces_smoke.jsonl
+
 # Incremental ECO engine smoke: small designs, a random single-edit
 # stream through a warm session, then the correctness gate — the
 # incrementally-maintained timing must equal a cold full re-time of the
