@@ -292,7 +292,9 @@ impl EcoRun {
 fn drive_eco(addr: SocketAddr, args: &Args) -> EcoRun {
     use serve::json::Json;
     let conns = args.connections.clamp(1, 8);
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(conns));
+    // The connections and this thread: the window starts when every
+    // session is set up, and each early return still waits here.
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(conns + 1));
     let duration = args.duration;
     let handles: Vec<_> = (0..conns)
         .map(|c| {
@@ -372,6 +374,7 @@ fn drive_eco(addr: SocketAddr, args: &Args) -> EcoRun {
             })
         })
         .collect();
+    barrier.wait();
     let started = Instant::now();
     let mut ok = 0u64;
     let mut errors = 0u64;

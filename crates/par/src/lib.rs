@@ -1,8 +1,9 @@
 //! Std-only data parallelism for the wire-timing workspace.
 //!
-//! The three hot loops of the stack — per-net golden simulation in
-//! dataset building, per-graph forward/backward in training, and
-//! per-net inference in serving — are all *embarrassingly parallel over
+//! The four hot loops of the stack — per-net golden simulation in
+//! dataset building, per-graph forward/backward in training, per-net
+//! inference in serving, and the `*D_NET` shards of a large SPEF
+//! document in parsing — are all *embarrassingly parallel over
 //! independent graphs*. This crate gives them one shared substrate:
 //!
 //! * a **process-global worker pool** (plain `std::thread` + condvar,

@@ -1,7 +1,9 @@
 //! Line-oriented SPEF subset parser: one pass over the text, with every
-//! token borrowed from it.
+//! token borrowed from it, or one pass per shard of a large document on
+//! the `par` pool.
 
 use crate::{Farads, Ohms, RcNet, RcNetBuilder, RcNetError};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Header fields of a SPEF document that affect interpretation.
@@ -235,22 +237,95 @@ enum Section {
     NetRes,
 }
 
-/// Entry counts of one parse, added to the `rcnet.spef.*` counters once
-/// per document.
-#[derive(Default)]
+/// Bytes of `*D_NET` sections per shard: a document is cut at its first
+/// `*D_NET` line, then at the first one at or after every `SHARD_BYTES`
+/// past the previous cut.
+const SHARD_BYTES: usize = 64 * 1024;
+
+/// The first line start at or after `at` whose line begins with `*D_NET`
+/// and an ASCII space or tab. Both tokenizers read such a line's first
+/// token as the `*D_NET` keyword, whatever follows.
+fn next_cut(text: &[u8], mut at: usize) -> Option<usize> {
+    while at < text.len() {
+        if at == 0 || text[at - 1] == b'\n' {
+            let line = &text[at..];
+            if line.starts_with(b"*D_NET") && matches!(line.get(6), Some(b' ' | b'\t')) {
+                return Some(at);
+            }
+        }
+        at += text[at..].iter().position(|&b| b == b'\n')? + 1;
+    }
+    None
+}
+
+/// The byte offsets where the shards of `text` start: the first `*D_NET`
+/// line, then the first one at or after every [`SHARD_BYTES`] past the
+/// previous cut.
+fn cuts(text: &str) -> Vec<usize> {
+    let mut cuts = Vec::new();
+    let mut from = 0;
+    while let Some(cut) = next_cut(text.as_bytes(), from) {
+        cuts.push(cut);
+        from = cut + SHARD_BYTES;
+    }
+    cuts
+}
+
+/// Lines read and entries parsed, added to the `rcnet.spef.*` counters
+/// once per document.
+#[derive(Default, Clone, Copy)]
 struct Counts {
-    lines: u64,
+    lines: usize,
     caps: u64,
     res: u64,
+}
+
+/// How a run of the line loop ends when it meets no error.
+enum End {
+    /// At the end of its text.
+    Done,
+    /// In a shard, at a line that would change the header or the name
+    /// map: the parse finishes serially from the shard's start.
+    Restart,
+}
+
+/// What the line loop carries from one text to the next: the header and
+/// name map it reads, the nets it built and its counts. A shard borrows
+/// the header and name map of the preamble; a serial run owns them.
+/// The section and the open net stay inside one run: a text starts at
+/// the document's start or at a `*D_NET` line, which sets the section
+/// and opens a net whatever came before it, and a net left open before
+/// it is the earlier text's error.
+#[derive(Default)]
+struct Parser<'t, 's> {
+    header: Cow<'s, SpefHeader>,
+    name_map: Cow<'s, HashMap<u64, &'t str>>,
+    nets: Vec<RcNet>,
+    counts: Counts,
+}
+
+/// `e` with its line moved `by` lines down.
+fn shifted(e: RcNetError, by: usize) -> RcNetError {
+    match e {
+        RcNetError::SpefParse { line, message } => RcNetError::SpefParse {
+            line: line + by,
+            message,
+        },
+        other => other,
+    }
 }
 
 /// Parses a SPEF document from text.
 ///
 /// Supports the header, `*NAME_MAP`, and `*D_NET` sections with `*CONN`,
 /// `*CAP` (ground and coupling) and `*RES`. `//` comments and blank lines
-/// are skipped anywhere. One pass over the text: tokens are borrowed
-/// from it, and a node name is copied only for a node its net has not
-/// seen.
+/// are skipped anywhere. Tokens are borrowed from the text, and a node
+/// name is copied only for a node its net has not seen.
+///
+/// A document with over 64 KiB of `*D_NET` sections is cut into shards
+/// at `*D_NET` lines, which parse on the `par` pool after the preamble
+/// and give the same document or the same first error as one pass; a
+/// smaller document is one pass on the calling thread.
 ///
 /// # Errors
 ///
@@ -259,13 +334,18 @@ struct Counts {
 /// validation (e.g. no driver connection).
 pub fn parse(text: &str) -> Result<SpefDocument, RcNetError> {
     let _span = obs::span("spef_parse");
-    let mut counts = Counts::default();
-    let result = parse_inner(text, &mut counts);
+    let cuts = cuts(text);
+    let (result, mut counts) = if cuts.len() < 2 {
+        Parser::default().finish(text)
+    } else {
+        parse_shards(text, &cuts)
+    };
     if result.is_err() {
         // The parse stopped at the failing line; count the rest too.
-        counts.lines = text.lines().count() as u64;
+        counts.lines = text.lines().count();
     }
-    obs::counter("rcnet.spef.lines").add(counts.lines);
+    obs::counter("rcnet.spef.shards").add(cuts.len().max(1) as u64);
+    obs::counter("rcnet.spef.lines").add(counts.lines as u64);
     obs::counter("rcnet.spef.caps").add(counts.caps);
     obs::counter("rcnet.spef.res").add(counts.res);
     match &result {
@@ -283,18 +363,84 @@ pub fn parse(text: &str) -> Result<SpefDocument, RcNetError> {
     result
 }
 
-fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetError> {
-    let mut header = SpefHeader::default();
-    let mut name_map: HashMap<u64, &str> = HashMap::new();
-    let mut nets = Vec::new();
+/// Parses a document cut at `cuts` (two or more): the preamble before the
+/// first cut serially, the shards on the `par` pool from the preamble's
+/// header and name map, then their nets into one document in shard
+/// order. The first shard that fails or restarts decides the rest: the
+/// shards before it finished, and none of them changed the state.
+fn parse_shards(text: &str, cuts: &[usize]) -> (Result<SpefDocument, RcNetError>, Counts) {
+    let mut doc = Parser::default();
+    if let Err(e) = parse_lines(&text[..cuts[0]], &mut doc, false, false) {
+        return (Err(e), doc.counts);
+    }
+    let ends = cuts[1..].iter().copied().chain([text.len()]);
+    let ranges: Vec<(usize, usize)> = cuts.iter().copied().zip(ends).collect();
+    let shards = par::par_map("spef.shard", &ranges, |&(start, end)| {
+        let mut shard = Parser {
+            header: Cow::Borrowed(&*doc.header),
+            name_map: Cow::Borrowed(&*doc.name_map),
+            ..Parser::default()
+        };
+        let ended = parse_lines(&text[start..end], &mut shard, true, end == text.len());
+        (shard.nets, shard.counts, ended)
+    });
+    for ((nets, counts, ended), &(start, _)) in shards.into_iter().zip(&ranges) {
+        match ended {
+            Ok(End::Done) => {
+                doc.nets.extend(nets);
+                doc.counts.lines += counts.lines;
+                doc.counts.caps += counts.caps;
+                doc.counts.res += counts.res;
+            }
+            Ok(End::Restart) => return doc.finish(&text[start..]),
+            Err(e) => {
+                doc.counts.caps += counts.caps;
+                doc.counts.res += counts.res;
+                return (Err(shifted(e, doc.counts.lines)), doc.counts);
+            }
+        }
+    }
+    // Every shard done: nothing is left to read.
+    doc.finish("")
+}
+
+impl<'t> Parser<'t, '_> {
+    /// Runs the line loop over `text`, the rest of the document, and
+    /// returns the document with the counts.
+    fn finish(mut self, text: &'t str) -> (Result<SpefDocument, RcNetError>, Counts) {
+        let result = parse_lines(text, &mut self, false, true).map(|_| SpefDocument {
+            header: self.header.into_owned(),
+            nets: self.nets,
+        });
+        (result, self.counts)
+    }
+}
+
+/// Runs the line loop over `text`, whole lines of the document, from
+/// `state`; line numbers go on from its `counts.lines`. A `shard` stops
+/// at a line that would change the header or the name map. A
+/// `*D_NET` still open at the end is unterminated in the `last` text;
+/// before a later text, it meets that text's first line, a `*D_NET`.
+fn parse_lines<'t>(
+    text: &'t str,
+    state: &mut Parser<'t, '_>,
+    shard: bool,
+    last: bool,
+) -> Result<End, RcNetError> {
+    let Parser {
+        header,
+        name_map,
+        nets,
+        counts,
+    } = state;
     let mut section = Section::Preamble;
     let mut builder: Option<RcNetBuilder> = None;
     // Resolved name-map references; two, for the entries naming two nodes.
     let (mut buf_a, mut buf_b) = (String::new(), String::new());
-    let mut line_no = 0;
 
     for line in (Lines { text, pos: 0 }) {
-        line_no += 1;
+        counts.lines += 1;
+        let line_no = counts.lines;
         if line.len == 0 {
             continue;
         }
@@ -305,22 +451,28 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
             match keyword {
                 "*SPEF" | "*DATE" | "*VENDOR" | "*PROGRAM" | "*VERSION" | "*DESIGN_FLOW"
                 | "*BUS_DELIMITER" | "*L_UNIT" => continue,
+                "*DESIGN" | "*DIVIDER" | "*DELIMITER" | "*T_UNIT" | "*C_UNIT" | "*R_UNIT"
+                | "*NAME_MAP"
+                    if shard =>
+                {
+                    return Ok(End::Restart)
+                }
                 "*DESIGN" => {
-                    header.design = tokens
+                    header.to_mut().design = tokens
                         .get(1)
                         .map(|s| s.trim_matches('"').to_string())
                         .unwrap_or_default();
                     continue;
                 }
                 "*DIVIDER" => {
-                    header.divider = tokens
+                    header.to_mut().divider = tokens
                         .get(1)
                         .and_then(|s| s.chars().next())
                         .ok_or_else(|| err(line_no, "missing divider"))?;
                     continue;
                 }
                 "*DELIMITER" => {
-                    header.delimiter = tokens
+                    header.to_mut().delimiter = tokens
                         .get(1)
                         .and_then(|s| s.chars().next())
                         .ok_or_else(|| err(line_no, "missing delimiter"))?;
@@ -330,21 +482,21 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                     if line.len < 3 {
                         return Err(err(line_no, "malformed *T_UNIT"));
                     }
-                    header.time_scale = unit_scale(line_no, tokens[1], tokens[2], 't')?;
+                    header.to_mut().time_scale = unit_scale(line_no, tokens[1], tokens[2], 't')?;
                     continue;
                 }
                 "*C_UNIT" => {
                     if line.len < 3 {
                         return Err(err(line_no, "malformed *C_UNIT"));
                     }
-                    header.cap_scale = unit_scale(line_no, tokens[1], tokens[2], 'c')?;
+                    header.to_mut().cap_scale = unit_scale(line_no, tokens[1], tokens[2], 'c')?;
                     continue;
                 }
                 "*R_UNIT" => {
                     if line.len < 3 {
                         return Err(err(line_no, "malformed *R_UNIT"));
                     }
-                    header.res_scale = unit_scale(line_no, tokens[1], tokens[2], 'r')?;
+                    header.to_mut().res_scale = unit_scale(line_no, tokens[1], tokens[2], 'r')?;
                     continue;
                 }
                 "*NAME_MAP" => {
@@ -358,8 +510,7 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                     if line.len < 2 {
                         return Err(err(line_no, "malformed *D_NET"));
                     }
-                    let name =
-                        resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                    let name = resolve(tokens[1], name_map, header.delimiter, line_no, &mut buf_a)?;
                     builder = Some(RcNetBuilder::new(name));
                     section = Section::NetConn;
                     continue;
@@ -400,7 +551,7 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                 let name = tokens
                     .get(1)
                     .ok_or_else(|| err(line_no, "name-map entry missing name"))?;
-                name_map.insert(idx, *name);
+                name_map.to_mut().insert(idx, *name);
             }
             Section::NetConn => {
                 // "*I <pin> <dir>" or "*P <port> <dir>"
@@ -413,7 +564,7 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                 if line.len < 3 {
                     return Err(err(line_no, "malformed connection entry"));
                 }
-                let pin = resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                let pin = resolve(tokens[1], name_map, header.delimiter, line_no, &mut buf_a)?;
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err(line_no, "connection outside *D_NET"))?;
@@ -441,7 +592,7 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                     // "<id> <node> <cap>": ground capacitance
                     3 => {
                         let node =
-                            resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                            resolve(tokens[1], name_map, header.delimiter, line_no, &mut buf_a)?;
                         let cap: f64 = tokens[2].parse().map_err(|_| {
                             err(line_no, format!("bad capacitance `{}`", tokens[2]))
                         })?;
@@ -451,9 +602,9 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                     // "<id> <node> <other_node> <cap>": coupling capacitance
                     4 => {
                         let node =
-                            resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
+                            resolve(tokens[1], name_map, header.delimiter, line_no, &mut buf_a)?;
                         let other =
-                            resolve(tokens[2], &name_map, header.delimiter, line_no, &mut buf_b)?;
+                            resolve(tokens[2], name_map, header.delimiter, line_no, &mut buf_b)?;
                         let cap: f64 = tokens[3].parse().map_err(|_| {
                             err(line_no, format!("bad capacitance `{}`", tokens[3]))
                         })?;
@@ -471,8 +622,8 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err(line_no, "*RES entry outside *D_NET"))?;
-                let n1 = resolve(tokens[1], &name_map, header.delimiter, line_no, &mut buf_a)?;
-                let n2 = resolve(tokens[2], &name_map, header.delimiter, line_no, &mut buf_b)?;
+                let n1 = resolve(tokens[1], name_map, header.delimiter, line_no, &mut buf_a)?;
+                let n2 = resolve(tokens[2], name_map, header.delimiter, line_no, &mut buf_b)?;
                 let res: f64 = tokens[3]
                     .parse()
                     .map_err(|_| err(line_no, format!("bad resistance `{}`", tokens[3])))?;
@@ -486,11 +637,11 @@ fn parse_inner(text: &str, counts: &mut Counts) -> Result<SpefDocument, RcNetErr
             }
         }
     }
-    counts.lines = line_no as u64;
-    if builder.is_some() {
-        return Err(err(line_no, "unterminated *D_NET (missing *END)"));
+    match builder {
+        None => Ok(End::Done),
+        Some(_) if last => Err(err(counts.lines, "unterminated *D_NET (missing *END)")),
+        Some(_) => Err(err(counts.lines + 1, "*D_NET before previous *END")),
     }
-    Ok(SpefDocument { header, nets })
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use rcnet::spef::{parse, SpefDocument};
 use rcnet::topology::shortest_paths;
-use rcnet::RcNet;
+use rcnet::{RcNet, RcNetError};
+use std::sync::OnceLock;
 
 /// A well-formed multi-net fixture exercising every section the parser
 /// knows: header units, name map, connections, ground and coupling caps,
@@ -92,7 +93,31 @@ const HOSTILE_TOKENS: &[&str] = &[
 /// walk.
 fn assert_total(text: &str) -> Option<SpefDocument> {
     let got = parse(text);
-    match (&got, &reference::parse(text)) {
+    assert_same(text, &got, &reference::parse(text));
+    let doc = got.ok()?;
+    for net in &doc.nets {
+        // Walking paths, nodes and couplings must be safe on any
+        // net the parser accepts.
+        let mut paths = 0usize;
+        for p in net.paths() {
+            let _ = net.node(p.sink);
+            paths += 1;
+        }
+        assert_eq!(paths, net.paths().len());
+        assert!(net.node_count() >= 1);
+        assert_structure(net);
+    }
+    Some(doc)
+}
+
+/// `got` equals `want`: the same document, header by bits, or the same
+/// error.
+fn assert_same(
+    text: &str,
+    got: &Result<SpefDocument, RcNetError>,
+    want: &Result<SpefDocument, RcNetError>,
+) {
+    match (got, want) {
         (Ok(doc), Ok(want)) => {
             // By bits: `*T_UNIT NaN PS` is accepted.
             let h = (&doc.header, &want.header);
@@ -110,20 +135,6 @@ fn assert_total(text: &str) -> Option<SpefDocument> {
         (Err(e), Err(want)) => assert_eq!(e, want, "{text:?}"),
         (got, want) => panic!("{text:?}: parse gave {got:?}, the reference {want:?}"),
     }
-    let doc = got.ok()?;
-    for net in &doc.nets {
-        // Walking paths, nodes and couplings must be safe on any
-        // net the parser accepts.
-        let mut paths = 0usize;
-        for p in net.paths() {
-            let _ = net.node(p.sink);
-            paths += 1;
-        }
-        assert_eq!(paths, net.paths().len());
-        assert!(net.node_count() >= 1);
-        assert_structure(net);
-    }
-    Some(doc)
 }
 
 /// The net's derived structure equals what its edge list defines: each
@@ -181,11 +192,11 @@ fn mutate_bytes(seed: u64, mutations: usize) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Deterministic line-level mutation: duplicate, drop, swap, or splice
-/// hostile tokens between lines.
-fn mutate_lines(seed: u64, mutations: usize) -> String {
+/// Deterministic line-level mutation of `base`: duplicate, drop, swap,
+/// or splice hostile tokens between lines.
+fn mutate_lines(base: &str, seed: u64, mutations: usize) -> String {
     let mut rng = TestRng::for_case("spef_mutate_lines", seed as u32);
-    let mut lines: Vec<String> = FIXTURE.lines().map(str::to_string).collect();
+    let mut lines: Vec<String> = base.lines().map(str::to_string).collect();
     for _ in 0..mutations {
         if lines.is_empty() {
             lines.push(String::new());
@@ -222,7 +233,7 @@ proptest! {
 
     #[test]
     fn line_mutations_never_panic(seed in 0u64..1_000_000, n in 1usize..16) {
-        assert_total(&mutate_lines(seed, n));
+        assert_total(&mutate_lines(FIXTURE, seed, n));
     }
 
     #[test]
@@ -402,7 +413,8 @@ fn ladder_documents(seed: u64) -> Vec<String> {
 fn design_spef_documents_match_the_reference() {
     for seed in [2023, 7] {
         for text in design_documents(seed) {
-            let doc = assert_total(&text).expect("design documents parse");
+            assert!(cut_lines(&text).len() > 8, "~690 KB: ten or more shards");
+            let doc = assert_sharded(&text).expect("design documents parse");
             assert!(doc.nets.len() > 300);
             assert!(doc.nets.iter().any(|n| !n.is_tree()));
         }
@@ -413,8 +425,268 @@ fn design_spef_documents_match_the_reference() {
 fn large_nets_ladder_matches_the_reference() {
     for seed in [2023, 7] {
         for text in ladder_documents(seed) {
-            let doc = assert_total(&text).expect("ladder documents parse");
+            assert_eq!(cut_lines(&text).len(), 2, "~146 KiB: two shards");
+            let doc = assert_sharded(&text).expect("ladder documents parse");
             assert_eq!(doc.nets.len(), 4);
+        }
+    }
+}
+
+/// The parser's shard size. `parse` cuts a document at its first
+/// `*D_NET` line, then at the first `*D_NET` line at or after every
+/// `SHARD_BYTES` past the previous cut, where a `*D_NET` line is one
+/// that starts with `*D_NET` and an ASCII space or tab.
+const SHARD_BYTES: usize = 64 * 1024;
+
+/// The 0-based indices of the lines `parse` cuts `text` at, by the rule
+/// above.
+fn cut_lines(text: &str) -> Vec<usize> {
+    let mut cuts = Vec::new();
+    let (mut at, mut next) = (0, 0);
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        let b = line.as_bytes();
+        if at >= next && b.starts_with(b"*D_NET") && matches!(b.get(6), Some(b' ' | b'\t')) {
+            cuts.push(i);
+            next = at + SHARD_BYTES;
+        }
+        at += line.len();
+    }
+    cuts
+}
+
+/// `assert_total` with the shards parsed on 1, 2 and 4 pool lanes, the
+/// pool forced on a 1-core host too: the result must not depend on how
+/// many lanes parsed the shards, or in what order they finished.
+fn assert_sharded(text: &str) -> Option<SpefDocument> {
+    par::set_force_pool(true);
+    let want = reference::parse(text);
+    for threads in [2, 4] {
+        par::set_threads(threads);
+        assert_same(text, &parse(text), &want);
+    }
+    par::set_threads(1);
+    assert_total(text)
+}
+
+/// FIXTURE's preamble, then its two nets repeated over three and a half
+/// shards of sections: four shards, each opening on a `*D_NET` line.
+fn sharded_fixture() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (preamble, nets) = FIXTURE.split_at(FIXTURE.find("*D_NET").unwrap());
+        let mut text = preamble.to_string();
+        while text.len() < preamble.len() + 3 * SHARD_BYTES + SHARD_BYTES / 2 {
+            text.push_str(nets);
+        }
+        text
+    })
+}
+
+fn lines_of(text: &str) -> Vec<String> {
+    text.lines().map(str::to_string).collect()
+}
+
+fn joined(lines: &[String]) -> String {
+    lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect()
+}
+
+#[test]
+fn sharded_fixture_matches_the_reference() {
+    let text = sharded_fixture();
+    assert_eq!(cut_lines(text).len(), 4);
+    let doc = assert_sharded(text).expect("the repeated fixture parses");
+    assert_eq!(doc.nets.len(), 2 * text.matches("*D_NET *1 ").count());
+    // Every shard reads the preamble's units, not the defaults.
+    let units = text.replacen("*C_UNIT 1 FF", "*C_UNIT 1 PF", 1).replacen(
+        "*R_UNIT 1 OHM",
+        "*R_UNIT 2 KOHM",
+        1,
+    );
+    let scaled = assert_sharded(&units).expect("other units parse");
+    let (a, b) = (
+        &scaled.nets[doc.nets.len() - 1],
+        &doc.nets[doc.nets.len() - 1],
+    );
+    assert!((a.total_res().value() / b.total_res().value() / 2000.0 - 1.0).abs() < 1e-12);
+    assert!((a.total_cap().value() / b.total_cap().value() / 1000.0 - 1.0).abs() < 1e-12);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Duplicated, dropped and swapped lines and hostile tokens at random
+    /// lines of any shard.
+    #[test]
+    fn sharded_line_mutations_match_the_reference(seed in 0u64..1_000_000, n in 1usize..16) {
+        assert_sharded(&mutate_lines(sharded_fixture(), seed, n));
+    }
+}
+
+/// Header keywords and a `*NAME_MAP` block after the first `*D_NET` of a
+/// middle shard, inside its first net and right after it. Each changes
+/// how the lines after it read, so the parse must finish serially from
+/// that shard's start.
+#[test]
+fn state_changes_in_a_middle_shard_match_the_reference() {
+    let base = lines_of(sharded_fixture());
+    let cut = cut_lines(sharded_fixture())[2];
+    let first_end = cut + base[cut..].iter().position(|l| l == "*END").unwrap();
+    for block in [
+        "*C_UNIT 1 PF",
+        "*R_UNIT 2 KOHM",
+        "*T_UNIT 1 NS",
+        "*DESIGN \"renamed\"",
+        "*DIVIDER .",
+        "*DELIMITER :",
+        "*DELIMITER /",
+        "*NAME_MAP\n*1 moved/net0\n*5 U9",
+        "*C_UNIT 1 XF",
+    ] {
+        for at in [cut + 3, first_end + 1] {
+            let mut lines = base.clone();
+            lines.insert(at, block.to_string());
+            let text = joined(&lines);
+            let cuts = cut_lines(&text);
+            assert!(
+                cuts[1] < cut && cut < at && at < cuts[3],
+                "{block:?} in a middle shard"
+            );
+            assert_sharded(&text);
+        }
+    }
+    // The change reaches every net after it: a later net's capacitance
+    // reads 1000 times the original's.
+    let mut lines = base.clone();
+    lines.insert(first_end + 1, "*C_UNIT 1 PF".into());
+    let doc = assert_sharded(&joined(&lines)).expect("a unit change parses");
+    let plain = parse(sharded_fixture()).unwrap();
+    let ratio = |i: usize| doc.nets[i].total_cap().value() / plain.nets[i].total_cap().value();
+    assert_eq!(ratio(0), 1.0);
+    assert!((ratio(doc.nets.len() - 1) / 1000.0 - 1.0).abs() < 1e-12);
+}
+
+/// A net left open right before each cut, the first one included,
+/// fails at the next shard's first line, the `*D_NET` there, as one pass
+/// fails; the last net left open is unterminated at the last line.
+#[test]
+fn a_missing_end_before_a_cut_fails_at_the_cut() {
+    let base = lines_of(sharded_fixture());
+    let cuts = cut_lines(sharded_fixture());
+    let unclosed = |end: usize| {
+        let mut lines = base.clone();
+        // Same length as `*END`, so every cut stays where it was.
+        lines[end] = "//EN".into();
+        let text = joined(&lines);
+        assert_eq!(cut_lines(&text), cuts);
+        assert_sharded(&text);
+        parse(&text).unwrap_err()
+    };
+    for &cut in &cuts[1..] {
+        let end = (0..cut).rev().find(|&i| base[i] == "*END").unwrap();
+        assert_eq!(
+            unclosed(end),
+            RcNetError::SpefParse {
+                line: cut + 1,
+                message: "*D_NET before previous *END".into(),
+            }
+        );
+    }
+    // The same before the first cut: after a leading space a `*D_NET`
+    // line is no cut line, so its net opens in the preamble.
+    let mut lines = base.clone();
+    lines[cuts[0]].insert(0, ' ');
+    let end = cuts[0] + base[cuts[0]..].iter().position(|l| l == "*END").unwrap();
+    lines[end] = "//EN".into();
+    let text = joined(&lines);
+    let first = cut_lines(&text)[0];
+    assert!(first > end);
+    assert_sharded(&text);
+    assert_eq!(
+        parse(&text).unwrap_err(),
+        RcNetError::SpefParse {
+            line: first + 1,
+            message: "*D_NET before previous *END".into(),
+        }
+    );
+    let last = base.iter().rposition(|l| l == "*END").unwrap();
+    assert_eq!(
+        unclosed(last),
+        RcNetError::SpefParse {
+            line: base.len(),
+            message: "unterminated *D_NET (missing *END)".into(),
+        }
+    );
+}
+
+/// A state change in the second shard and an error in the last: the
+/// serial finish from the second shard must meet the error at its line.
+/// The name-map case also uses the new entry in the last shard before
+/// the error, which the preamble's map alone would reject.
+#[test]
+fn an_error_in_the_last_shard_after_a_state_change_matches_the_reference() {
+    let base = lines_of(sharded_fixture());
+    let cut = cut_lines(sharded_fixture())[1];
+    let first_end = cut + base[cut..].iter().position(|l| l == "*END").unwrap();
+    for (change, edits) in [
+        ("*C_UNIT 1 PF", &[("2 *1:1 *3:A 8.0", "2 *1:1 *3:A")][..]),
+        (
+            "*NAME_MAP\n*5 U5",
+            &[
+                ("*I U4:Z O", "*I *5:Z O"),
+                ("1 U4:Z U5:B 6.5", "1 *6:Z U5:B 6.5"),
+            ][..],
+        ),
+    ] {
+        let mut lines = base.clone();
+        lines.insert(first_end + 1, change.to_string());
+        let last_cut = *cut_lines(&joined(&lines)).last().unwrap();
+        for (from, to) in edits {
+            let at = last_cut + lines[last_cut..].iter().position(|l| l == from).unwrap();
+            lines[at] = to.to_string();
+        }
+        let text = joined(&lines);
+        assert_eq!(*cut_lines(&text).last().unwrap(), last_cut);
+        assert_sharded(&text);
+        match parse(&text) {
+            Err(RcNetError::SpefParse { line, .. }) => assert!(line > last_cut, "{change:?}"),
+            other => panic!("{change:?}: expected an error in the last shard, got {other:?}"),
+        }
+    }
+}
+
+/// A rewrite of one line.
+type Respell = fn(&str) -> String;
+
+/// CRLF and Unicode respellings of a cut line and the two lines on
+/// either side of it. Some keep the cut; others move it, because a
+/// `*D_NET` line followed by U+00A0, a carriage return or after a
+/// leading space is no cut line, though it still opens a net.
+#[test]
+fn respelled_lines_around_a_cut_match_the_reference() {
+    let base = lines_of(sharded_fixture());
+    let cuts = cut_lines(sharded_fixture());
+    let respellings: [(&str, Respell); 8] = [
+        ("CRLF", |l| format!("{l}\r")),
+        ("tab", |l| l.replacen(' ', "\t", 1)),
+        ("U+00A0", |l| l.replacen(' ', "\u{A0}", 1)),
+        ("U+3000", |l| l.replace(' ', "\u{3000}")),
+        ("CR separator", |l| l.replacen(' ', "\r", 1)),
+        ("leading space", |l| format!(" {l}")),
+        ("glued comment", |l| format!("{l}//\u{E9}")),
+        ("non-ASCII net name", |l| {
+            l.replace("*D_NET *", "*D_NET \u{DC}")
+        }),
+    ];
+    let nets = parse(sharded_fixture()).unwrap().nets.len();
+    for cut in [cuts[1], cuts[3]] {
+        for (what, respell) in respellings {
+            let mut lines = base.clone();
+            for l in &mut lines[cut - 2..=cut + 2] {
+                *l = respell(l);
+            }
+            let doc = assert_sharded(&joined(&lines));
+            let doc = doc.unwrap_or_else(|| panic!("{what} at line {cut} must parse"));
+            assert_eq!(doc.nets.len(), nets, "{what}");
         }
     }
 }

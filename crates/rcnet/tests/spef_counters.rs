@@ -1,10 +1,11 @@
-//! The `rcnet.spef.*` counters one `spef::parse` call adds. The metrics
-//! registry is process-global, so these checks run in one test of their
-//! own binary: no other parse can run between a read and the next.
+//! The `rcnet.spef.*` counters one `spef::parse` call adds, on single-
+//! and multi-shard documents. The metrics registry is process-global, so
+//! these checks run in one test of their own binary: no other parse can
+//! run between a read and the next.
 
 use rcnet::spef::parse;
 
-const COUNTERS: [&str; 5] = ["lines", "caps", "res", "nets", "parse_errors"];
+const COUNTERS: [&str; 6] = ["lines", "caps", "res", "nets", "parse_errors", "shards"];
 
 /// Two nets: 4 ground caps, 1 coupling cap and 3 resistors over 26
 /// lines, the blank first line included.
@@ -53,26 +54,105 @@ const FAILING: &str = "*D_NET n 1.0
 *END
 ";
 
-fn counts() -> [u64; 5] {
+/// VALID's four preamble lines, then its two nets (22 lines, 5 caps,
+/// 3 resistors) `REPEATS` times: about 3.5 shards of sections, cut into
+/// four shards.
+const REPEATS: usize = 1000;
+
+fn sharded() -> String {
+    let (preamble, nets) = VALID.split_at(VALID.find("*D_NET").unwrap());
+    preamble.to_string() + &nets.repeat(REPEATS)
+}
+
+fn counts() -> [u64; 6] {
     COUNTERS.map(|c| obs::counter(&format!("rcnet.spef.{c}")).get())
 }
 
-fn deltas(text: &str) -> [u64; 5] {
+fn deltas(text: &str) -> [u64; 6] {
     let before = counts();
     let _ = parse(text);
     let after = counts();
     std::array::from_fn(|i| after[i] - before[i])
 }
 
+/// Tasks the `par` pool has been given, over every kind.
+fn par_tasks() -> u64 {
+    obs::metrics::snapshot()
+        .counters
+        .iter()
+        .filter(|(key, _)| key.name == "par.tasks")
+        .map(|(_, n)| n)
+        .sum()
+}
+
 #[test]
 fn parse_adds_each_documents_counts_once() {
     assert_eq!(VALID.lines().count(), 26);
-    // lines, caps, res, nets, parse_errors
-    assert_eq!(deltas(VALID), [26, 5, 3, 2, 0]);
+    // lines, caps, res, nets, parse_errors, shards
+    assert_eq!(deltas(VALID), [26, 5, 3, 2, 0, 1]);
     assert_eq!(FAILING.lines().count(), 13);
     assert!(matches!(
         parse(FAILING),
         Err(rcnet::RcNetError::SpefParse { line: 10, .. })
     ));
-    assert_eq!(deltas(FAILING), [13, 2, 1, 0, 1]);
+    assert_eq!(deltas(FAILING), [13, 2, 1, 0, 1, 1]);
+
+    // Multi-shard: the serial values, once per document.
+    let k = REPEATS as u64;
+    let text = sharded();
+    let tasks = par_tasks();
+    assert_eq!(deltas(&text), [4 + 22 * k, 5 * k, 3 * k, 2 * k, 0, 4]);
+    assert_eq!(par_tasks() - tasks, 4, "one pool task per shard");
+
+    // Failing in a middle shard, at the second resistor of repeat `j`
+    // (same length, so the cuts stay put): caps and resistors up to the
+    // failing line, lines over the whole text.
+    let j = REPEATS / 2;
+    let line = 4 + 22 * j + 11;
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[line - 1], "2 a:1 l1:A 5.0");
+    lines[line - 1] = "2 a:1 l1:A    ";
+    let failing = lines.join("\n") + "\n";
+    assert!(matches!(
+        parse(&failing),
+        Err(rcnet::RcNetError::SpefParse { line: l, .. }) if l == line
+    ));
+    let j = j as u64;
+    assert_eq!(
+        deltas(&failing),
+        [4 + 22 * k, 5 * j + 3, 3 * j + 1, 0, 1, 4]
+    );
+
+    // A no-op unit line after repeat `j` makes the parse finish serially
+    // from that shard: still counted once.
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(line + 11, "*C_UNIT 1 FF");
+    let restarted = lines.join("\n") + "\n";
+    assert_eq!(
+        deltas(&restarted),
+        [4 + 22 * k + 1, 5 * k, 3 * k, 2 * k, 0, 4]
+    );
+
+    // The largest serve body (4 nets of 12 nodes; serve's have 4 to 12)
+    // is one shard, parsed on the calling thread: no pool task.
+    let mut g = netgen::NetGenerator::new(
+        7,
+        netgen::NetConfig {
+            nodes_min: 12,
+            nodes_max: 12,
+            ..Default::default()
+        },
+    );
+    let nets: Vec<_> = (0..4)
+        .map(|i| g.net(format!("rq{i}"), i % 3 == 0))
+        .collect();
+    let body = rcnet::spef::write(&rcnet::spef::SpefHeader::default(), &nets);
+    assert!(body.len() > 2000, "{} bytes", body.len());
+    let tasks = par_tasks();
+    assert_eq!(deltas(&body)[3..], [4, 0, 1]);
+    assert_eq!(
+        par_tasks(),
+        tasks,
+        "a single-shard parse gives the pool nothing"
+    );
 }

@@ -60,6 +60,16 @@ cargo test -q --release -p elmore --test moments_oracle
 # against its edge list and Dijkstra.
 cargo test -q --release -p rcnet --test proptest_spef
 
+# SPEF shard gate: a document with over 64 KiB of `*D_NET` sections
+# parses in shards on the `par` pool. The oracle above, with every
+# multi-shard corpus swept over 1, 2 and 4 lanes by the tests
+# themselves, and the `rcnet.spef.*` counters of multi-shard documents
+# (valid, failing in a middle shard, finished serially after a state
+# change) at 4 lanes; PAR_FORCE_POOL=1 keeps the shards running
+# concurrently on the pool on a 1-core host too.
+PAR_THREADS=4 PAR_FORCE_POOL=1 cargo test -q --release -p rcnet \
+    --test proptest_spef --test spef_counters
+
 # Quickstart smoke: exact Elmore/D2M of a hand-built net, its golden
 # timing, a small estimator trained and asked to predict an unseen net;
 # fails on any error. Examples otherwise only compile under `cargo
