@@ -337,7 +337,7 @@ impl WireTimingEstimator {
     /// Batch inference over many nets (the paper's 200 k-net use case).
     ///
     /// The nets are cut into packs of at most
-    /// [`gnn::infer::PACK_MAX_NODES`] nodes and [`PACK_MAX_GRAPHS`] nets,
+    /// [`gnn::infer::PACK_MAX_NODES`] nodes and 64 nets (`PACK_MAX_GRAPHS`),
     /// each forwarded as one packed batch straight from the model's own
     /// weights — which is where the serve micro-batch and ECO
     /// dirty-cone throughput comes from. Results (and the first-failure

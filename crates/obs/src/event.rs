@@ -1,19 +1,12 @@
-//! Leveled structured events with pluggable sinks.
+//! Leveled structured events, written to stderr as
+//! `[level target] message k=v ...` lines.
 //!
 //! The fast path is a single relaxed atomic load: when the event's level
 //! is filtered out (e.g. `OBS_LEVEL=off`), [`emit`] returns before
-//! touching any lock, allocation or sink. Sinks receive every event that
-//! passes the global filter; the built-in [`StderrSink`] renders a
-//! human-readable line, [`JsonlSink`] appends one JSON object per line.
+//! touching any lock or allocation.
 
-use crate::json;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity. Ordered so that a smaller numeric value is more
 /// severe; the global filter keeps events with `level <= filter`.
@@ -30,7 +23,7 @@ pub enum Level {
     Info = 3,
     /// Per-iteration detail (per-epoch, per-net).
     Debug = 4,
-    /// Everything, including span exits.
+    /// Everything.
     Trace = 5,
 }
 
@@ -80,18 +73,6 @@ pub enum Value {
     F64(f64),
     /// Boolean.
     Bool(bool),
-}
-
-impl Value {
-    fn push_json(&self, out: &mut String) {
-        match self {
-            Value::Str(s) => json::push_string(out, s),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => json::push_f64(out, *v),
-            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -162,127 +143,6 @@ impl From<bool> for Value {
     }
 }
 
-/// A structured event as seen by sinks.
-#[derive(Debug)]
-pub struct Event<'a> {
-    /// Severity.
-    pub level: Level,
-    /// Dotted origin, `crate.module` by convention.
-    pub target: &'a str,
-    /// Human-readable message.
-    pub message: &'a str,
-    /// Key-value payload.
-    pub fields: &'a [(&'a str, Value)],
-    /// Milliseconds since the Unix epoch at emission.
-    pub ts_unix_ms: u64,
-}
-
-/// An event destination.
-pub trait Sink: Send + Sync {
-    /// Receives one event that passed the global level filter.
-    fn emit(&self, event: &Event<'_>);
-
-    /// Flushes buffered output, if any.
-    fn flush(&self) {}
-}
-
-/// Human-readable `[level target] message k=v ...` lines on stderr.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn emit(&self, event: &Event<'_>) {
-        let mut line = format!(
-            "[{:<5} {}] {}",
-            event.level, event.target, event.message
-        );
-        for (k, v) in event.fields {
-            line.push(' ');
-            line.push_str(k);
-            line.push('=');
-            line.push_str(&v.to_string());
-        }
-        eprintln!("{line}");
-    }
-}
-
-/// One JSON object per event, appended to a file.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncates) `path` for event output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation failures.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-
-    /// Renders one event as a single JSON line (without the newline).
-    pub fn render(event: &Event<'_>) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"ts_unix_ms\":");
-        s.push_str(&event.ts_unix_ms.to_string());
-        s.push_str(",\"level\":");
-        json::push_string(&mut s, event.level.as_str());
-        s.push_str(",\"target\":");
-        json::push_string(&mut s, event.target);
-        s.push_str(",\"message\":");
-        json::push_string(&mut s, event.message);
-        s.push_str(",\"fields\":{");
-        for (i, (k, v)) in event.fields.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::push_string(&mut s, k);
-            s.push(':');
-            v.push_json(&mut s);
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
-impl Sink for JsonlSink {
-    fn emit(&self, event: &Event<'_>) {
-        let line = Self::render(event);
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
-        if out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .is_err()
-        {
-            // The event is gone (disk full, closed fd, ...); account
-            // for it instead of discarding silently.
-            crate::metrics::counter("obs.events.dropped").inc();
-        }
-    }
-
-    fn flush(&self) {
-        if self
-            .out
-            .lock()
-            .expect("jsonl sink poisoned")
-            .flush()
-            .is_err()
-        {
-            crate::metrics::counter("obs.events.dropped").inc();
-        }
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 // The level filter: a plain atomic so the disabled path never locks.
 // `UNSET` marks "not yet initialized from OBS_LEVEL".
 const UNSET: u8 = u8::MAX;
@@ -323,63 +183,25 @@ pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// The current filter level.
-pub fn level() -> Level {
-    match current_level() {
-        0 => Level::Off,
-        1 => Level::Error,
-        2 => Level::Warn,
-        3 => Level::Info,
-        4 => Level::Debug,
-        _ => Level::Trace,
+/// The stderr line of one event, without the newline.
+fn render(level: Level, target: &str, message: &str, fields: &[(&str, Value)]) -> String {
+    let mut line = format!("[{} {}] {}", level.as_str(), target, message);
+    for (k, v) in fields {
+        line.push(' ');
+        line.push_str(k);
+        line.push('=');
+        line.push_str(&v.to_string());
     }
+    line
 }
 
-fn sinks() -> &'static RwLock<Vec<Arc<dyn Sink>>> {
-    static SINKS: OnceLock<RwLock<Vec<Arc<dyn Sink>>>> = OnceLock::new();
-    SINKS.get_or_init(|| RwLock::new(vec![Arc::new(StderrSink)]))
-}
-
-/// Registers an additional sink (alongside the default stderr sink).
-pub fn add_sink(sink: Arc<dyn Sink>) {
-    sinks().write().expect("sink registry poisoned").push(sink);
-}
-
-/// Replaces all sinks (pass an empty slice to drop stderr output too).
-pub fn set_sinks(new: Vec<Arc<dyn Sink>>) {
-    *sinks().write().expect("sink registry poisoned") = new;
-}
-
-/// Flushes every registered sink.
-pub fn flush() {
-    for s in sinks().read().expect("sink registry poisoned").iter() {
-        s.flush();
-    }
-}
-
-fn now_unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Emits one structured event to every sink, if `level` passes the
+/// Writes one structured event to stderr, if `level` passes the
 /// filter. The disabled path takes no locks.
 pub fn emit(level: Level, target: &str, message: &str, fields: &[(&str, Value)]) {
     if !enabled(level) {
         return;
     }
-    let event = Event {
-        level,
-        target,
-        message,
-        fields,
-        ts_unix_ms: now_unix_ms(),
-    };
-    for s in sinks().read().expect("sink registry poisoned").iter() {
-        s.emit(&event);
-    }
+    eprintln!("{}", render(level, target, message, fields));
 }
 
 /// Emits a leveled structured event: `event!(Level::Warn, "bench.harness",
@@ -402,25 +224,6 @@ macro_rules! event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    // Tests in this module mutate process-global state (level, sinks);
-    // serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[derive(Default)]
-    struct CountingSink {
-        n: AtomicUsize,
-    }
-
-    impl Sink for CountingSink {
-        fn emit(&self, _e: &Event<'_>) {
-            self.n.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 
     #[test]
     fn level_parsing_round_trips() {
@@ -439,105 +242,45 @@ mod tests {
     }
 
     #[test]
-    fn off_silences_and_filter_orders() {
-        let _g = lock();
-        let sink = Arc::new(CountingSink::default());
-        set_sinks(vec![sink.clone()]);
-        set_level(Level::Off);
-        emit(Level::Error, "t", "m", &[]);
-        assert_eq!(sink.n.load(Ordering::Relaxed), 0);
-        set_level(Level::Warn);
-        emit(Level::Error, "t", "m", &[]);
-        emit(Level::Warn, "t", "m", &[]);
-        emit(Level::Info, "t", "m", &[]);
-        assert_eq!(sink.n.load(Ordering::Relaxed), 2);
-        set_level(Level::Trace);
-        emit(Level::Trace, "t", "m", &[]);
-        assert_eq!(sink.n.load(Ordering::Relaxed), 3);
-        set_sinks(vec![Arc::new(StderrSink)]);
+    fn enabled_follows_level_order_and_off_passes_nothing() {
+        let all = [
+            Level::Off,
+            Level::Error,
+            Level::Warn,
+            Level::Info,
+            Level::Debug,
+            Level::Trace,
+        ];
+        for filter in all {
+            set_level(filter);
+            for level in all {
+                let expect = level != Level::Off && level <= filter;
+                assert_eq!(enabled(level), expect, "{level} under filter {filter}");
+            }
+        }
         set_level(DEFAULT_LEVEL);
     }
 
     #[test]
-    fn event_macro_builds_fields() {
-        let _g = lock();
-        struct Capture(Mutex<Vec<String>>);
-        impl Sink for Capture {
-            fn emit(&self, e: &Event<'_>) {
-                self.0.lock().unwrap().push(JsonlSink::render(e));
-            }
-        }
-        let cap = Arc::new(Capture(Mutex::new(Vec::new())));
-        set_sinks(vec![cap.clone()]);
-        set_level(Level::Info);
+    fn event_line_is_level_target_message_fields() {
+        let fields = [
+            ("count", Value::from(3usize)),
+            ("ratio", Value::from(0.5f64)),
+            ("name", Value::from("x\"y")),
+        ];
+        assert_eq!(
+            render(Level::Info, "obs.test", "hello", &fields),
+            "[info obs.test] hello count=3 ratio=0.5 name=x\"y"
+        );
+        assert_eq!(render(Level::Warn, "a.b", "m", &[]), "[warn a.b] m");
+        // The macro takes the same conversions; libtest captures the line.
         crate::event!(
-            Level::Info,
+            Level::Error,
             "obs.test",
             "hello",
             count = 3usize,
             ratio = 0.5f64,
             name = "x\"y",
-        );
-        let lines = cap.0.lock().unwrap();
-        assert_eq!(lines.len(), 1);
-        let line = &lines[0];
-        assert!(line.contains("\"target\":\"obs.test\""), "{line}");
-        assert!(line.contains("\"count\":3"), "{line}");
-        assert!(line.contains("\"ratio\":0.5"), "{line}");
-        assert!(line.contains("\"name\":\"x\\\"y\""), "{line}");
-        drop(lines);
-        set_sinks(vec![Arc::new(StderrSink)]);
-        set_level(DEFAULT_LEVEL);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let _g = lock();
-        let dir = std::env::temp_dir().join("obs_test_jsonl");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("events_{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.emit(&Event {
-            level: Level::Warn,
-            target: "a.b",
-            message: "line1\nline2",
-            fields: &[("k", Value::from("v"))],
-            ts_unix_ms: 42,
-        });
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            text,
-            "{\"ts_unix_ms\":42,\"level\":\"warn\",\"target\":\"a.b\",\
-             \"message\":\"line1\\nline2\",\"fields\":{\"k\":\"v\"}}\n"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn jsonl_sink_counts_dropped_events_on_write_failure() {
-        let _g = lock();
-        // /dev/full accepts the open but fails every write with ENOSPC.
-        let Ok(sink) = JsonlSink::create("/dev/full") else {
-            return; // minimal container without /dev/full
-        };
-        let dropped = crate::metrics::counter("obs.events.dropped");
-        let before = dropped.get();
-        // A field larger than BufWriter's buffer forces the write
-        // through to the failing fd inside emit itself.
-        let big = "x".repeat(64 * 1024);
-        sink.emit(&Event {
-            level: Level::Error,
-            target: "obs.test",
-            message: "doomed",
-            fields: &[("payload", Value::from(big))],
-            ts_unix_ms: 1,
-        });
-        sink.flush();
-        assert!(
-            dropped.get() > before,
-            "failed sink writes must increment obs.events.dropped"
         );
     }
 }

@@ -3,22 +3,22 @@
 //! Four pieces, all std-only (the build environment is offline):
 //!
 //! * **Spans** — RAII wall-clock timers with per-thread nesting.
-//!   [`span("epoch")`](span) inside a `train` span aggregates under the
+//!   [`span("epoch")`](fn@span) inside a `train` span aggregates under the
 //!   dotted path `train.epoch`, tracking count, total and *self* time.
+//!   [`RunReport::capture()`] snapshots the span tree and the metrics
+//!   registry into a single JSON document; experiment binaries expose
+//!   it via `--obs-json <path>`.
 //! * **Metrics** — a global registry of [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s (p50/p95/p99 readout), addressed by
-//!   `crate.module.op` names plus an optional label.
-//! * **Events** — leveled structured logging via the [`event!`] macro,
-//!   filtered by `OBS_LEVEL` (off/error/warn/info/debug/trace; default
-//!   warn) and fanned out to pluggable [`Sink`]s. The disabled path is
-//!   one relaxed atomic load: no locks, no allocation.
-//! * **Reports** — [`RunReport::capture()`] snapshots the span tree and
-//!   metrics registry into a single JSON document; experiment binaries
-//!   expose it via `--obs-json <path>`.
-//! * **Traces** — request-scoped [`TraceContext`]s with an ambient
-//!   per-thread scope ([`trace::scope`]), a lock-light ring of completed
-//!   [`TraceRecord`]s, histogram exemplars carrying trace ids, and a
-//!   Prometheus text renderer ([`prometheus::render_current`]).
+//!   `crate.module.op` names plus an optional label, and rendered as
+//!   Prometheus text by [`prometheus::render_current`].
+//! * **Events** — leveled structured lines on stderr via the [`event!`]
+//!   macro, filtered by `OBS_LEVEL` (off/error/warn/info/debug/trace;
+//!   default warn). The disabled path is one relaxed atomic load: no
+//!   locks, no allocation.
+//! * **Request traces** — a [`TraceId`] per served request, its
+//!   per-stage times frozen into a [`TraceRecord`], a lock-light ring of
+//!   completed records, and histogram exemplars carrying trace ids.
 //!
 //! ```
 //! let _run = obs::span("example");
@@ -36,10 +36,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use event::{
-    add_sink, emit, enabled, flush, level, set_level, set_sinks, Event, JsonlSink, Level, Sink,
-    StderrSink, Value,
-};
+pub use event::{emit, enabled, set_level, Level, Value};
 pub use metrics::{
     counter, counter_labeled, duration_bounds, exponential_bounds, gauge, gauge_labeled, histogram,
     histogram_labeled, histogram_with, Counter, Exemplar, Gauge, Histogram, HistogramInner, Key,
@@ -47,13 +44,4 @@ pub use metrics::{
 };
 pub use report::RunReport;
 pub use span::{span, with_span, Span, SpanEntry, SpanStats};
-pub use trace::{SpanId, Stage, TraceContext, TraceId, TraceRecord, TraceRing};
-
-/// Clears all global observability state: spans, metrics, the trace
-/// ring. Events keep their sinks and level. Intended for test
-/// isolation.
-pub fn reset() {
-    span::reset();
-    metrics::reset();
-    trace::reset();
-}
+pub use trace::{Stage, TraceId, TraceRecord, TraceRing};

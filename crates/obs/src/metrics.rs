@@ -412,14 +412,6 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Clears the registry (test isolation).
-pub fn reset() {
-    let reg = registry();
-    reg.counters.lock().expect("poisoned").clear();
-    reg.gauges.lock().expect("poisoned").clear();
-    reg.histograms.lock().expect("poisoned").clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

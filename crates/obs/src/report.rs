@@ -112,177 +112,8 @@ impl RunReport {
             json::push_f64(&mut out, hist.quantile(0.99));
             out.push('}');
         }
-        out.push(']');
-
-        self.push_par_section(&mut out);
-        self.push_solver_section(&mut out);
-        self.push_engine_section(
-            &mut out,
-            "infer",
-            &["features", "pack", "forward", "unscale"],
-        );
-        self.push_engine_section(&mut out, "train", &["forward", "backward"]);
-        out.push('}');
-        out
-    }
-
-    /// Emits a derived `"par"` section summarizing the parallel-compute
-    /// metrics (`par.threads` / `par.queue_depth` gauges and the
-    /// per-task-kind `par.tasks` / `par.task_seconds` series), so run
-    /// reports answer "how parallel was this run" without grepping the
-    /// raw metric arrays. Empty-but-present when nothing ran on the
-    /// pool.
-    fn push_par_section(&self, out: &mut String) {
-        let gauge = |name: &str| {
-            self.metrics
-                .gauges
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-        };
-        out.push_str(",\"par\":{\"threads\":");
-        json::push_f64(out, gauge("par.threads").unwrap_or(0.0));
-        out.push_str(",\"queue_depth\":");
-        json::push_f64(out, gauge("par.queue_depth").unwrap_or(0.0));
-        out.push_str(",\"task_kinds\":[");
-        let mut first = true;
-        for (key, count) in &self.metrics.counters {
-            if key.name != "par.tasks" {
-                continue;
-            }
-            let Some(kind) = key.label.as_deref() else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"kind\":");
-            json::push_string(out, kind);
-            out.push_str(",\"tasks\":");
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{count}"));
-            let hist = self
-                .metrics
-                .histograms
-                .iter()
-                .find(|(k, _)| k.name == "par.task_seconds" && k.label.as_deref() == Some(kind))
-                .map(|(_, h)| h);
-            out.push_str(",\"total_s\":");
-            json::push_f64(out, hist.map(|h| h.sum()).unwrap_or(0.0));
-            out.push_str(",\"p95_s\":");
-            json::push_f64(out, hist.map(|h| h.quantile(0.95)).unwrap_or(0.0));
-            out.push('}');
-        }
         out.push_str("]}");
-    }
-
-    /// Emits a derived `"solver"` section summarizing the golden
-    /// simulator's linear-solver metrics: nets factorized per backend
-    /// (the `rcsim.solver.nets` labelled counter), aggregate sparse
-    /// pattern size and fill-in (`rcsim.sparse.nnz` / `rcsim.sparse.fill`)
-    /// and the factor/solve time split (`rcsim.factor_seconds` /
-    /// `rcsim.solve_seconds` histograms). Empty-but-present when no
-    /// simulation ran.
-    fn push_solver_section(&self, out: &mut String) {
-        let counter = |name: &str| {
-            self.metrics
-                .counters
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        out.push_str(",\"solver\":{\"backends\":[");
-        let mut first = true;
-        for (key, count) in &self.metrics.counters {
-            if key.name != "rcsim.solver.nets" {
-                continue;
-            }
-            let Some(kind) = key.label.as_deref() else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"kind\":");
-            json::push_string(out, kind);
-            out.push_str(",\"nets\":");
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{count}"));
-            out.push('}');
-        }
-        out.push_str("],\"sparse_nnz\":");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", counter("rcsim.sparse.nnz")));
-        out.push_str(",\"sparse_fill\":");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", counter("rcsim.sparse.fill")));
-        for (field, name) in [
-            ("factor", "rcsim.factor_seconds"),
-            ("solve", "rcsim.solve_seconds"),
-        ] {
-            let hist = self
-                .metrics
-                .histograms
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, h)| h);
-            let _ = std::fmt::Write::write_fmt(out, format_args!(",\"{field}\":{{\"count\":"));
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!("{}", hist.map(|h| h.count()).unwrap_or(0)),
-            );
-            out.push_str(",\"total_s\":");
-            json::push_f64(out, hist.map(|h| h.sum()).unwrap_or(0.0));
-            out.push_str(",\"p95_s\":");
-            json::push_f64(out, hist.map(|h| h.quantile(0.95)).unwrap_or(0.0));
-            out.push('}');
-        }
-        out.push('}');
-    }
-
-    /// Emits a derived `"infer"` or `"train"` section summarizing the
-    /// packed engine: the `{section}.arena_bytes` gauge, pack shapes
-    /// (`{section}.batch_graphs` / `{section}.batch_nodes` histograms)
-    /// and the time spent in each pass (`{section}.{pass}_seconds`), so
-    /// one glance at a run report answers "did serving or training run
-    /// the packed engine, how big were its packs, and where did the
-    /// time go". Empty-but-present when the engine did not run.
-    fn push_engine_section(&self, out: &mut String, section: &str, passes: &[&str]) {
-        let gauge = self
-            .metrics
-            .gauges
-            .iter()
-            .find(|(k, _)| k.name == format!("{section}.arena_bytes") && k.label.is_none())
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
-        let _ = std::fmt::Write::write_fmt(out, format_args!(",\"{section}\":{{\"arena_bytes\":"));
-        json::push_f64(out, gauge);
-        let fields = ["batch_graphs", "batch_nodes"]
-            .iter()
-            .map(|f| (*f, format!("{section}.{f}")));
-        let timers = passes
-            .iter()
-            .map(|p| (*p, format!("{section}.{p}_seconds")));
-        for (field, name) in fields.chain(timers) {
-            let hist = self
-                .metrics
-                .histograms
-                .iter()
-                .find(|(k, _)| k.name == name && k.label.is_none())
-                .map(|(_, h)| h);
-            let _ = std::fmt::Write::write_fmt(out, format_args!(",\"{field}\":{{\"count\":"));
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!("{}", hist.map(|h| h.count()).unwrap_or(0)),
-            );
-            out.push_str(",\"sum\":");
-            json::push_f64(out, hist.map(|h| h.sum()).unwrap_or(0.0));
-            out.push_str(",\"mean\":");
-            json::push_f64(out, hist.map(|h| h.mean()).unwrap_or(0.0));
-            out.push_str(",\"p95\":");
-            json::push_f64(out, hist.map(|h| h.quantile(0.95)).unwrap_or(0.0));
-            out.push('}');
-        }
-        out.push('}');
+        out
     }
 
     /// Writes the JSON report to `path` (plus a trailing newline).
@@ -361,78 +192,121 @@ mod tests {
         assert!(json.contains("\"p99\":"));
     }
 
+    /// The text of the report row `{"name":name[,"label":label],...}`.
+    fn row<'a>(json: &'a str, name: &str, label: Option<&str>) -> &'a str {
+        let mut key = format!("{{\"name\":\"{name}\",");
+        if let Some(label) = label {
+            key.push_str(&format!("\"label\":\"{label}\","));
+        }
+        let start = json
+            .find(&key)
+            .unwrap_or_else(|| panic!("no row {key} in {json}"));
+        let end = start + json[start..].find('}').unwrap();
+        &json[start..=end]
+    }
+
+    /// The keys of the outermost object, in order.
+    fn top_level_keys(json: &str) -> Vec<&str> {
+        let mut keys = Vec::new();
+        let (mut depth, mut at) = (0, 0);
+        let bytes = json.as_bytes();
+        while at < bytes.len() {
+            match bytes[at] {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                b'"' => {
+                    let start = at + 1;
+                    at = start;
+                    while bytes[at] != b'"' {
+                        at += if bytes[at] == b'\\' { 2 } else { 1 };
+                    }
+                    if depth == 1 && bytes.get(at + 1) == Some(&b':') {
+                        keys.push(&json[start..at]);
+                    }
+                }
+                _ => {}
+            }
+            at += 1;
+        }
+        keys
+    }
+
+    /// The series the engines register sit in the raw arrays, each
+    /// under its own name and label, and the report has no other
+    /// top-level key.
     #[test]
-    fn report_has_derived_par_section() {
-        crate::metrics::gauge("par.threads").set(4.0);
-        crate::metrics::counter_labeled("par.tasks", Some("test.kind")).add(12);
-        let h = crate::metrics::histogram_with("par.task_seconds", Some("test.kind"), || {
+    fn engine_series_are_raw_rows_and_the_report_has_six_keys() {
+        use crate::metrics::{counter, counter_labeled, gauge, histogram, histogram_with};
+        gauge("par.threads").set(4.0);
+        counter_labeled("par.tasks", Some("test.kind")).add(12);
+        let task = histogram_with("par.task_seconds", Some("test.kind"), || {
             vec![0.001, 0.01, 0.1]
         });
-        h.observe(0.005);
-        let json = RunReport::capture().to_json();
-        assert_balanced_json(&json);
-        assert!(json.contains("\"par\":{\"threads\":4"));
-        assert!(json.contains("\"kind\":\"test.kind\",\"tasks\":12"));
-        assert!(json.contains("\"total_s\":"));
-    }
+        task.observe(0.005);
+        counter_labeled("rcsim.solver.nets", Some("sparse_ldl")).add(3);
+        counter("rcsim.sparse.nnz").add(42);
+        counter("rcsim.sparse.fill").add(2);
+        let factor = histogram("rcsim.factor_seconds");
+        factor.observe(0.002);
+        gauge("infer.arena_bytes").set(4096.0);
+        let graphs = histogram_with("infer.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
+        graphs.observe(4.0);
+        graphs.observe(16.0);
+        let forward = histogram("infer.forward_seconds");
+        forward.observe(0.003);
+        let unscale = histogram("infer.unscale_seconds");
+        unscale.observe(0.001);
+        unscale.observe(0.002);
+        gauge("train.arena_bytes").set(8192.0);
+        let train_graphs = histogram_with("train.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
+        train_graphs.observe(8.0);
+        train_graphs.observe(2.0);
+        let backward = histogram("train.backward_seconds");
+        backward.observe(0.004);
 
-    #[test]
-    fn report_has_derived_solver_section() {
-        crate::metrics::counter_labeled("rcsim.solver.nets", Some("sparse_ldl")).add(3);
-        crate::metrics::counter("rcsim.sparse.nnz").add(42);
-        crate::metrics::counter("rcsim.sparse.fill").add(2);
-        let h = crate::metrics::histogram("rcsim.factor_seconds");
-        h.observe(0.002);
         let json = RunReport::capture().to_json();
         assert_balanced_json(&json);
-        assert!(json.contains("\"solver\":{\"backends\":["));
-        assert!(json.contains("\"kind\":\"sparse_ldl\",\"nets\":3"));
-        assert!(json.contains("\"sparse_nnz\":42"));
-        assert!(json.contains("\"sparse_fill\":2"));
-        assert!(json.contains("\"factor\":{\"count\":1"));
-        assert!(json.contains("\"solve\":{\"count\":0"));
-    }
-
-    #[test]
-    fn report_has_derived_infer_section() {
-        crate::metrics::gauge("infer.arena_bytes").set(4096.0);
-        let h = crate::metrics::histogram_with("infer.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
-        h.observe(4.0);
-        h.observe(16.0);
-        let t = crate::metrics::histogram("infer.forward_seconds");
-        t.observe(0.003);
-        let u = crate::metrics::histogram("infer.unscale_seconds");
-        u.observe(0.001);
-        u.observe(0.002);
-        let json = RunReport::capture().to_json();
-        assert_balanced_json(&json);
-        let infer = &json[json.find("\"infer\":").unwrap()..json.find("\"train\":").unwrap()];
-        assert!(infer.starts_with("\"infer\":{\"arena_bytes\":4096"));
-        assert!(infer.contains("\"batch_graphs\":{\"count\":2"));
-        // Every predict stage in pipeline order, observed or not.
-        let stages = ["\"features\":", "\"pack\":", "\"forward\":", "\"unscale\":"];
-        let at: Vec<usize> = stages.iter().map(|k| infer.find(k).unwrap()).collect();
-        assert!(at.windows(2).all(|w| w[0] < w[1]), "{infer}");
-        assert!(infer.contains("\"forward\":{\"count\":1"));
-        assert!(infer.contains("\"unscale\":{\"count\":2"));
-        assert!(!infer.contains("\"backward\""));
-    }
-
-    #[test]
-    fn report_has_derived_train_section() {
-        crate::metrics::gauge("train.arena_bytes").set(8192.0);
-        let h = crate::metrics::histogram_with("train.batch_graphs", None, || vec![1.0, 8.0, 64.0]);
-        h.observe(8.0);
-        h.observe(2.0);
-        let t = crate::metrics::histogram("train.backward_seconds");
-        t.observe(0.004);
-        let json = RunReport::capture().to_json();
-        assert_balanced_json(&json);
-        let train = &json[json.find("\"train\":").unwrap()..];
-        assert!(train.starts_with("\"train\":{\"arena_bytes\":8192"));
-        assert!(train.contains("\"batch_graphs\":{\"count\":2"));
-        assert!(train.contains("\"backward\":{\"count\":1"));
-        assert!(train.contains("\"forward\":{\"count\":0"));
+        for (name, label, value) in [
+            ("par.threads", None, 4),
+            ("par.tasks", Some("test.kind"), 12),
+            ("rcsim.solver.nets", Some("sparse_ldl"), 3),
+            ("rcsim.sparse.nnz", None, 42),
+            ("rcsim.sparse.fill", None, 2),
+            ("infer.arena_bytes", None, 4096),
+            ("train.arena_bytes", None, 8192),
+        ] {
+            let row = row(&json, name, label);
+            assert!(row.ends_with(&format!(",\"value\":{value}}}")), "{row}");
+        }
+        for (name, label, hist) in [
+            ("par.task_seconds", Some("test.kind"), &task),
+            ("rcsim.factor_seconds", None, &factor),
+            ("infer.batch_graphs", None, &graphs),
+            ("infer.forward_seconds", None, &forward),
+            ("infer.unscale_seconds", None, &unscale),
+            ("train.batch_graphs", None, &train_graphs),
+            ("train.backward_seconds", None, &backward),
+        ] {
+            let row = row(&json, name, label);
+            assert!(
+                row.contains(&format!("\"count\":{},", hist.count())),
+                "{row}"
+            );
+            let mut p95 = String::from("\"p95\":");
+            json::push_f64(&mut p95, hist.quantile(0.95));
+            assert!(row.contains(&p95), "{row} lacks {p95}");
+        }
+        assert_eq!(
+            top_level_keys(&json),
+            [
+                "schema",
+                "captured_unix_ms",
+                "spans",
+                "counters",
+                "gauges",
+                "histograms"
+            ]
+        );
     }
 
     #[test]

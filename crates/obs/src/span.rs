@@ -132,12 +132,6 @@ pub fn snapshot() -> Vec<SpanEntry> {
     rows
 }
 
-/// Clears the global span registry (test isolation; not needed in
-/// production, where a process emits one report).
-pub fn reset() {
-    registry().lock().expect("span registry poisoned").clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

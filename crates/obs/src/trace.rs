@@ -1,20 +1,19 @@
-//! Request-scoped tracing: trace identifiers, an ambient per-thread
-//! context, and a lock-light ring buffer of completed request traces.
+//! Request traces: trace identifiers, the tracing toggle, and a
+//! lock-light ring buffer of completed request traces.
 //!
-//! The serving pipeline (crates/serve) generates one [`TraceContext`]
-//! per request — or honors an `x-trace-id` header — and carries it
-//! across every thread handoff: connection thread → bounded queue →
-//! worker pool → `par` pool lanes (see `par::par_map`, which captures
-//! [`current`] and re-establishes it inside each lane). When the
-//! request completes, its per-stage latency breakdown is frozen into a
-//! [`TraceRecord`] and pushed into the global [`TraceRing`], where
-//! `GET /v1/traces` and the `obs-trace` analyzer can read it back.
+//! The serving pipeline (crates/serve) generates one [`TraceId`] per
+//! request — or honors an `x-trace-id` header — and carries it in its
+//! per-request trace through the bounded queue and the worker pool.
+//! When the request completes, its per-stage latency breakdown is
+//! frozen into a [`TraceRecord`] and pushed into the global
+//! [`TraceRing`], where `GET /v1/traces` and the `obs-trace` analyzer
+//! can read it back.
 //!
 //! Design notes:
 //!
-//! * **Ids** are random 128-bit (trace) / 64-bit (span) values from a
-//!   per-thread splitmix64 generator — no external RNG crate, no
-//!   coordination between threads after seeding.
+//! * **Ids** are random 128-bit values from a per-thread splitmix64
+//!   generator — no external RNG crate, no coordination between
+//!   threads after seeding.
 //! * **The ring is lock-light**: one `Mutex<Option<_>>` per slot plus
 //!   an atomic sequence counter. Writers contend only when two pushes
 //!   land `capacity` apart simultaneously; a snapshot locks each slot
@@ -38,10 +37,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// A 128-bit trace identifier (non-zero), rendered as 32 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u128);
-
-/// A 64-bit span identifier (non-zero), rendered as 16 hex digits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
 
 fn splitmix64(state: &mut u64) {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -117,95 +112,6 @@ impl TraceId {
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}", self.0)
-    }
-}
-
-impl SpanId {
-    /// A fresh random id (never zero).
-    pub fn generate() -> SpanId {
-        let v = next_random();
-        SpanId(if v == 0 { 1 } else { v })
-    }
-
-    /// 16 lowercase hex digits.
-    pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
-impl fmt::Display for SpanId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ambient context
-// ---------------------------------------------------------------------------
-
-/// The trace context carried with a request: which trace it belongs to
-/// and which server-side span is currently executing on its behalf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceContext {
-    /// The request's trace id (shared by every span of the request).
-    pub trace_id: TraceId,
-    /// This hop's span id.
-    pub span_id: SpanId,
-}
-
-impl TraceContext {
-    /// A root context for `trace_id` with a fresh span id.
-    pub fn new(trace_id: TraceId) -> TraceContext {
-        TraceContext {
-            trace_id,
-            span_id: SpanId::generate(),
-        }
-    }
-
-    /// A child context: same trace, fresh span id.
-    pub fn child(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: SpanId::generate(),
-        }
-    }
-}
-
-thread_local! {
-    static CURRENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
-}
-
-/// The trace context installed on this thread, if any.
-pub fn current() -> Option<TraceContext> {
-    CURRENT.with(Cell::get)
-}
-
-/// Installs (or clears) the thread's context directly. Prefer
-/// [`scope`], which restores the previous value automatically.
-pub fn set_current(ctx: Option<TraceContext>) {
-    CURRENT.with(|c| c.set(ctx));
-}
-
-/// RAII guard restoring the previously-installed context on drop.
-#[must_use = "dropping the guard immediately uninstalls the context"]
-#[derive(Debug)]
-pub struct ContextGuard {
-    prev: Option<TraceContext>,
-}
-
-/// Installs `ctx` as the thread's current context until the returned
-/// guard drops (at which point the previous context is restored). This
-/// is how a trace survives thread handoffs: the receiving thread scopes
-/// the context it was handed before doing the request's work.
-pub fn scope(ctx: TraceContext) -> ContextGuard {
-    ContextGuard {
-        prev: CURRENT.with(|c| c.replace(Some(ctx))),
-    }
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
     }
 }
 
@@ -508,9 +414,6 @@ mod tests {
         assert_eq!(TraceId::parse("zz"), None);
         assert_eq!(TraceId::parse(&"f".repeat(33)), None);
         assert_eq!(TraceId::parse("deadbeef"), Some(TraceId(0xdead_beef)));
-        let s = SpanId::generate();
-        assert_ne!(s.0, 0);
-        assert_eq!(s.to_hex().len(), 16);
     }
 
     #[test]
@@ -526,33 +429,6 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), n, "duplicate trace ids across threads");
-    }
-
-    #[test]
-    fn scope_installs_and_restores_context() {
-        assert_eq!(current(), None);
-        let outer = TraceContext::new(TraceId::generate());
-        {
-            let _g = scope(outer);
-            assert_eq!(current(), Some(outer));
-            let inner = outer.child();
-            assert_eq!(inner.trace_id, outer.trace_id);
-            assert_ne!(inner.span_id, outer.span_id);
-            {
-                let _g2 = scope(inner);
-                assert_eq!(current(), Some(inner));
-            }
-            assert_eq!(current(), Some(outer));
-        }
-        assert_eq!(current(), None);
-    }
-
-    #[test]
-    fn context_does_not_leak_across_threads() {
-        let ctx = TraceContext::new(TraceId::generate());
-        let _g = scope(ctx);
-        let other = std::thread::spawn(current).join().unwrap();
-        assert_eq!(other, None, "thread-local context leaked across threads");
     }
 
     #[test]

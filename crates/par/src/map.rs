@@ -93,11 +93,6 @@ impl Latch {
 
 /// Shared lane state: claims indices, writes results to their slots.
 struct Lanes<'a, T, R, F, S> {
-    /// Trace context of the submitting thread, re-installed inside
-    /// every lane so request-scoped tracing (obs::trace) survives the
-    /// pool handoff: a `par_map` issued while serving a request keeps
-    /// that request's trace id on all of its lanes.
-    trace: Option<obs::TraceContext>,
     items: &'a [T],
     /// Base pointer of the `Option<R>` result slots. Lanes write
     /// disjoint slots (each index is claimed exactly once), which is
@@ -123,7 +118,6 @@ unsafe impl<T: Sync, R: Send, F: Sync, S: Sync> Sync for Lanes<'_, T, R, F, S> {
 impl<T, R, F: Fn(&T) -> R, S: Fn(&R) -> bool> Lanes<'_, T, R, F, S> {
     fn run(&self) {
         let _lane = LaneGuard::enter();
-        let _trace = self.trace.map(obs::trace::scope);
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 break;
@@ -201,7 +195,6 @@ where
     let mut results: Vec<Option<R>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
     let shared = Lanes {
-        trace: obs::trace::current(),
         items,
         results: results.as_mut_ptr(),
         f: &f,
@@ -437,28 +430,6 @@ mod tests {
         });
         assert_eq!(r.unwrap_err(), "first");
         assert!(calls.load(Ordering::Relaxed) <= 100);
-    }
-
-    #[test]
-    fn trace_context_propagates_into_lanes() {
-        let _g = test_threads_lock();
-        set_threads(4);
-        set_force_pool(true);
-        let ctx = obs::TraceContext::new(obs::TraceId::generate());
-        let scope = obs::trace::scope(ctx);
-        let items: Vec<usize> = (0..64).collect();
-        let seen = par_map("test.trace", &items, |_| {
-            obs::trace::current().map(|c| c.trace_id)
-        });
-        assert!(
-            seen.iter().all(|id| *id == Some(ctx.trace_id)),
-            "every lane must observe the submitter's trace id"
-        );
-        drop(scope);
-        // Without an ambient context, lanes see none (no leakage from
-        // the previous map's scope guards).
-        let seen = par_map("test.trace", &items, |_| obs::trace::current());
-        assert!(seen.iter().all(Option::is_none));
     }
 
     #[test]

@@ -217,9 +217,6 @@ impl Server {
             let _ = w.join();
         }
         obs::event!(obs::Level::Info, "serve.server", "drained and stopped");
-        // Flush event sinks after the drain: a JsonlSink must not lose
-        // the tail of its buffer when the process exits right after.
-        obs::flush();
     }
 }
 
@@ -269,25 +266,22 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(HttpError::Io(_)) => return,
         };
-        let endpoint = format!("{} {}", request.method, request.path);
-        obs::counter_labeled("serve.http.requests", Some(&endpoint)).inc();
-
         // The trace honors a parseable `x-trace-id` header and starts
         // at the request line; everything read so far is `accept`.
         let trace = RequestTrace::begin(request.header("x-trace-id"), request.read_started);
         trace.record(Stage::Accept, request.read_started.elapsed());
-        // Ambient context for everything this thread does on behalf of
-        // the request (events, nested par maps on inline endpoints).
-        let scope = obs::trace::scope(trace.ctx());
 
         let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        let response = route(&request, shared, &trace).with_header("x-trace-id", &trace.id_hex());
+        let (endpoint, response) = route(&request, shared, &trace);
+        obs::counter_labeled("serve.http.requests", Some(endpoint)).inc();
+        let response = response.with_header("x-trace-id", &trace.id_hex());
         record_response(response.status);
-        obs::histogram("serve.request.seconds")
-            .observe_traced(request.read_started.elapsed().as_secs_f64(), Some(trace.ctx().trace_id));
+        obs::histogram("serve.request.seconds").observe_traced(
+            request.read_started.elapsed().as_secs_f64(),
+            Some(trace.id()),
+        );
         let write_ok = response.write_to(&mut write_half, keep_alive).is_ok();
         trace.finish(response.status, shared.cfg.slow_request);
-        drop(scope);
         if !write_ok || !keep_alive {
             return;
         }
@@ -298,22 +292,36 @@ fn record_response(status: u16) {
     obs::counter_labeled("serve.http.responses", Some(&status.to_string())).inc();
 }
 
-fn route(request: &Request, shared: &Arc<Shared>, trace: &RequestTrace) -> Response {
-    if let Some(response) = crate::session_api::route(request, shared, trace) {
-        return response;
+/// The `endpoint` label of every request that matches no route (each
+/// 404 and 405), so no request line can add a `serve.http.requests`
+/// series.
+pub(crate) const OTHER: &str = "other";
+
+/// Answers `request` and names the route pattern it matched: the
+/// `endpoint` label of `serve.http.requests`.
+fn route(
+    request: &Request,
+    shared: &Arc<Shared>,
+    trace: &RequestTrace,
+) -> (&'static str, Response) {
+    if let Some(routed) = crate::session_api::route(request, shared, trace) {
+        return routed;
     }
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => metrics(request),
-        ("GET", "/v1/traces") => traces(request),
-        ("POST", "/v1/predict") => predict(request, shared, trace),
-        ("POST", "/v1/model/reload") => reload(request, shared),
+        ("GET", "/healthz") => ("GET /healthz", healthz(shared)),
+        ("GET", "/metrics") => ("GET /metrics", metrics(request)),
+        ("GET", "/v1/traces") => ("GET /v1/traces", traces(request)),
+        ("POST", "/v1/predict") => ("POST /v1/predict", predict(request, shared, trace)),
+        ("POST", "/v1/model/reload") => ("POST /v1/model/reload", reload(request, shared)),
         ("POST", "/admin/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            Response::json(200, "{\"draining\":true}")
+            (
+                "POST /admin/shutdown",
+                Response::json(200, "{\"draining\":true}"),
+            )
         }
-        ("GET" | "POST", _) => Response::error(404, "unknown path"),
-        _ => Response::error(405, "method not allowed"),
+        ("GET" | "POST", _) => (OTHER, Response::error(404, "unknown path")),
+        _ => (OTHER, Response::error(405, "method not allowed")),
     }
 }
 
@@ -652,20 +660,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         for job in &live {
             job.trace.mark_inference_start();
         }
-        // The coalesced call runs under the head job's trace context,
-        // so par lanes inside predict_many carry its id; the wall time
-        // is attributed to every co-batched job (each waited that long).
-        let coalesced = {
-            let _ctx = obs::trace::scope(live[0].trace.ctx());
-            let t0 = Instant::now();
-            let outcome = model.estimator.predict_many(pairs);
-            (outcome, t0.elapsed())
-        };
+        // The wall time is attributed to every co-batched job (each
+        // waited that long).
+        let t0 = Instant::now();
+        let coalesced = model.estimator.predict_many(pairs);
+        let spent = t0.elapsed();
         match coalesced {
-            (Ok(all), spent) => {
+            Ok(all) => {
                 let mut offset = 0usize;
                 for job in &live {
-                    let _ctx = obs::trace::scope(job.trace.ctx());
                     job.trace.record_inference(spent);
                     let per_net = &all[offset..offset + job.nets.len()];
                     offset += job.nets.len();
@@ -675,7 +678,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let _ = job.reply.send(Ok(body));
                 }
             }
-            (Err(_), _) => {
+            Err(_) => {
                 // Re-predict each job separately so one poisoned net
                 // cannot fail its neighbours' requests. The loop over
                 // jobs stays serial so every reply goes out the moment
@@ -684,7 +687,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // their deadlines). Each job still fans out per net on
                 // the par pool inside `predict_many`.
                 for job in &live {
-                    let _ctx = obs::trace::scope(job.trace.ctx());
                     let t0 = Instant::now();
                     let outcome = predict_job(&model, &job.nets, &job.ctxs);
                     job.trace.record_inference(t0.elapsed());

@@ -17,7 +17,7 @@
 
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
-use crate::server::Shared;
+use crate::server::{Shared, OTHER};
 use crate::trace::RequestTrace;
 use eco::session::TimingSummary;
 use eco::{DesignSession, EcoEdit, EcoError, EcoReport};
@@ -99,25 +99,32 @@ fn record_stages(trace: &RequestTrace, stats: &eco::RetimeStats) {
     trace.record(Stage::Propagate, Duration::from_secs_f64(stats.propagate_s));
 }
 
-/// Routes `/v1/session*` paths. Returns `None` when the path does not
+/// Routes `/v1/session*` paths, naming the route pattern matched (the
+/// server's `endpoint` label). Returns `None` when the path does not
 /// belong to the session API at all.
 pub(crate) fn route(
     request: &Request,
     shared: &Arc<Shared>,
     trace: &RequestTrace,
-) -> Option<Response> {
+) -> Option<(&'static str, Response)> {
     let rest = request.path.strip_prefix("/v1/session")?;
     let segs: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
     let method = request.method.as_str();
     Some(match (method, segs.as_slice()) {
-        ("POST", []) => create(request, shared, trace),
-        ("GET", []) => list(shared),
-        ("DELETE", [id]) => delete(shared, id),
-        ("POST", [id, "eco"]) => apply_eco(request, shared, trace, id),
-        ("POST", [id, "rollback"]) => rollback(request, shared, id),
-        ("GET", [id, "timing"]) => timing(request, shared, id),
-        ("GET" | "POST" | "DELETE", _) => Response::error(404, "unknown session path"),
-        _ => Response::error(405, "method not allowed"),
+        ("POST", []) => ("POST /v1/session", create(request, shared, trace)),
+        ("GET", []) => ("GET /v1/session", list(shared)),
+        ("DELETE", [id]) => ("DELETE /v1/session/{id}", delete(shared, id)),
+        ("POST", [id, "eco"]) => (
+            "POST /v1/session/{id}/eco",
+            apply_eco(request, shared, trace, id),
+        ),
+        ("POST", [id, "rollback"]) => (
+            "POST /v1/session/{id}/rollback",
+            rollback(request, shared, id),
+        ),
+        ("GET", [id, "timing"]) => ("GET /v1/session/{id}/timing", timing(request, shared, id)),
+        ("GET" | "POST" | "DELETE", _) => (OTHER, Response::error(404, "unknown session path")),
+        _ => (OTHER, Response::error(405, "method not allowed")),
     })
 }
 

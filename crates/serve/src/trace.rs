@@ -35,13 +35,13 @@
 //! late writes after [`RequestTrace::finish`] are harmless.
 
 use obs::trace::{Stage, STAGE_COUNT};
-use obs::{TraceContext, TraceId, TraceRecord};
+use obs::{TraceId, TraceRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 struct Inner {
-    ctx: TraceContext,
+    id: TraceId,
     started: Instant,
     started_unix_ms: u64,
     /// Per-stage accumulated nanoseconds, indexed by `Stage::index`.
@@ -69,12 +69,12 @@ impl RequestTrace {
     /// (so callers and upstream proxies can correlate); anything else
     /// gets a fresh random id.
     pub fn begin(header: Option<&str>, started: Instant) -> RequestTrace {
-        let trace_id = header
+        let id = header
             .and_then(TraceId::parse)
             .unwrap_or_else(TraceId::generate);
         RequestTrace {
             inner: Arc::new(Inner {
-                ctx: TraceContext::new(trace_id),
+                id,
                 started,
                 started_unix_ms: SystemTime::now()
                     .duration_since(UNIX_EPOCH)
@@ -90,15 +90,14 @@ impl RequestTrace {
         }
     }
 
-    /// The context to install (`obs::trace::scope`) while working on
-    /// this request.
-    pub fn ctx(&self) -> TraceContext {
-        self.inner.ctx
+    /// The request's trace id (the exemplar on its histograms).
+    pub fn id(&self) -> TraceId {
+        self.inner.id
     }
 
     /// The trace id as 32 hex digits (the `x-trace-id` echo value).
     pub fn id_hex(&self) -> String {
-        self.inner.ctx.trace_id.to_hex()
+        self.inner.id.to_hex()
     }
 
     fn offset_ns(&self) -> u64 {
@@ -179,7 +178,7 @@ impl RequestTrace {
             *s = ns as f64 / 1e9;
         }
         let record = TraceRecord {
-            trace_id: self.inner.ctx.trace_id,
+            trace_id: self.inner.id,
             started_unix_ms: self.inner.started_unix_ms,
             total_s: total_ns as f64 / 1e9,
             status,

@@ -128,6 +128,75 @@ fn unknown_paths_and_methods_are_404_405() {
     server.shutdown();
 }
 
+/// The `serve.http.requests` rows of a `/metrics` JSON body, as
+/// `(endpoint label, count)`.
+fn request_series(client: &mut Client) -> Vec<(String, u64)> {
+    let r = client.request("GET", "/metrics", None).unwrap();
+    let v = json::parse(&r.body).unwrap();
+    let Some(Json::Arr(counters)) = v.get("counters").cloned() else {
+        panic!("missing counters in {}", r.body);
+    };
+    counters
+        .iter()
+        .filter(|c| c.get("name").and_then(Json::as_str) == Some("serve.http.requests"))
+        .map(|c| {
+            let label = c
+                .get("label")
+                .and_then(Json::as_str)
+                .expect("endpoint label");
+            (
+                label.to_string(),
+                c.get("value").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A request line can name any path, method or session id, but the
+/// requests counter only grows a series per route pattern, plus one
+/// shared `other` series for every 404 and 405 of the router.
+#[test]
+fn request_series_are_bounded_by_the_route_table() {
+    // Six routes in `server::route`, six in `session_api::route`.
+    const ROUTES: usize = 12;
+    let server = test_server(1);
+    let mut client = Client::new(server.local_addr());
+    for i in 0..200 {
+        let r = client.request("GET", &format!("/nope/{i}"), None).unwrap();
+        assert_eq!(r.status, 404);
+    }
+    for i in 0..50 {
+        let r = client
+            .request(&format!("VERB{i}"), "/healthz", None)
+            .unwrap();
+        assert_eq!(r.status, 405);
+        let r = client
+            .request("GET", &format!("/v1/session/ghost{i}/timing"), None)
+            .unwrap();
+        assert_eq!(r.status, 404);
+        let r = client
+            .request("POST", &format!("/v1/session/ghost{i}/undo"), Some("{}"))
+            .unwrap();
+        assert_eq!(r.status, 404);
+    }
+    let series = request_series(&mut client);
+    assert!(
+        series.len() <= ROUTES + 1,
+        "{} series: {series:?}",
+        series.len()
+    );
+    let count = |label: &str| {
+        series
+            .iter()
+            .find(|(l, _)| l == label)
+            .map_or(0, |(_, n)| *n)
+    };
+    // Other tests share this process's registry, so counts are floors.
+    assert!(count("other") >= 300, "{series:?}");
+    assert!(count("GET /v1/session/{id}/timing") >= 50, "{series:?}");
+    server.shutdown();
+}
+
 #[test]
 fn oversized_bodies_are_413() {
     let server = test_server_with(|cfg| {

@@ -79,6 +79,13 @@ cargo run -q --release --example quickstart
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc gate: every library's rustdoc builds warning-free, so an
+# intra-doc link left pointing at a deleted or private item fails here.
+# `--lib` because the `bench` bins `rcsim` and `eco` would otherwise
+# overwrite the library docs of the crates with those names. About 9 s
+# cold on two cores.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --lib
+
 # Compute-layer smoke: kernels + 1-vs-N pool runs at a reduced step
 # count; writes a throwaway report and fails on any kernel/pool panic.
 # Its first line names the dispatched kernel tier, so the log says
